@@ -8,11 +8,11 @@ objective values, first-order residuals, and the matrices themselves.
 
 import numpy as np
 
-from softqn import (
+from softqn import soft_qn_update
+from softqn.oracle import (
     PenaltyObjectiveSpec,
     minimize_penalty_objective,
     penalty_objective,
-    soft_qn_update,
     stationarity_residual,
 )
 

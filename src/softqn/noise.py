@@ -20,7 +20,6 @@ __all__ = [
     "SphereNoise",
     "MinibatchSampling",
     "NoisyOracle",
-    "make_noisy",
     "derive_seed",
 ]
 
@@ -150,8 +149,3 @@ class NoisyOracle:
         if self.problem.hess is None:
             raise ValueError(f"problem {self.problem.name!r} has no Hessian")
         return self.problem.hess(x)
-
-
-def make_noisy(problem, fun_noise=None, grad_noise=None, seed: int = 0) -> NoisyOracle:
-    """Wrap a problem in a counted noisy oracle (see NoisyOracle)."""
-    return NoisyOracle(problem, fun_noise=fun_noise, grad_noise=grad_noise, seed=seed)

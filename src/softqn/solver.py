@@ -10,16 +10,18 @@ definiteness region, and plain BFGS skips pairs without positive curvature.
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
 from .updates import (
     ConstantAlpha,
     ConstantBeta,
+    bfgs_admissible,
     biased_direction,
     bfgs_update,
     soft_qn_update,
+    sp_bfgs_admissible,
     sp_bfgs_update,
 )
 
@@ -47,40 +49,102 @@ DIVERGENCE_NORM = 1e12
 
 # --------------------------------------------------------------------------
 # direction methods
+#
+# A method is stateless, so one instance serves any number of trials; run()
+# keeps the inverse-Hessian approximation H and hands it in.  Each method says
+# whether its direction needs the exact Hessian, builds its starting H (None
+# when it keeps none), turns (H, g, Hessian) into a direction, and absorbs a
+# pair (s, y) into H as absorb(h, s, y) -> (h_new, applied), where applied is
+# False when the method skipped the pair.
+
+
+class _Method:
+    """Defaults: no exact Hessian, no H, so no pair to apply and none to skip."""
+
+    uses_hessian: ClassVar[bool] = False
+
+    def initial_h(self, n: int, h0: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        return None
+
+    def absorb(self, h, s, y):
+        return h, True
+
+
+class _QuasiNewton(_Method):
+    """H starts at the identity or h0, and the direction is -H g."""
+
+    def initial_h(self, n: int, h0: Optional[np.ndarray]) -> Optional[np.ndarray]:
+        return np.eye(n) if h0 is None else np.array(h0, dtype=float, copy=True)
+
+    def direction(self, h, g, hess):
+        return biased_direction(h, g)
 
 
 @dataclass(frozen=True)
-class SoftQn:
+class SoftQn(_QuasiNewton):
     """Penalized-secant quasi-Newton; updates on every pair."""
 
     policy: ConstantAlpha = ConstantAlpha(1.0)
 
+    def direction(self, h, g, hess):
+        return biased_direction(h, g, self.policy.bias)
+
+    def absorb(self, h, s, y):
+        h_new, _ = soft_qn_update(h, s, y, self.policy.value(h, s, y))
+        return h_new, True
+
 
 @dataclass(frozen=True)
-class SpBfgs:
-    """Secant-penalized BFGS; skips pairs outside the PD region s'y > -1/beta."""
+class SpBfgs(_QuasiNewton):
+    """Secant-penalized BFGS; skips s = 0 and pairs outside the PD region s'y > -1/beta."""
 
     policy: ConstantBeta = ConstantBeta(1.0)
 
+    def absorb(self, h, s, y):
+        if float(s @ s) == 0.0:
+            return h, False
+        beta = self.policy.value(s, y)
+        if not sp_bfgs_admissible(s, y, beta):
+            return h, False
+        return sp_bfgs_update(h, s, y, beta), True
+
 
 @dataclass(frozen=True)
-class StochasticBfgs:
+class StochasticBfgs(_QuasiNewton):
     """Plain BFGS fed with noisy pairs; skips pairs without positive curvature."""
 
+    def absorb(self, h, s, y):
+        if not bfgs_admissible(s, y):
+            return h, False
+        return bfgs_update(h, s, y), True
+
 
 @dataclass(frozen=True)
-class Sgd:
+class Sgd(_Method):
     """Steepest descent on the noisy gradient."""
 
+    def direction(self, h, g, hess):
+        return -g
+
 
 @dataclass(frozen=True)
-class ExactNewton:
+class ExactNewton(_Method):
     """Direction from the exact Hessian (gradient may still be noisy)."""
 
+    uses_hessian = True
+
+    def direction(self, h, g, hess):
+        return -_solve_or_pinv(hess, g)
+
 
 @dataclass(frozen=True)
-class SaddleFreeNewton:
+class SaddleFreeNewton(_Method):
     """Newton direction preconditioned by |H|: eigenvalue magnitudes replace signs."""
+
+    uses_hessian = True
+
+    def direction(self, h, g, hess):
+        return -_solve_or_pinv(saddle_free_abs(hess), g)
 
 
 def saddle_free_abs(a: np.ndarray) -> np.ndarray:
@@ -98,28 +162,38 @@ def _solve_or_pinv(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(a) @ rhs
 
 
-def compute_direction(method, state, g: np.ndarray, hess: Optional[np.ndarray] = None):
-    """Descent direction of the given method at the current state."""
-    if isinstance(method, Sgd):
-        return -g
-    if isinstance(method, SoftQn):
-        return biased_direction(state.h, g, method.policy.bias)
-    if isinstance(method, (SpBfgs, StochasticBfgs)):
-        return biased_direction(state.h, g)
-    if isinstance(method, ExactNewton):
-        return -_solve_or_pinv(hess, g)
-    if isinstance(method, SaddleFreeNewton):
-        return -_solve_or_pinv(saddle_free_abs(hess), g)
-    raise TypeError(f"unknown direction method {method!r}")
+def compute_direction(method, h, g: np.ndarray, hess: Optional[np.ndarray] = None):
+    """Descent direction of the given method from H, the gradient and the exact Hessian."""
+    try:
+        direction = method.direction
+    except AttributeError:
+        raise TypeError(f"unknown direction method {method!r}") from None
+    return direction(h, g, hess)
 
 
 # --------------------------------------------------------------------------
 # step policies
 
 
+class LineSearchResult(NamedTuple):
+    eta: float
+    accepted: bool
+    backtracks: int
+    fun_evals: int
+    interrupted: bool
+    f_new: Optional[float] = None
+
+
+# A step policy owns step(oracle, x, p, g, k, eval_cap, f_x) -> LineSearchResult
+# for iteration k (counted from 1); eval_cap and f_x are as in line_search_noisy.
+
+
 @dataclass(frozen=True)
 class FixedStep:
     eta: float
+
+    def step(self, oracle, x, p, g, k, eval_cap, f_x) -> LineSearchResult:
+        return LineSearchResult(self.eta, True, 0, 0, False)
 
 
 @dataclass(frozen=True)
@@ -127,6 +201,9 @@ class DiminishingStep:
     """eta_k = scale/k with k counted from 1."""
 
     scale: float = 1.0
+
+    def step(self, oracle, x, p, g, k, eval_cap, f_x) -> LineSearchResult:
+        return LineSearchResult(self.scale / k, True, 0, 0, False)
 
 
 @dataclass(frozen=True)
@@ -145,14 +222,8 @@ class NoisyArmijo:
     max_backtracks: int = 45
     eps_tol: float = 0.0
 
-
-class LineSearchResult(NamedTuple):
-    eta: float
-    accepted: bool
-    backtracks: int
-    fun_evals: int
-    interrupted: bool
-    f_new: Optional[float] = None
+    def step(self, oracle, x, p, g, k, eval_cap, f_x) -> LineSearchResult:
+        return line_search_noisy(oracle, x, p, g, self, eval_cap=eval_cap, f_x=f_x)
 
 
 def line_search_noisy(
@@ -223,13 +294,10 @@ class Budget:
         if self.iterations is None and self.fun_evals is None:
             raise ValueError("budget needs iterations and/or fun_evals")
 
-
-@dataclass
-class _State:
-    x: np.ndarray
-    g: np.ndarray
-    h: Optional[np.ndarray]
-    k: int = 0
+    def exhausted(self, iterations: int, fun_evals: int) -> bool:
+        if self.iterations is not None and iterations >= self.iterations:
+            return True
+        return self.fun_evals is not None and fun_evals >= self.fun_evals
 
 
 @dataclass
@@ -255,14 +323,6 @@ class TrialRecord:
     iterates: Optional[list] = None
 
 
-def _needs_h(method) -> bool:
-    return isinstance(method, (SoftQn, SpBfgs, StochasticBfgs))
-
-
-def _needs_hess(method) -> bool:
-    return isinstance(method, (ExactNewton, SaddleFreeNewton))
-
-
 def run(
     oracle,
     method,
@@ -274,15 +334,14 @@ def run(
     """Run one trial of a method against a noisy oracle.
 
     The inverse-Hessian approximation starts at the identity unless ``h0`` is
-    given.  Divergence (non-finite iterate or norm above 1e12) stops the run
-    and freezes the per-iteration traces at their last finite values.
+    given.  Divergence (non-finite iterate or noisy gradient, or an iterate
+    norm above 1e12) stops the run and freezes the per-iteration traces at
+    their last finite values.
     """
     x = np.array(oracle.x0, dtype=float, copy=True)
     g = oracle.g(x)
-    h = None
-    if _needs_h(method):
-        h = np.eye(oracle.dim) if h0 is None else np.array(h0, dtype=float, copy=True)
-    state = _State(x=x, g=g, h=h)
+    h = method.initial_h(oracle.dim, h0)
+    k = 0
 
     phi_star = oracle.problem.phi_star
     grad_norms = [float(np.linalg.norm(oracle.true_grad(x)))]
@@ -294,39 +353,18 @@ def run(
     diverged = False
     f_inc = None  # noisy value at the incumbent; reused across line searches
 
-    def out_of_budget():
-        if budget.iterations is not None and state.k >= budget.iterations:
-            return True
-        if budget.fun_evals is not None and oracle.fun_evals >= budget.fun_evals:
-            return True
-        return False
+    while not budget.exhausted(k, oracle.fun_evals):
+        hess = oracle.hess(x) if method.uses_hessian else None
+        p = compute_direction(method, h, g, hess)
+        cap = None if budget.fun_evals is None else budget.fun_evals - oracle.fun_evals
+        ls = step.step(oracle, x, p, g, k + 1, cap, f_inc)
+        if ls.f_new is not None:
+            f_inc = ls.f_new
+        if not ls.accepted:
+            rejections += 1
 
-    while not out_of_budget():
-        k = state.k + 1
-        hess = oracle.hess(state.x) if _needs_hess(method) else None
-        p = compute_direction(method, state, state.g, hess)
-
-        interrupted = False
-        if isinstance(step, NoisyArmijo):
-            cap = None
-            if budget.fun_evals is not None:
-                cap = budget.fun_evals - oracle.fun_evals
-            ls = line_search_noisy(oracle, state.x, p, state.g, step, eval_cap=cap, f_x=f_inc)
-            eta = ls.eta
-            interrupted = ls.interrupted
-            if ls.f_new is not None:
-                f_inc = ls.f_new
-            if not ls.accepted:
-                rejections += 1
-        elif isinstance(step, DiminishingStep):
-            eta = step.scale / k
-        elif isinstance(step, FixedStep):
-            eta = step.eta
-        else:
-            raise TypeError(f"unknown step policy {step!r}")
-
-        x_new = state.x + eta * p
-        if not np.all(np.isfinite(x_new)) or np.linalg.norm(x_new) > DIVERGENCE_NORM:
+        x_new = x + ls.eta * p
+        if not np.isfinite(x_new).all() or np.linalg.norm(x_new) > DIVERGENCE_NORM:
             diverged = True
             break
 
@@ -335,43 +373,24 @@ def run(
         if not (np.isfinite(phi_new) and np.isfinite(gn_new)):
             diverged = True
             break
-        state.k = k
+        k += 1
         eval_trace.append((oracle.fun_evals, phi_new))
         grad_norms.append(gn_new)
         phis.append(phi_new)
         if keep_iterates:
             iterates.append(x_new.copy())
 
-        if interrupted:
-            state.x = x_new
+        x_prev, x = x, x_new
+        if ls.interrupted:
             break
 
-        g_new = oracle.g(x_new)
-        s = x_new - state.x
-        y = g_new - state.g
-
-        if isinstance(method, SoftQn):
-            alpha = method.policy.value(state.h, s, y)
-            state.h, _ = soft_qn_update(state.h, s, y, alpha)
-        elif isinstance(method, SpBfgs):
-            if float(s @ s) == 0.0:
-                skipped += 1
-            else:
-                beta = method.policy.value(s, y)
-                if float(s @ y) > -1.0 / beta + 1e-12 * (1.0 + 1.0 / beta):
-                    state.h = sp_bfgs_update(state.h, s, y, beta)
-                else:
-                    skipped += 1
-        elif isinstance(method, StochasticBfgs):
-            s_t_y = float(s @ y)
-            tol = 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
-            if s_t_y > tol:
-                state.h = bfgs_update(state.h, s, y)
-            else:
-                skipped += 1
-
-        state.x = x_new
-        state.g = g_new
+        g_new = oracle.g(x)
+        if not np.isfinite(g_new).all():
+            diverged = True
+            break
+        h, applied = method.absorb(h, x - x_prev, g_new - g)
+        skipped += not applied
+        g = g_new
 
     # pad per-iteration traces on early stops so trials stay comparable
     if budget.iterations is not None and len(grad_norms) < budget.iterations + 1:
@@ -385,8 +404,8 @@ def run(
         grad_norms=np.array(grad_norms),
         suboptimality=subopt,
         eval_trace=eval_trace,
-        final_x=state.x.copy(),
-        iterations=state.k,
+        final_x=x.copy(),
+        iterations=k,
         fun_evals=oracle.fun_evals,
         grad_evals=oracle.grad_evals,
         step_rejections=rejections,

@@ -20,7 +20,6 @@ __all__ = [
     "PdThresholdError",
     "SingularCoefficientError",
     "UpdateConsistencyError",
-    "CurvaturePair",
     "EigenBounds",
     "SoftQnScratch",
     "SpBfgsCoefficients",
@@ -28,7 +27,9 @@ __all__ = [
     "soft_qn_update",
     "soft_qn_alpha_bound",
     "lambda_max_upper_bound",
+    "bfgs_admissible",
     "bfgs_update",
+    "sp_bfgs_admissible",
     "sp_bfgs_coefficients",
     "sp_bfgs_update",
     "biased_direction",
@@ -57,13 +58,6 @@ class UpdateConsistencyError(RuntimeError):
     """A closed-form update produced a matrix that failed its positive-definiteness self-check."""
 
 
-class CurvaturePair(NamedTuple):
-    """Step difference s = x+ - x and gradient difference y = g+ - g."""
-
-    s: np.ndarray
-    y: np.ndarray
-
-
 class EigenBounds(NamedTuple):
     """Target spectrum interval [floor, cap] for the inverse-Hessian approximation."""
 
@@ -88,12 +82,18 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def is_positive_definite(a: np.ndarray) -> bool:
-    """Cholesky-based positive definiteness test (expects a symmetric matrix)."""
+    """Cholesky-based positive definiteness test (expects a symmetric matrix).
+
+    Non-finite input fails: numpy's cholesky returns a NaN or inf factor for it
+    instead of raising, and a NaN or inf entry reaches the factor's diagonal.
+    That diagonal is positive with entries below 1.4e154, so its sum is finite
+    exactly when every entry is.
+    """
     try:
-        np.linalg.cholesky(a)
+        factor = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return False
-    return True
+    return math.isfinite(factor.trace())
 
 
 def _check_pair(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
@@ -195,18 +195,27 @@ def lambda_max_upper_bound(a: np.ndarray) -> float:
     return m + math.sqrt(var * (n - 1))
 
 
+def bfgs_admissible(s, y, curvature_tol: Optional[float] = None) -> bool:
+    """Whether s'y lies above ``curvature_tol`` (default 1e-12*|s|*|y|).
+
+    BFGS keeps positive definiteness only on such pairs; ``bfgs_update`` raises
+    CurvatureError on the others, and the solver skips them.
+    """
+    if curvature_tol is None:
+        curvature_tol = 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
+    return float(s @ y) > curvature_tol
+
+
 def bfgs_update(h, s, y, curvature_tol: Optional[float] = None):
     """Classical BFGS update of the inverse-Hessian approximation.
 
-    Requires s'y above ``curvature_tol`` (default 1e-12*|s|*|y|); raises
-    CurvatureError otherwise, since the update would lose positive definiteness.
+    Raises CurvatureError unless ``bfgs_admissible(s, y, curvature_tol)``,
+    since the update would lose positive definiteness.
     """
     _check_pair(h, s, y)
     s_t_y = float(s @ y)
-    if curvature_tol is None:
-        curvature_tol = 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
-    if s_t_y <= curvature_tol:
-        raise CurvatureError(f"s'y = {s_t_y:.3e} is at or below tolerance {curvature_tol:.3e}")
+    if not bfgs_admissible(s, y, curvature_tol):
+        raise CurvatureError(f"s'y = {s_t_y:.3e} is at or below the curvature tolerance")
     rho = 1.0 / s_t_y
     hy = h @ y
     y_h_y = float(y @ hy)
@@ -231,21 +240,30 @@ def sp_bfgs_coefficients(s_t_y: float, beta: float) -> SpBfgsCoefficients:
     return SpBfgsCoefficients(pi=1.0 / d_pi, omega=1.0 / d_omega)
 
 
+def sp_bfgs_admissible(s, y, beta: float) -> bool:
+    """Whether s'y lies above the PD threshold -1/beta by more than 1e-12*(1 + 1/beta).
+
+    SP-BFGS preserves positive definiteness iff s'y > -1/beta; the margin keeps
+    rounding from crossing it.  ``sp_bfgs_update`` raises PdThresholdError on the
+    other pairs, and the solver skips them.
+    """
+    threshold = -1.0 / beta
+    return float(s @ y) - threshold > 1e-12 * (1.0 + abs(threshold))
+
+
 def sp_bfgs_update(h, s, y, beta):
     """Secant-penalized BFGS update.
 
-    Positive definiteness is preserved iff s'y > -1/beta, so pairs at or below
-    that threshold raise PdThresholdError.  beta -> inf recovers BFGS, beta -> 0
-    leaves H unchanged.
+    Raises PdThresholdError unless ``sp_bfgs_admissible(s, y, beta)``.
+    beta -> inf recovers BFGS, beta -> 0 leaves H unchanged.
     """
     _check_pair(h, s, y)
     if beta <= 0:
         raise ValueError("beta must be positive")
     s_t_y = float(s @ y)
-    threshold = -1.0 / beta
-    if s_t_y - threshold <= 1e-12 * (1.0 + abs(threshold)):
+    if not sp_bfgs_admissible(s, y, beta):
         raise PdThresholdError(
-            f"s'y = {s_t_y:.3e} not above -1/beta = {threshold:.3e}; update would lose PD"
+            f"s'y = {s_t_y:.3e} not above -1/beta = {-1.0 / beta:.3e}; update would lose PD"
         )
     pi, omega = sp_bfgs_coefficients(s_t_y, beta)
     hy = h @ y

@@ -11,7 +11,6 @@ from softqn.noise import (
     SphereNoise,
     UniformNoise,
     derive_seed,
-    make_noisy,
 )
 from softqn.problems import gen_random_qp, load_libsvm, logistic_problem
 from softqn.experiments import fixture_dataset_path
@@ -32,7 +31,7 @@ def test_derive_seed_is_stable_and_sensitive():
 
 
 def test_noiseless_oracle_is_exact_and_counts():
-    o = make_noisy(QP, seed=0)
+    o = NoisyOracle(QP, seed=0)
     x = QP.x0
     assert o.f(x) == QP.phi(x)
     npt.assert_array_equal(o.g(x), QP.grad(x))
@@ -45,7 +44,7 @@ def test_noiseless_oracle_is_exact_and_counts():
 
 
 def test_uniform_function_noise_is_bounded_and_centered():
-    o = make_noisy(QP, fun_noise=UniformNoise(0.25), seed=7)
+    o = NoisyOracle(QP, fun_noise=UniformNoise(0.25), seed=7)
     x = QP.x0
     exact = QP.phi(x)
     draws = np.array([o.f(x) - exact for _ in range(100_000)])
@@ -57,7 +56,7 @@ def test_uniform_function_noise_is_bounded_and_centered():
 
 
 def test_sphere_noise_has_exact_radius_every_call():
-    o = make_noisy(QP, grad_noise=SphereNoise(0.03), seed=11)
+    o = NoisyOracle(QP, grad_noise=SphereNoise(0.03), seed=11)
     x = QP.x0
     exact = QP.grad(x)
     for _ in range(200):
@@ -65,7 +64,7 @@ def test_sphere_noise_has_exact_radius_every_call():
 
 
 def test_sphere_noise_is_uniform():
-    o = make_noisy(QP, grad_noise=SphereNoise(1.0), seed=13)
+    o = NoisyOracle(QP, grad_noise=SphereNoise(1.0), seed=13)
     x = QP.x0
     exact = QP.grad(x)
     draws = np.array([o.g(x) - exact for _ in range(100_000)])
@@ -75,7 +74,7 @@ def test_sphere_noise_is_uniform():
 
 
 def test_gaussian_noise_scale():
-    o = make_noisy(QP, grad_noise=GaussianNoise(4.0), seed=17)
+    o = NoisyOracle(QP, grad_noise=GaussianNoise(4.0), seed=17)
     x = QP.x0
     exact = QP.grad(x)
     draws = np.array([o.g(x) - exact for _ in range(20_000)])
@@ -83,8 +82,8 @@ def test_gaussian_noise_scale():
 
 
 def test_streams_replay_identically():
-    a = make_noisy(QP, fun_noise=UniformNoise(0.1), grad_noise=SphereNoise(0.2), seed=99)
-    b = make_noisy(QP, fun_noise=UniformNoise(0.1), grad_noise=SphereNoise(0.2), seed=99)
+    a = NoisyOracle(QP, fun_noise=UniformNoise(0.1), grad_noise=SphereNoise(0.2), seed=99)
+    b = NoisyOracle(QP, fun_noise=UniformNoise(0.1), grad_noise=SphereNoise(0.2), seed=99)
     x = QP.x0
     for _ in range(50):
         assert a.f(x) == b.f(x)
@@ -93,8 +92,8 @@ def test_streams_replay_identically():
 
 def test_streams_are_independent_of_each_other():
     # consuming the function stream must not shift the gradient stream
-    a = make_noisy(QP, fun_noise=UniformNoise(0.1), grad_noise=SphereNoise(0.2), seed=5)
-    b = make_noisy(QP, fun_noise=UniformNoise(0.1), grad_noise=SphereNoise(0.2), seed=5)
+    a = NoisyOracle(QP, fun_noise=UniformNoise(0.1), grad_noise=SphereNoise(0.2), seed=5)
+    b = NoisyOracle(QP, fun_noise=UniformNoise(0.1), grad_noise=SphereNoise(0.2), seed=5)
     x = QP.x0
     for _ in range(10):
         a.f(x)
@@ -113,8 +112,8 @@ def test_minibatch_stream():
 
 def test_oracle_rejects_unsupported_models():
     with pytest.raises(ValueError):
-        make_noisy(QP, fun_noise=GaussianNoise(1.0))  # gradient model on the fun channel
+        NoisyOracle(QP, fun_noise=GaussianNoise(1.0))  # gradient model on the fun channel
     with pytest.raises(ValueError):
-        make_noisy(QP, grad_noise=UniformNoise(1.0))
+        NoisyOracle(QP, grad_noise=UniformNoise(1.0))
     with pytest.raises(ValueError):
-        make_noisy(QP, grad_noise=MinibatchSampling(8))  # QP has no batch_grad
+        NoisyOracle(QP, grad_noise=MinibatchSampling(8))  # QP has no batch_grad

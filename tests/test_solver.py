@@ -1,12 +1,10 @@
 """Tests for directions, the noisy line search, and the iteration loop."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from softqn.noise import GaussianNoise, SphereNoise, UniformNoise, make_noisy
+from softqn.noise import GaussianNoise, MinibatchSampling, NoisyOracle, SphereNoise, UniformNoise
 from softqn.problems import Problem, cutest_like, gen_random_qp, toy_2d
 from softqn.solver import (
     Budget,
@@ -24,7 +22,15 @@ from softqn.solver import (
     run,
     saddle_free_abs,
 )
-from softqn.updates import ConstantAlpha, ConstantBeta, CurvatureRelaxedBeta
+from softqn.updates import (
+    ConstantAlpha,
+    ConstantBeta,
+    CurvatureError,
+    CurvatureRelaxedBeta,
+    PdThresholdError,
+    bfgs_update,
+    sp_bfgs_update,
+)
 
 
 def _quadratic_1d(scale=0.5):
@@ -80,8 +86,7 @@ def test_direction_saddle_free_newton():
 
 
 def test_direction_soft_qn_identity():
-    state = SimpleNamespace(h=np.eye(2))
-    d = compute_direction(SoftQn(ConstantAlpha(1.0)), state, np.array([1.0, 1.0]))
+    d = compute_direction(SoftQn(ConstantAlpha(1.0)), np.eye(2), np.array([1.0, 1.0]))
     npt.assert_array_equal(d, [-1.0, -1.0])
 
 
@@ -98,11 +103,72 @@ def test_direction_unknown_method():
 
 
 # ---------------------------------------------------------------------------
+# skip decisions at the kernels' thresholds
+
+
+def _ulp_neighbourhood(x, ulps=6):
+    """x and the ``ulps`` representable doubles on either side of it."""
+    out = [x]
+    lo = hi = x
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return sorted(out)
+
+
+def _absorb_matches_kernel(method, kernel, error, s, y):
+    h = np.eye(len(s))
+    h_new, applied = method.absorb(h, s, y)
+    try:
+        expected = kernel(h, s, y)
+    except error:
+        assert not applied and h_new is h
+        return False
+    assert applied
+    npt.assert_array_equal(h_new, expected)
+    return True
+
+
+@pytest.mark.parametrize("beta", [2.0, 0.3, 1e8])
+def test_sp_bfgs_skips_exactly_when_the_kernel_raises(beta):
+    # s'y = t exactly; sweep t across -1/beta and across the edge of its margin
+    e1 = np.array([1.0, 0.0])
+    edge = -1.0 / beta + 1e-12 * (1.0 + 1.0 / beta)
+    method = SpBfgs(ConstantBeta(beta))
+    outcomes = set()
+    for t in _ulp_neighbourhood(-1.0 / beta) + _ulp_neighbourhood(edge):
+        outcomes.add(
+            _absorb_matches_kernel(
+                method,
+                lambda h, s, y: sp_bfgs_update(h, s, y, beta),
+                PdThresholdError,
+                e1,
+                np.array([t, 0.0]),
+            )
+        )
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e-4])
+def test_stochastic_bfgs_skips_exactly_when_the_kernel_raises(scale):
+    # s'y = scale*t against the tolerance 1e-12*|s|*|y| with |y| = 1
+    s = np.array([scale, 0.0])
+    outcomes = set()
+    for t in [0.0, -1e-12] + _ulp_neighbourhood(1e-12):
+        outcomes.add(
+            _absorb_matches_kernel(
+                StochasticBfgs(), bfgs_update, CurvatureError, s, np.array([t, 1.0])
+            )
+        )
+    assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
 # noisy line search
 
 
 def test_line_search_accepts_full_step_on_easy_quadratic():
-    o = make_noisy(_quadratic_1d(), seed=0)
+    o = NoisyOracle(_quadratic_1d(), seed=0)
     res = line_search_noisy(
         o, np.array([1.0]), np.array([-1.0]), np.array([1.0]), NoisyArmijo(eta0=1.0, c=1e-4)
     )
@@ -112,7 +178,7 @@ def test_line_search_accepts_full_step_on_easy_quadratic():
 
 
 def test_line_search_rejects_ascent_direction():
-    o = make_noisy(_quadratic_1d(50.0), seed=0)
+    o = NoisyOracle(_quadratic_1d(50.0), seed=0)
     policy = NoisyArmijo(eta0=1.0, c=1e-4, tau=0.5, max_backtracks=5, eps_tol=0.0)
     res = line_search_noisy(o, np.array([1.0]), np.array([1.0]), np.array([100.0]), policy)
     assert not res.accepted and res.eta == 0.0
@@ -122,7 +188,7 @@ def test_line_search_rejects_ascent_direction():
 
 
 def test_line_search_cached_incumbent_costs_one_eval():
-    o = make_noisy(_quadratic_1d(), seed=0)
+    o = NoisyOracle(_quadratic_1d(), seed=0)
     res = line_search_noisy(
         o,
         np.array([1.0]),
@@ -136,7 +202,7 @@ def test_line_search_cached_incumbent_costs_one_eval():
 
 
 def test_line_search_interrupts_at_eval_cap():
-    o = make_noisy(_quadratic_1d(50.0), seed=0)
+    o = NoisyOracle(_quadratic_1d(50.0), seed=0)
     policy = NoisyArmijo(eta0=1.0, c=1e-4, tau=0.5, max_backtracks=45, eps_tol=0.0)
     res = line_search_noisy(o, np.array([1.0]), np.array([1.0]), np.array([100.0]), policy, eval_cap=3)
     assert res.interrupted
@@ -149,7 +215,7 @@ def test_line_search_interrupts_at_eval_cap():
 
 def test_line_search_noiseless_accepts_satisfy_classical_armijo():
     p = gen_random_qp(5, 21)
-    o = make_noisy(p, seed=0)
+    o = NoisyOracle(p, seed=0)
     rng = np.random.default_rng(2)
     policy = NoisyArmijo(eta0=1.0, c=1e-4, tau=0.5, max_backtracks=30, eps_tol=0.0)
     for _ in range(20):
@@ -169,7 +235,7 @@ def test_line_search_noiseless_accepts_satisfy_classical_armijo():
 
 def test_newton_solves_quadratic_in_one_step():
     p = gen_random_qp(8, 5)
-    o = make_noisy(p, seed=0)
+    o = NoisyOracle(p, seed=0)
     rec = run(o, ExactNewton(), FixedStep(1.0), Budget(iterations=1))
     npt.assert_allclose(rec.final_x, np.ones(8), atol=1e-10)
     assert rec.grad_norms[1] <= 1e-10
@@ -177,7 +243,7 @@ def test_newton_solves_quadratic_in_one_step():
 
 def test_soft_qn_noiseless_smoke():
     p = gen_random_qp(10, 42)
-    o = make_noisy(p, seed=0)
+    o = NoisyOracle(p, seed=0)
     rec = run(o, SoftQn(ConstantAlpha(0.1)), FixedStep(0.5), Budget(iterations=200))
     assert rec.grad_norms[-1] <= 3e-3
     assert not rec.diverged
@@ -185,7 +251,7 @@ def test_soft_qn_noiseless_smoke():
 
 def test_eval_accounting_fixed_step():
     p = gen_random_qp(6, 9)
-    o = make_noisy(p, seed=0)
+    o = NoisyOracle(p, seed=0)
     rec = run(o, Sgd(), FixedStep(0.1), Budget(iterations=50))
     assert rec.fun_evals == 0  # fixed steps never query f
     assert rec.grad_evals == rec.iterations + 1
@@ -195,7 +261,7 @@ def test_eval_accounting_fixed_step():
 
 def test_eval_accounting_with_line_search():
     p = cutest_like("ARWHEAD", n=20)
-    o = make_noisy(p, fun_noise=UniformNoise(1e-4), grad_noise=SphereNoise(1e-4), seed=4)
+    o = NoisyOracle(p, fun_noise=UniformNoise(1e-4), grad_noise=SphereNoise(1e-4), seed=4)
     rec = run(
         o,
         SoftQn(ConstantAlpha(1e6)),
@@ -211,7 +277,7 @@ def test_eval_accounting_with_line_search():
 
 def test_eval_budget_is_never_exceeded():
     p = cutest_like("ARWHEAD", n=20)
-    o = make_noisy(p, fun_noise=UniformNoise(1e-3), grad_noise=SphereNoise(1e-3), seed=8)
+    o = NoisyOracle(p, fun_noise=UniformNoise(1e-3), grad_noise=SphereNoise(1e-3), seed=8)
     rec = run(
         o,
         SoftQn(ConstantAlpha(1e6)),
@@ -224,7 +290,7 @@ def test_eval_budget_is_never_exceeded():
 
 def test_divergence_guard_freezes_traces():
     p = gen_random_qp(6, 11)
-    o = make_noisy(p, seed=0)
+    o = NoisyOracle(p, seed=0)
     rec = run(o, Sgd(), FixedStep(1e9), Budget(iterations=30))
     assert rec.diverged
     assert len(rec.grad_norms) == 31  # padded to full length
@@ -243,20 +309,52 @@ def test_rejected_step_updates_soft_qn_but_skips_bfgs():
         grad=lambda x: np.asarray(x, dtype=float).copy(),
     )
     policy = NoisyArmijo(eta0=1.0, c=1e-4, tau=0.5, max_backtracks=2, eps_tol=0.0)
-    o = make_noisy(at_min, grad_noise=GaussianNoise(1.0), seed=0)
+    o = NoisyOracle(at_min, grad_noise=GaussianNoise(1.0), seed=0)
     rec = run(o, StochasticBfgs(), policy, Budget(iterations=5))
     assert rec.step_rejections == 5
     assert rec.skipped_updates == 5  # s = 0 pairs are never applied to BFGS
     npt.assert_array_equal(rec.final_x, np.zeros(2))
-    o2 = make_noisy(at_min, grad_noise=GaussianNoise(1.0), seed=0)
+    o2 = NoisyOracle(at_min, grad_noise=GaussianNoise(1.0), seed=0)
     rec2 = run(o2, SoftQn(ConstantAlpha(1.0)), policy, Budget(iterations=5))
     assert rec2.step_rejections == 5
     assert rec2.skipped_updates == 0  # the soft update is defined for s = 0
 
 
+@pytest.mark.parametrize(
+    "method",
+    [SoftQn(ConstantAlpha(1.0)), SpBfgs(ConstantBeta(1.0)), StochasticBfgs(), Sgd()],
+    ids=["softqn", "spbfgs", "bfgs", "sgd"],
+)
+def test_non_finite_noisy_gradient_marks_trial_diverged(method):
+    # the first minibatch gradient is exact, every later one is inf
+    calls = []
+
+    def batch_grad(x, batch, rng):
+        calls.append(batch)
+        return x.copy() if len(calls) == 1 else np.full_like(x, np.inf)
+
+    bowl = Problem(
+        name="bowl",
+        dim=2,
+        x0=np.ones(2),
+        phi=lambda x: 0.5 * float(x @ x),
+        grad=lambda x: np.asarray(x, dtype=float).copy(),
+        phi_star=0.0,
+        batch_grad=batch_grad,
+    )
+    o = NoisyOracle(bowl, grad_noise=MinibatchSampling(1), seed=0)
+    rec = run(o, method, FixedStep(0.5), Budget(iterations=10))
+    assert rec.diverged
+    assert rec.iterations == 1
+    assert rec.skipped_updates == 0  # the non-finite pair never reaches the update
+    npt.assert_array_equal(rec.final_x, [0.5, 0.5])
+    assert len(rec.grad_norms) == 11
+    assert np.all(np.isfinite(rec.grad_norms))
+
+
 def test_sp_bfgs_skips_below_pd_threshold():
     p = gen_random_qp(6, 13)
-    o = make_noisy(p, grad_noise=SphereNoise(2.0), seed=3)
+    o = NoisyOracle(p, grad_noise=SphereNoise(2.0), seed=3)
     rec = run(
         o, SpBfgs(ConstantBeta(1e8)), DiminishingStep(1.0), Budget(iterations=100)
     )
@@ -267,7 +365,7 @@ def test_sp_bfgs_skips_below_pd_threshold():
 
 def test_sp_bfgs_relaxed_policy_never_skips():
     p = gen_random_qp(6, 13)
-    o = make_noisy(p, grad_noise=SphereNoise(2.0), seed=3)
+    o = NoisyOracle(p, grad_noise=SphereNoise(2.0), seed=3)
     rec = run(
         o,
         SpBfgs(CurvatureRelaxedBeta(1e-2, relax=0.9)),
@@ -279,7 +377,7 @@ def test_sp_bfgs_relaxed_policy_never_skips():
 
 def test_diminishing_step_indexes_from_one():
     p = gen_random_qp(4, 2)
-    o = make_noisy(p, seed=0)
+    o = NoisyOracle(p, seed=0)
     rec = run(o, Sgd(), DiminishingStep(0.5), Budget(iterations=1), keep_iterates=True)
     # first step is scale/1 times -g(x0)
     expected = p.x0 - 0.5 * p.grad(p.x0)
@@ -293,7 +391,7 @@ def test_budget_requires_some_limit():
 
 def test_toy_walk_visits_reference_points():
     p = toy_2d()
-    o = make_noisy(p, seed=0)
+    o = NoisyOracle(p, seed=0)
     h0 = np.linalg.inv(saddle_free_abs(p.hess(p.x0)))
     rec = run(
         o,

@@ -16,6 +16,7 @@ from softqn.updates import (
     SingularCoefficientError,
     SpectrumBoundedAlpha,
     StepNormBeta,
+    UpdateConsistencyError,
     bfgs_update,
     biased_direction,
     is_positive_definite,
@@ -99,6 +100,28 @@ def test_update_rejects_nonfinite_and_mismatched_inputs():
         soft_qn_update(np.eye(2), np.zeros(3), np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         soft_qn_update(np.eye(2)[:1], np.zeros(2), np.zeros(2), 1.0)
+
+
+@pytest.mark.parametrize(
+    "s, y, alpha",
+    [
+        ([1e100, 0.0, 0.0], [1e100, 0.0, 0.0], 1e10),  # gamma overflows
+        ([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], 1e300),
+        ([1.0, 0.0, 0.0], [1e160, 0.0, 0.0], 1e-8),
+    ],
+)
+def test_update_overflow_fails_the_pd_self_check(s, y, alpha):
+    # each of these overflows to a non-finite H, which must raise, not come back as NaN
+    with np.errstate(all="ignore"), pytest.raises(UpdateConsistencyError):
+        soft_qn_update(np.eye(3), np.array(s), np.array(y), alpha)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_is_positive_definite_rejects_non_finite(bad):
+    assert not is_positive_definite(np.full((3, 3), bad))
+    a = np.eye(3)
+    a[2, 0] = a[0, 2] = bad
+    assert not is_positive_definite(a)
 
 
 @pytest.mark.parametrize("alpha", [1e-4, 1e-5])
