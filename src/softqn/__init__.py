@@ -9,143 +9,35 @@ verification oracle for the underlying matrix optimization problem
 line search (:mod:`softqn.solver`), analytic test problems and a LIBSVM reader
 (:mod:`softqn.problems`), and a deterministic Monte Carlo benchmark harness
 (:mod:`softqn.bench`, :mod:`softqn.experiments`, CLI ``softqn-bench``).
+
+The package root re-exports the names the README and the demos use; every
+other name is imported from its module.
 """
 
-from .bench import (
-    AlignedTrace,
-    MetricSpec,
-    SummaryStats,
-    align_trace,
-    emit_csv,
-    metric_log10_grad,
-    metric_normalized_subopt,
-    monte_carlo,
-    summarize,
-)
-from .noise import (
-    GaussianNoise,
-    MinibatchSampling,
-    NoisyOracle,
-    NoNoise,
-    SphereNoise,
-    UniformNoise,
-    derive_seed,
-)
-from .problems import (
-    DatasetFormatError,
-    LogisticDataset,
-    Problem,
-    UnknownProblemError,
-    cutest_like,
-    gen_random_qp,
-    load_libsvm,
-    logistic_problem,
-    minibatch_gradient,
-    toy_2d,
-)
-from .solver import (
-    Budget,
-    DiminishingStep,
-    ExactNewton,
-    FixedStep,
-    NoisyArmijo,
-    SaddleFreeNewton,
-    Sgd,
-    SoftQn,
-    SpBfgs,
-    StochasticBfgs,
-    TrialRecord,
-    compute_direction,
-    line_search_noisy,
-    run,
-    saddle_free_abs,
-)
-from .updates import (
-    ConstantAlpha,
-    ConstantBeta,
-    CurvatureError,
-    CurvatureRelaxedBeta,
-    EigenBounds,
-    PdThresholdError,
-    SingularCoefficientError,
-    SoftQnScratch,
-    SpBfgsCoefficients,
-    SpectrumBoundedAlpha,
-    StepNormBeta,
-    UpdateConsistencyError,
-    bfgs_update,
-    biased_direction,
-    is_positive_definite,
-    lambda_max_upper_bound,
-    soft_qn_alpha_bound,
-    soft_qn_gamma,
-    soft_qn_update,
-    sp_bfgs_coefficients,
-    sp_bfgs_update,
-)
+from .bench import align_trace, metric_log10_grad, metric_normalized_subopt
+from .noise import GaussianNoise, NoisyOracle
+from .problems import gen_random_qp, toy_2d
+from .solver import Budget, FixedStep, SaddleFreeNewton, SoftQn, run, saddle_free_abs
+from .updates import ConstantAlpha, CurvatureError, bfgs_update, soft_qn_update
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignedTrace",
     "Budget",
     "ConstantAlpha",
-    "ConstantBeta",
     "CurvatureError",
-    "CurvatureRelaxedBeta",
-    "DatasetFormatError",
-    "DiminishingStep",
-    "EigenBounds",
-    "ExactNewton",
     "FixedStep",
     "GaussianNoise",
-    "LogisticDataset",
-    "MetricSpec",
-    "MinibatchSampling",
-    "NoNoise",
-    "NoisyArmijo",
     "NoisyOracle",
-    "PdThresholdError",
-    "Problem",
     "SaddleFreeNewton",
-    "Sgd",
-    "SingularCoefficientError",
     "SoftQn",
-    "SoftQnScratch",
-    "SpBfgs",
-    "SpBfgsCoefficients",
-    "SpectrumBoundedAlpha",
-    "StepNormBeta",
-    "StochasticBfgs",
-    "SummaryStats",
-    "TrialRecord",
-    "UniformNoise",
-    "UnknownProblemError",
-    "UpdateConsistencyError",
     "align_trace",
     "bfgs_update",
-    "biased_direction",
-    "compute_direction",
-    "cutest_like",
-    "derive_seed",
-    "emit_csv",
     "gen_random_qp",
-    "is_positive_definite",
-    "lambda_max_upper_bound",
-    "line_search_noisy",
-    "load_libsvm",
-    "logistic_problem",
     "metric_log10_grad",
     "metric_normalized_subopt",
-    "minibatch_gradient",
-    "monte_carlo",
     "run",
     "saddle_free_abs",
-    "soft_qn_alpha_bound",
-    "soft_qn_gamma",
     "soft_qn_update",
-    "sp_bfgs_coefficients",
-    "sp_bfgs_update",
-    "summarize",
     "toy_2d",
 ]

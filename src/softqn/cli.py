@@ -77,8 +77,6 @@ def _resolve_params(args, defaults):
     if args.seed is not None:
         params["seed"] = args.seed
     if getattr(args, "trials", None) is not None:
-        if args.trials < 1:
-            raise ConfigError(f"--trials must be >= 1, got {args.trials}")
         params["trials"] = args.trials
     if args.method:
         params["methods"] = [m.strip() for m in args.method.split(",") if m.strip()]
@@ -86,6 +84,8 @@ def _resolve_params(args, defaults):
         params["dataset"] = args.dataset
     if getattr(args, "problem", None):
         params["problem"] = args.problem
+    if params.get("trials", 1) < 1:
+        raise ConfigError(f"trials must be >= 1, got {params['trials']}")
     return params
 
 

@@ -186,6 +186,11 @@ def run_cutest(params, out_dir):
         "spbfgs": lambda: SpBfgs(StepNormBeta(p["beta_scale"] / e_g, p["beta_floor"])),
     }
     _check_methods(p["methods"], methods)
+    if "spbfgs" in p["methods"] and e_g == 0.0:
+        raise ValueError(
+            "spbfgs needs gradient noise: its beta scales with 1/e_g, and "
+            f"noise_rel = {p['noise_rel']} gives e_g = 0 on {problem.name}"
+        )
     budget = Budget(fun_evals=int(p["budget"]))
 
     def trial_fn(m, t):

@@ -5,8 +5,8 @@ penalized objective over positive definite matrices B:
 
     U(B) = tr(B H) - log det(B H) + alpha*(s'Bs - 2 s'y + y'B^{-1}y)
 
-This module evaluates that objective, minimizes it numerically over a Cholesky
-factorization B = LL' (nothing here touches the closed form), and measures the
+This module evaluates that objective, minimizes it numerically by damped Newton
+steps over symmetric B (nothing here touches the closed form), and measures the
 first-order stationarity residual
 
     || H - B^{-1} + alpha*(ss' - B^{-1}yy'B^{-1}) ||_F
@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
-from scipy.optimize import minimize, root
 
 __all__ = [
     "NoConvergenceError",
@@ -112,141 +111,96 @@ def stationarity_residual(spec: PenaltyObjectiveSpec, b: np.ndarray) -> float:
     return float(np.linalg.norm(_gradient(spec, b, l), "fro"))
 
 
-def _diag_slots(n: int):
-    # positions of diagonal entries inside the row-major lower-triangle packing
-    return np.array([r * (r + 1) // 2 + r for r in range(n)])
+def _symmetric_basis(n: int) -> np.ndarray:
+    """Row-major vec of the n(n+1)/2 symmetric basis matrices, one per column.
+
+    The basis matrix for i <= j has ones at (i, j) and (j, i), so a symmetric D
+    has the coordinates D[np.triu_indices(n)].
+    """
+    basis = np.zeros((n, n, n * (n + 1) // 2))
+    for k, (i, j) in enumerate(zip(*np.triu_indices(n))):
+        basis[i, j, k] = basis[j, i, k] = 1.0
+    return basis.reshape(n * n, -1)
+
+
+def _newton_matrix(spec: PenaltyObjectiveSpec, b_inv: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Hessian of U at B in the coordinates of ``basis``.
+
+    Its action D -> B^{-1}DB^{-1} + alpha*(B^{-1}Dww' + ww'DB^{-1}), w = B^{-1}y,
+    is the Kronecker operator below on the row-major vec of a symmetric D.
+    """
+    w = b_inv @ spec.y
+    ww = np.outer(w, w)
+    action = np.kron(b_inv, b_inv) + spec.alpha * (np.kron(b_inv, ww) + np.kron(ww, b_inv))
+    return basis.T @ action @ basis
 
 
 def minimize_penalty_objective(
     spec: PenaltyObjectiveSpec, tol: float = 1e-9, max_iter: int = 1_000_000
 ) -> OracleResult:
-    """Minimize U over PD matrices via an unconstrained Cholesky parameterization.
+    """Minimize U over symmetric PD matrices B by damped Newton steps.
 
-    B = LL' with free strict lower triangle and log-parameterized diagonal.  The
-    bulk of the work is done by L-BFGS-B on the factor variables; a plain
-    gradient-descent polish with backtracking then drives the stationarity
-    residual below ``tol``.  Raises NoConvergenceError if ``max_iter`` total
-    inner iterations do not suffice.
+    Starts at B = H^{-1} and solves each Newton system over the n(n+1)/2
+    symmetric basis matrices.  The step is halved until the trial B is PD and
+    U falls by the Armijo amount.  Near the optimum U is flat to rounding while
+    the stationarity residual still falls, so a trial is also accepted when the
+    residual falls; from the first step accepted that way on, the residual
+    alone judges trials.  Each phase thus strictly lowers one quantity and
+    cannot cycle on rounding noise.  Stops once the residual is at most
+    ``tol``; raises NoConvergenceError when halving no longer moves B (the
+    residual cannot be lowered, e.g. ``tol`` lies below its rounding floor) or
+    after ``max_iter`` Newton steps.
     """
     n = spec.h_prev.shape[0]
-    tril = np.tril_indices(n)
-    diag_slots = _diag_slots(n)
-    lh = cholesky(spec.h_prev, lower=True)
-    logdet_h = 2.0 * float(np.sum(np.log(np.diag(lh))))
+    basis = _symmetric_basis(n)
 
-    def unpack(theta):
-        l = np.zeros((n, n))
-        l[tril] = theta
-        d = np.exp(theta[diag_slots])
-        l[np.arange(n), np.arange(n)] = d
-        return l, d
+    def objective(b):
+        try:
+            return penalty_objective(spec, b)
+        except ValueError:  # B is not PD
+            return np.inf
 
-    def value_and_grad(theta):
-        l, d = unpack(theta)
-        b = l @ l.T
-        lb = cholesky(b, lower=True)
-        logdet_b = 2.0 * float(np.sum(np.log(d)))
-        w = cho_solve((lb, True), spec.y)
-        val = (
-            float(np.sum(b * spec.h_prev))
-            - logdet_b
-            - logdet_h
-            + spec.alpha
-            * (float(spec.s @ b @ spec.s) - 2.0 * float(spec.s @ spec.y) + float(spec.y @ w))
-        )
-        g_mat = _gradient(spec, b, lb)
-        g_l = 2.0 * (g_mat @ l)
-        g_theta = g_l[tril]
-        g_theta[diag_slots] *= d  # chain rule through the log parameterization
-        return val, g_theta
+    b = cho_solve((cholesky(spec.h_prev, lower=True), True), np.eye(n))
+    b = 0.5 * (b + b.T)
+    value = objective(b)
+    l = cholesky(b, lower=True)
+    grad = _gradient(spec, b, l)
+    residual = float(np.linalg.norm(grad, "fro"))
+    u_is_flat = False
+    iterations = 0
+    while residual > tol:
+        if iterations == max_iter:
+            raise NoConvergenceError(f"no convergence within {max_iter} Newton steps")
+        iterations += 1
+        g = basis.T @ grad.ravel()
+        hess = _newton_matrix(spec, cho_solve((l, True), np.eye(n)), basis)
+        coef = np.linalg.solve(hess, -g)
+        step = (basis @ coef).reshape(n, n)
+        armijo_slope = 1e-4 * float(g @ coef)
+        t = 1.0
+        while True:
+            trial = b + t * step
+            if np.array_equal(trial, b):
+                raise NoConvergenceError(
+                    f"Newton step collapsed at residual {residual:.3e} > tol {tol:.1e}"
+                )
+            trial_value = objective(trial)
+            if not u_is_flat and trial_value < value + t * armijo_slope:
+                break
+            if trial_value < np.inf and stationarity_residual(spec, trial) < residual:
+                u_is_flat = True
+                break
+            t *= 0.5
+        b, value = trial, trial_value
+        l = cholesky(b, lower=True)
+        grad = _gradient(spec, b, l)
+        residual = float(np.linalg.norm(grad, "fro"))
 
-    def residual_at(theta):
-        l, _ = unpack(theta)
-        b = l @ l.T
-        return stationarity_residual(spec, 0.5 * (b + b.T))
-
-    def hessp(theta, p):
-        # central finite difference of the analytic gradient along p
-        pn = float(np.linalg.norm(p))
-        if pn == 0.0:
-            return np.zeros_like(p)
-        eps = 1e-7 * (1.0 + float(np.linalg.norm(theta))) / pn
-        _, gp = value_and_grad(theta + eps * p)
-        _, gm = value_and_grad(theta - eps * p)
-        return (gp - gm) / (2.0 * eps)
-
-    # start from B = H^{-1}, the minimizer of the unpenalized part
-    b0 = cho_solve((lh, True), np.eye(n))
-    l0 = cholesky(0.5 * (b0 + b0.T), lower=True)
-    theta = l0[tril].copy()
-    theta[diag_slots] = np.log(np.diag(l0))
-
-    used = 0
-    for _ in range(6):
-        res = minimize(
-            value_and_grad,
-            theta,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 50_000, "ftol": 1e-18, "gtol": 1e-14, "maxcor": 30},
-        )
-        theta = res.x
-        used += int(res.nit) + 1
-        if residual_at(theta) <= tol:
-            break
-        # second-order cleanup where plain descent crawls on stiff specs
-        res = minimize(
-            value_and_grad,
-            theta,
-            jac=True,
-            hessp=hessp,
-            method="Newton-CG",
-            options={"maxiter": 200, "xtol": 1e-14},
-        )
-        theta = res.x
-        used += int(res.nit) + 1
-        if residual_at(theta) <= tol:
-            break
-
-    if residual_at(theta) > tol:
-        # Stiff specs (large alpha) need ||B - B*|| near eps for the residual to
-        # meet tol, where the objective is too flat to line-search on.  The
-        # gradient system stays well determined there, so finish with a root
-        # solve on it.
-        sol = root(lambda th: value_and_grad(th)[1], theta, method="hybr", tol=1e-13)
-        used += int(sol.nfev)
-        if residual_at(sol.x) < residual_at(theta):
-            theta = sol.x
-
-    # gradient-descent polish on the factor variables
-    val, g = value_and_grad(theta)
-    step = 1.0
-    while used < max_iter:
-        if residual_at(theta) <= tol:
-            break
-        trial = theta - step * g
-        tval, tg = value_and_grad(trial)
-        used += 1
-        if tval <= val - 0.5 * step * float(g @ g):
-            theta, val, g = trial, tval, tg
-            step *= 1.5
-        else:
-            step *= 0.5
-            if step < 1e-18:
-                raise NoConvergenceError("polish step collapsed before reaching tol")
-    else:
-        raise NoConvergenceError(f"no convergence within {max_iter} iterations")
-
-    l, _ = unpack(theta)
-    b_star = l @ l.T
-    b_star = 0.5 * (b_star + b_star.T)
-    lb = cholesky(b_star, lower=True)
-    h_star = cho_solve((lb, True), np.eye(n))
-    h_star = 0.5 * (h_star + h_star.T)
+    h_star = cho_solve((l, True), np.eye(n))
     return OracleResult(
-        b_star=b_star,
-        h_star=h_star,
-        objective_value=penalty_objective(spec, b_star),
-        stationarity_residual=stationarity_residual(spec, b_star),
-        iterations=used,
+        b_star=b,
+        h_star=0.5 * (h_star + h_star.T),
+        objective_value=value,
+        stationarity_residual=residual,
+        iterations=iterations,
     )

@@ -18,11 +18,9 @@ import numpy as np
 __all__ = [
     "CurvatureError",
     "PdThresholdError",
-    "SingularCoefficientError",
     "UpdateConsistencyError",
     "EigenBounds",
     "SoftQnScratch",
-    "SpBfgsCoefficients",
     "soft_qn_gamma",
     "soft_qn_update",
     "soft_qn_alpha_bound",
@@ -30,7 +28,6 @@ __all__ = [
     "bfgs_admissible",
     "bfgs_update",
     "sp_bfgs_admissible",
-    "sp_bfgs_coefficients",
     "sp_bfgs_update",
     "biased_direction",
     "is_positive_definite",
@@ -50,10 +47,6 @@ class PdThresholdError(ValueError):
     """An SP-BFGS update was asked for a pair outside its positive-definiteness region."""
 
 
-class SingularCoefficientError(ValueError):
-    """SP-BFGS coefficient denominators are numerically singular."""
-
-
 class UpdateConsistencyError(RuntimeError):
     """A closed-form update produced a matrix that failed its positive-definiteness self-check."""
 
@@ -70,11 +63,6 @@ class SoftQnScratch(NamedTuple):
 
     gamma: float
     u: np.ndarray
-
-
-class SpBfgsCoefficients(NamedTuple):
-    pi: float
-    omega: float
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -227,19 +215,6 @@ def bfgs_update(h, s, y, curvature_tol: Optional[float] = None):
     return _symmetrize(h_new)
 
 
-def sp_bfgs_coefficients(s_t_y: float, beta: float) -> SpBfgsCoefficients:
-    """Penalty-weighted secant coefficients pi = 1/(s'y + 1/beta), omega = 1/(s'y + 2/beta)."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    d_pi = s_t_y + 1.0 / beta
-    d_omega = s_t_y + 2.0 / beta
-    if abs(d_pi) <= 1e-14 or abs(d_omega) <= 1e-14:
-        raise SingularCoefficientError(
-            f"coefficient denominators {d_pi:.3e}, {d_omega:.3e} too close to zero"
-        )
-    return SpBfgsCoefficients(pi=1.0 / d_pi, omega=1.0 / d_omega)
-
-
 def sp_bfgs_admissible(s, y, beta: float) -> bool:
     """Whether s'y lies above the PD threshold -1/beta by more than 1e-12*(1 + 1/beta).
 
@@ -265,7 +240,9 @@ def sp_bfgs_update(h, s, y, beta):
         raise PdThresholdError(
             f"s'y = {s_t_y:.3e} not above -1/beta = {-1.0 / beta:.3e}; update would lose PD"
         )
-    pi, omega = sp_bfgs_coefficients(s_t_y, beta)
+    # the admissibility margin keeps both denominators away from zero
+    pi = 1.0 / (s_t_y + 1.0 / beta)
+    omega = 1.0 / (s_t_y + 2.0 / beta)
     hy = h @ y
     y_h_y = float(y @ hy)
     c_ss = omega * omega * y_h_y + pi + (pi - omega) * omega * y_h_y

@@ -1,7 +1,13 @@
 """End-to-end tests for the ``softqn-bench`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import softqn
 from softqn.cli import _resolve_params, build_parser, main
 
 
@@ -90,6 +96,26 @@ def test_cli_flags_override_config(tmp_path):
 
 def test_nonpositive_trials_rejected(tmp_path, capsys):
     assert main(["qp", "--trials", "0", "--out", str(tmp_path)]) == 2
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text("[qp]\ntrials = 0\n")
+    capsys.readouterr()
+    assert main(["qp", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "trials must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_cutest_without_gradient_noise(tmp_path, capsys):
+    # SP-BFGS's beta scales with 1/e_g; with e_g = 0 the run is refused before any trial
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text("[cutest]\nnoise_rel = 0\nbudget = 40\n")
+    out = tmp_path / "out"
+    assert main(["cutest", "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 2
+    assert "spbfgs" in capsys.readouterr().err
+    assert not out.exists()
+    code = main(
+        ["cutest", "--config", str(cfg), "--trials", "1", "--method", "softqn", "--out", str(out)]
+    )
+    assert code == 0
+    assert (out / "cutest_dixmaana_long.csv").is_file()
 
 
 def test_method_list_parsing():
@@ -108,9 +134,18 @@ def test_proptest_quick_sweep_passes(capsys):
     assert out.count("PASS") == 10
 
 
+def test_cli_import_does_not_load_scipy_optimize():
+    # nothing in softqn needs scipy.optimize, which took about 0.3 s of the CLI's import
+    code = "import sys, softqn.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(softqn.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_is_installed():
     import shutil
-    import subprocess
 
     exe = shutil.which("softqn-bench")
     if exe is None:

@@ -1,4 +1,5 @@
-"""Every name the demos and the README's python blocks import from softqn exists."""
+"""The names the demos and the README's python blocks import from softqn exist,
+and the package root exports exactly those it is asked for."""
 
 import ast
 import importlib
@@ -6,6 +7,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+import softqn
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,3 +47,13 @@ def test_softqn_imports_resolve(source):
         if name is not None and not hasattr(importlib.import_module(module), name)
     ]
     assert not missing
+
+
+def test_package_root_exports_what_demos_and_readme_import():
+    used = {
+        name
+        for _, source in SOURCES
+        for module, name in _softqn_imports(source)
+        if module == "softqn" and name is not None
+    }
+    assert sorted(softqn.__all__) == sorted(used)

@@ -6,7 +6,11 @@ import pytest
 
 from softqn.checks import random_spd
 from softqn.oracle import (
+    NoConvergenceError,
     PenaltyObjectiveSpec,
+    _gradient,
+    _newton_matrix,
+    _symmetric_basis,
     minimize_penalty_objective,
     penalty_objective,
     stationarity_residual,
@@ -123,6 +127,37 @@ def test_minimizer_matches_closed_form_n2():
     assert result.objective_value <= penalty_objective(spec, np.linalg.inv(spec.h_prev)) + 1e-12
 
 
+def test_minimizer_raises_when_tol_is_below_the_rounding_floor():
+    # alpha*ss' has entries of 1e10, so the residual cannot be resolved to 1e-9
+    # (it is 5e-6 at the closed form); the loop must give up instead of cycling
+    spec = _spec(np.eye(2), np.array([10.0, 0.0]), np.array([0.1, 0.3]), 1e8)
+    with pytest.raises(NoConvergenceError, match="collapsed"):
+        minimize_penalty_objective(spec)
+
+
+def test_minimizer_converges_or_collapses_on_stiff_specs():
+    # H spectra in [1e-2, 1e2], alpha up to 1e4 and pairs up to 10x scaled: some
+    # of these have a residual floor above tol, where rounding noise in U and in
+    # the residual could keep a line search accepting steps forever
+    rng = np.random.default_rng(8)
+    converged = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 4))
+        h = random_spd(rng, n, 1e-2, 1e2)
+        s = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1)
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1)
+        alpha = 10.0 ** rng.uniform(-3, 4)
+        try:
+            result = minimize_penalty_objective(_spec(h, s, y, alpha), max_iter=200)
+        except NoConvergenceError as exc:
+            assert "collapsed" in str(exc)
+            continue
+        converged += 1
+        h_new, _ = soft_qn_update(h, s, y, alpha)
+        assert np.linalg.norm(result.h_star - h_new) <= 1e-5 * (1.0 + np.linalg.norm(h))
+    assert converged >= 190
+
+
 # ---------------------------------------------------------------------------
 # objective geometry
 
@@ -165,3 +200,13 @@ def test_gradient_matches_finite_differences():
         grad = spec.h_prev - b_inv + spec.alpha * (np.outer(spec.s, spec.s) - np.outer(w, w))
         analytic = float(np.sum(grad * d))
         assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-10)
+
+        # the Newton matrix applied to the coordinates of d is the change of the
+        # gradient along d, in the same coordinates
+        basis = _symmetric_basis(n)
+        hess_d = _newton_matrix(spec, b_inv, basis) @ d[np.triu_indices(n)]
+        grad_p, grad_m = (
+            _gradient(spec, b_t, np.linalg.cholesky(b_t)) for b_t in (b + eps * d, b - eps * d)
+        )
+        fd_hess_d = basis.T @ ((grad_p - grad_m) / (2 * eps)).ravel()
+        npt.assert_allclose(hess_d, fd_hess_d, rtol=1e-5, atol=1e-8 * np.abs(hess_d).max())

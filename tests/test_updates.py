@@ -13,7 +13,6 @@ from softqn.updates import (
     CurvatureRelaxedBeta,
     EigenBounds,
     PdThresholdError,
-    SingularCoefficientError,
     SpectrumBoundedAlpha,
     StepNormBeta,
     UpdateConsistencyError,
@@ -24,7 +23,6 @@ from softqn.updates import (
     soft_qn_alpha_bound,
     soft_qn_gamma,
     soft_qn_update,
-    sp_bfgs_coefficients,
     sp_bfgs_update,
 )
 
@@ -240,21 +238,11 @@ def test_bfgs_curvature_tolerance_is_relative():
 # SP-BFGS
 
 
-def test_sp_coefficients_bfgs_limit():
-    c = sp_bfgs_coefficients(1.0, 1e15)
-    assert c.pi == pytest.approx(1.0, abs=1e-10)
-    assert c.omega == pytest.approx(1.0, abs=1e-10)
-
-
-def test_sp_coefficients_hand_values():
-    c = sp_bfgs_coefficients(1.0, 1.0)
-    assert c.pi == pytest.approx(0.5)
-    assert c.omega == pytest.approx(1.0 / 3.0)
-
-
-def test_sp_coefficients_exact_pole():
-    with pytest.raises(SingularCoefficientError):
-        sp_bfgs_coefficients(-1.0, 2.0)
+def test_sp_update_1d_hand_value():
+    # pi = 1/(s'y + 1/beta) = 1/2 and omega = 1/(s'y + 2/beta) = 1/3, so
+    # H' = 2 - omega*2*s*Hy + (omega^2*y'Hy + pi + (pi - omega)*omega*y'Hy)*s^2 = 1.5
+    h_new = sp_bfgs_update(np.array([[2.0]]), np.array([1.0]), np.array([1.0]), beta=1.0)
+    assert h_new[0, 0] == pytest.approx(1.5, rel=1e-15)
 
 
 def test_sp_update_tiny_beta_is_identity_map():
