@@ -194,16 +194,15 @@ def emit_csv(out_dir, experiment: str, problem: str, records, metrics, final_met
                 idx = idx + 1  # eval grids start at 1
             path = os.path.join(out_dir, f"fig_{experiment}_{spec.name}_{m}.csv")
             if spec.band == "quartiles":
+                # column by column these equal summarize(), signed zeros included;
+                # percentile(stacked, [25, 75]) in one call can swap +0 and -0
+                median = np.median(stacked, axis=0)
+                q1 = np.percentile(stacked, 25, axis=0)
+                q3 = np.percentile(stacked, 75, axis=0)
+                lo, hi = stacked.min(axis=0), stacked.max(axis=0)
                 rows = [
-                    (
-                        str(idx[i]),
-                        _fmt(np.median(stacked[:, i])),
-                        _fmt(np.percentile(stacked[:, i], 25)),
-                        _fmt(np.percentile(stacked[:, i], 75)),
-                        _fmt(np.min(stacked[:, i])),
-                        _fmt(np.max(stacked[:, i])),
-                    )
-                    for i in range(stacked.shape[1])
+                    (str(idx[i]), _fmt(median[i]), _fmt(q1[i]), _fmt(q3[i]), _fmt(lo[i]), _fmt(hi[i]))
+                    for i in range(len(median))
                 ]
                 _write_lines(path, "index,median,q1,q3,min,max", rows)
             else:

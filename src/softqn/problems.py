@@ -8,6 +8,7 @@ optimal value when it is known analytically.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -462,54 +463,125 @@ class LogisticDataset:
 def load_libsvm(path, n_features: Optional[int] = None, normalize: bool = True) -> LogisticDataset:
     """Parse a sparse LIBSVM file into a dense dataset.
 
-    Feature indices are 1-based; missing indices are zero.  Labels are mapped to
-    -1/+1 (any positive raw label becomes +1).  With ``normalize`` each feature
-    column is scaled to unit 2-norm, skipping all-zero columns.  Malformed lines
-    raise DatasetFormatError with the offending line number.
+    Feature indices are 1-based; missing indices are zero, and when an index
+    repeats within a row the last value wins.  Labels are mapped to -1/+1 (any
+    positive raw label becomes +1).  Blank lines and lines starting with ``#``
+    are skipped.  With ``normalize`` each feature column is scaled to unit
+    2-norm, skipping all-zero columns.  Malformed lines raise DatasetFormatError
+    with the offending line number.
+
+    The file is read in blocks of ``_BLOCK_LINES`` lines.  When every line of a
+    block reads ``label idx:val idx:val ...`` in ASCII with single spaces, the
+    block's labels, indices and values are converted with one numpy call each.
+    Any other block (comments, blank lines, tabs, a malformed token) is scanned
+    token by token, which gives the same triples or finds the offending line.
+    The (row, index, value) triples of all blocks are gathered and the dense
+    matrix is filled once; no per-row objects are kept.
     """
-    labels = []
-    rows = []
-    max_idx = 0
+    parsed = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                raw = float(parts[0])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: bad label {parts[0]!r}") from exc
-            entries = {}
-            for tok in parts[1:]:
-                try:
-                    idx_s, val_s = tok.split(":", 1)
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError as exc:
-                    raise DatasetFormatError(f"{path}:{lineno}: bad entry {tok!r}") from exc
-                if idx < 1:
-                    raise DatasetFormatError(f"{path}:{lineno}: index {idx} must be >= 1")
-                entries[idx] = val
-            labels.append(1.0 if raw > 0 else -1.0)
-            rows.append(entries)
-            if entries:
-                max_idx = max(max_idx, max(entries))
-    if not rows:
+        lineno = 1
+        while block := list(islice(fh, _BLOCK_LINES)):
+            parsed.append(_parse_block(block) or _scan_block(block, path, lineno))
+            lineno += len(block)
+    if not any(raw.size for raw, *_ in parsed):
         raise DatasetFormatError(f"{path}: no data rows")
+    raw, counts, idx, vals = map(np.concatenate, zip(*parsed))
+    del parsed  # free the per-block arrays before the matrix is allocated
     if n_features is None:
-        n_features = max_idx
-    x = np.zeros((len(rows), n_features))
-    for r, entries in enumerate(rows):
-        for idx, val in entries.items():
-            if idx > n_features:
-                raise DatasetFormatError(f"{path}: index {idx} exceeds n_features={n_features}")
-            x[r, idx - 1] = val
+        n_features = int(idx.max()) if idx.size else 0
+    x = np.zeros((raw.size, n_features))
+    over = idx > n_features
+    if over.any():
+        raise DatasetFormatError(
+            f"{path}: index {idx[np.argmax(over)]} exceeds n_features={n_features}"
+        )
+    # position of each entry in the flattened matrix, row by row
+    flat = np.repeat(np.arange(raw.size) * n_features - 1, counts)
+    flat += idx.astype(np.intp, copy=False)
+    if np.any(np.diff(flat) <= 0):
+        # a row lists an index twice (or out of order): keep each cell's last value
+        _, last_rev = np.unique(flat[::-1], return_index=True)
+        keep = flat.size - 1 - last_rev
+        flat, vals = flat[keep], vals[keep]
+    x.ravel()[flat] = vals
     if normalize:
         norms = np.linalg.norm(x, axis=0)
-        nz = norms > 0
-        x[:, nz] /= norms[nz]
-    return LogisticDataset(features=x, labels=np.array(labels))
+        x /= np.where(norms > 0, norms, 1.0)  # dividing by 1 leaves all-zero columns as they are
+    return LogisticDataset(features=x, labels=np.where(raw > 0, 1.0, -1.0))
+
+
+_BLOCK_LINES = 4096
+# Deleting these bytes from ASCII text leaves its spaces, colons and newlines, and
+# any other whitespace, which a block that converts as a whole never has.
+_NOT_SEPARATORS = bytes(c for c in range(256) if c not in b" :\n\t\v\f\r\x1c\x1d\x1e\x1f")
+
+
+def _parse_block(block):
+    """(raw labels, entries per row, indices, values) of a block whose every line
+    reads ``label idx:val idx:val ...`` in ASCII with single spaces (a trailing
+    one allowed); None for any other block, and when a token does not convert."""
+    text = "".join(block)
+    if not text.endswith("\n"):
+        text += "\n"
+    text = text.replace(" \n", "\n")
+    if not text.isascii():
+        return None
+    seps = text.encode().translate(None, _NOT_SEPARATORS)
+    # every line's separators read " :" once per entry and nothing else
+    if seps.replace(b" :", b"") != b"\n" * len(block):
+        return None
+    ends = np.flatnonzero(np.frombuffer(seps, dtype=np.uint8) == ord("\n"))
+    counts = np.diff(ends, prepend=-1) // 2
+    pieces = text.replace(":", " ").split()
+    # one piece fewer for each empty label (a blank line) or empty side of a colon
+    if len(pieces) != len(block) + 2 * counts.sum():
+        return None
+    tokens = np.array(pieces, dtype=object)
+    is_label = np.zeros(tokens.size, dtype=bool)
+    is_label[np.arange(len(block)) + 2 * (np.cumsum(counts) - counts)] = True
+    entries = tokens[~is_label].reshape(-1, 2)
+    try:
+        raw = tokens[is_label].astype(float)
+        idx = entries[:, 0].astype(np.int64)
+        vals = entries[:, 1].astype(float)
+    except (ValueError, OverflowError):
+        return None
+    if idx.size and idx.min() < 1:
+        return None
+    return raw, counts, idx, vals
+
+
+def _scan_block(block, path, first_lineno):
+    """The same as _parse_block, one token at a time; raises DatasetFormatError
+    naming the first malformed line."""
+    raw, counts, idx, vals = [], [], [], []
+    for offset, line in enumerate(block):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        lineno = first_lineno + offset
+        try:
+            raw.append(float(parts[0]))
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}:{lineno}: bad label {parts[0]!r}") from exc
+        for tok in parts[1:]:
+            try:
+                idx_s, val_s = tok.split(":", 1)
+                i = int(idx_s)
+                v = float(val_s)
+            except ValueError as exc:
+                raise DatasetFormatError(f"{path}:{lineno}: bad entry {tok!r}") from exc
+            if i < 1:
+                raise DatasetFormatError(f"{path}:{lineno}: index {i} must be >= 1")
+            idx.append(i)
+            vals.append(v)
+        counts.append(len(parts) - 1)
+    try:
+        idx = np.array(idx, dtype=np.int64)
+    except OverflowError:  # an index beyond int64 can only be reported, never filled
+        idx = np.array(idx, dtype=object)
+    return np.array(raw), np.array(counts, dtype=np.intp), idx, np.array(vals, dtype=float)
 
 
 def _margins(data: LogisticDataset, v: np.ndarray) -> np.ndarray:

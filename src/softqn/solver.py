@@ -283,6 +283,10 @@ def line_search_noisy(
 # run loop
 
 
+def _no_phi(x) -> float:
+    return np.nan
+
+
 @dataclass(frozen=True)
 class Budget:
     """Stop after a fixed number of iterations, counted f evaluations, or both."""
@@ -306,7 +310,9 @@ class TrialRecord:
 
     ``grad_norms``/``suboptimality`` are per-iteration (index 0 is the start
     point); ``eval_trace`` holds (function-evaluation count, exact value) at
-    every adopted iterate for evaluation-aligned comparisons.
+    every adopted iterate for evaluation-aligned comparisons.  The exact value
+    is evaluated only when the problem has a ``phi_star``; without one, every
+    ``suboptimality`` entry and every ``eval_trace`` value is NaN.
     """
 
     grad_norms: np.ndarray
@@ -334,9 +340,12 @@ def run(
     """Run one trial of a method against a noisy oracle.
 
     The inverse-Hessian approximation starts at the identity unless ``h0`` is
-    given.  Divergence (non-finite iterate or noisy gradient, or an iterate
-    norm above 1e12) stops the run and freezes the per-iteration traces at
-    their last finite values.
+    given.  The exact channel records the gradient norm at every iterate, and
+    the value phi only when the problem has a ``phi_star`` (phi feeds nothing
+    but phi - phi*); without one, ``suboptimality`` and the ``eval_trace``
+    values are NaN.  Divergence (non-finite iterate, noisy gradient, exact
+    gradient norm or recorded phi, or an iterate norm above 1e12) stops the run
+    and freezes the per-iteration traces at their last finite values.
     """
     x = np.array(oracle.x0, dtype=float, copy=True)
     g = oracle.g(x)
@@ -344,8 +353,10 @@ def run(
     k = 0
 
     phi_star = oracle.problem.phi_star
+    # phi only feeds phi - phi*, so a problem without phi* never pays for it
+    exact_phi = oracle.true_phi if phi_star is not None else _no_phi
     grad_norms = [float(np.linalg.norm(oracle.true_grad(x)))]
-    phis = [oracle.true_phi(x)]
+    phis = [exact_phi(x)]
     eval_trace = [(oracle.fun_evals, phis[0])]
     iterates = [x.copy()] if keep_iterates else None
     rejections = 0
@@ -368,9 +379,9 @@ def run(
             diverged = True
             break
 
-        phi_new = oracle.true_phi(x_new)
+        phi_new = exact_phi(x_new)
         gn_new = float(np.linalg.norm(oracle.true_grad(x_new)))
-        if not (np.isfinite(phi_new) and np.isfinite(gn_new)):
+        if not (np.isfinite(gn_new) and (phi_star is None or np.isfinite(phi_new))):
             diverged = True
             break
         k += 1

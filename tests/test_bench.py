@@ -205,6 +205,31 @@ def test_emit_csv_quartile_band(tmp_path):
     assert lines[1].startswith("1,")
 
 
+def test_emit_csv_quartile_band_matches_summarize_per_column(tmp_path):
+    # 7 trials x 6 indices of signed zeros and ones: a quartile that falls between
+    # a +0 and a -0 keeps the sign a single-column percentile gives it
+    stacked = np.array(
+        [
+            [0.0, 1.0, -1.0, -1.0, -0.0, -0.0],
+            [-1.0, -1.0, -0.0, 0.0, -1.0, 0.0],
+            [0.0, -1.0, 0.0, 0.0, 1.0, 1.0],
+            [-0.0, -0.0, -1.0, -1.0, -1.0, 1.0],
+            [-1.0, 0.0, 0.0, -1.0, -0.0, 0.0],
+            [-0.0, 0.0, -1.0, -0.0, 0.0, 0.0],
+            [-1.0, -0.0, 1.0, 0.0, -0.0, -1.0],
+        ]
+    )
+    records = {"m": [_record(grad_norms=row) for row in stacked]}
+    metric = MetricSpec("raw", "iteration", lambda r: r.grad_norms, band="quartiles")
+    emit_csv(tmp_path, "q", "prob", records, [metric])
+    lines = (tmp_path / "fig_q_raw_m.csv").read_text().splitlines()[1:]
+    assert len(lines) == stacked.shape[1]
+    for i, line in enumerate(lines):
+        st = summarize(stacked[:, i])
+        expected = [st.median, st.q1, st.q3, st.min, st.max]
+        assert line == ",".join([str(i)] + [f"{v:.8e}" for v in expected])
+
+
 def test_emit_csv_reruns_are_byte_identical(tmp_path):
     def build():
         return {

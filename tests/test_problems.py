@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from softqn import problems
 from softqn.experiments import fixture_dataset_path
 from softqn.problems import (
     PROBLEM_DIMS,
@@ -195,12 +196,27 @@ def test_registry_custom_dimension():
 
 def test_libsvm_parses_sparse_rows(tmp_path):
     f = tmp_path / "tiny.libsvm"
-    f.write_text("+1 1:0.5 3:2.0\n0 2:1.0\n")
+    f.write_text("# a comment\n+1 1:0.5 3:2.0\n\n   \n0 2:1.0 2:3.0\n-1\n")
     data = load_libsvm(f, normalize=False)
-    assert data.n_samples == 2 and data.n_features == 3
-    npt.assert_allclose(data.features[0], [0.5, 0.0, 2.0])
-    npt.assert_allclose(data.features[1], [0.0, 1.0, 0.0])
-    npt.assert_array_equal(data.labels, [1.0, -1.0])  # 0 maps to -1
+    assert data.n_samples == 3 and data.n_features == 3
+    npt.assert_array_equal(data.features[0], [0.5, 0.0, 2.0])
+    npt.assert_array_equal(data.features[1], [0.0, 3.0, 0.0])  # a repeated index: the last wins
+    npt.assert_array_equal(data.features[2], [0.0, 0.0, 0.0])  # a label with no entries
+    npt.assert_array_equal(data.labels, [1.0, -1.0, -1.0])  # 0 maps to -1
+
+
+def test_libsvm_n_features(tmp_path):
+    f = tmp_path / "tiny.libsvm"
+    f.write_text("+1 1:0.5 3:2.0\n-1 2:1.0\n")
+    data = load_libsvm(f, n_features=5, normalize=False)
+    npt.assert_array_equal(data.features, [[0.5, 0.0, 2.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(DatasetFormatError) as exc:
+        load_libsvm(f, n_features=2)
+    assert str(exc.value) == f"{f}: index 3 exceeds n_features=2"
+    f.write_text("+1 1:0.5 99999999999999999999:1\n")  # beyond int64
+    with pytest.raises(DatasetFormatError) as exc:
+        load_libsvm(f, n_features=2)
+    assert str(exc.value) == f"{f}: index 99999999999999999999 exceeds n_features=2"
 
 
 def test_libsvm_normalizes_columns(tmp_path):
@@ -222,6 +238,116 @@ def test_libsvm_error_reports_line_numbers(tmp_path):
     f.write_text("+1 0:0.5\n")
     with pytest.raises(DatasetFormatError, match="index 0"):
         load_libsvm(f)
+
+
+def _block_file(rng, rows, cols):
+    """LIBSVM text of a random sparse matrix in rows x cols, and that matrix."""
+    x = np.where(rng.random((rows, cols)) < 0.4, rng.standard_normal((rows, cols)), 0.0)
+    labels = rng.choice([-1.0, 1.0], size=rows)
+    lines = []
+    for label, row in zip(labels, x):
+        entries = "".join(f" {j + 1}:{float(v)!r}" for j, v in enumerate(row) if v != 0.0)
+        lines.append(f"{label:+.0f}{entries}\n")
+    return lines, x, labels
+
+
+def test_libsvm_file_longer_than_one_block(tmp_path):
+    rows = problems._BLOCK_LINES + 500
+    lines, x, labels = _block_file(np.random.default_rng(3), rows, 7)
+    lines[10] = lines[10].replace("\n", " \n")  # a trailing space
+    lines[problems._BLOCK_LINES + 3] = lines[problems._BLOCK_LINES + 3].replace(" ", "\t", 1)
+    f = tmp_path / "long.libsvm"
+    f.write_text("".join(lines))
+    data = load_libsvm(f, normalize=False)
+    npt.assert_array_equal(data.features, x)
+    npt.assert_array_equal(data.labels, labels)
+    normalized = load_libsvm(f)
+    norms = np.linalg.norm(x, axis=0)
+    npt.assert_array_equal(normalized.features, x / np.where(norms > 0, norms, 1.0))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("notalabel 1:1.0", "bad label 'notalabel'"),
+        ("+1 1:0.5 2", "bad entry '2'"),
+        ("+1 1:2:3", "bad entry '1:2:3'"),
+        ("-1 1.5:2", "bad entry '1.5:2'"),
+        ("-1 2:1 0:0.5", "index 0 must be >= 1"),
+    ],
+    ids=["label", "no_colon", "two_colons", "float_index", "index_0"],
+)
+def test_libsvm_errors_in_the_second_block_name_their_line(tmp_path, bad, message):
+    lines, _, _ = _block_file(np.random.default_rng(4), problems._BLOCK_LINES + 50, 5)
+    lines[0] = "# a comment line counts too\n"
+    lines[1] = "\n"
+    lines[problems._BLOCK_LINES + 20] = bad + "\n"
+    lines[problems._BLOCK_LINES + 30] = "also bad\n"  # only the first error is reported
+    f = tmp_path / "bad.libsvm"
+    f.write_text("".join(lines))
+    with pytest.raises(DatasetFormatError) as exc:
+        load_libsvm(f)
+    assert str(exc.value) == f"{f}:{problems._BLOCK_LINES + 21}: {message}"
+
+
+_TOKENS = ["1", "+1", "-0", "2.5", "1e3", "nan", "1_0", "\u0663", "x", "", ":", "#", "1:2:3", "0:1", "3:", ":4"]
+_GAPS = ["  ", "\t", " \t", "\x0b", "\x1c", "\xa0"]
+
+
+def _random_line(rng):
+    parts = [str(rng.choice(["+1", "-1", "0"])) if rng.random() < 0.9 else str(rng.choice(_TOKENS))]
+    for _ in range(int(rng.integers(0, 5))):
+        if rng.random() < 0.85:
+            parts.append(f"{rng.integers(1, 6)}:{rng.choice(['0.5', '-1', '2e-3'])}")
+        else:
+            parts.append(str(rng.choice(_TOKENS)) + str(rng.choice([":", ""])) + str(rng.choice(_TOKENS)))
+    line = parts[0]
+    for part in parts[1:]:
+        line += (" " if rng.random() < 0.85 else str(rng.choice(_GAPS))) + part
+    return line + ("" if rng.random() < 0.8 else str(rng.choice([" "] + _GAPS))) + "\n"
+
+
+def test_libsvm_block_parse_agrees_with_the_token_scan():
+    # the whole-block conversion may decline a block (the scan then decides), but
+    # whatever it accepts must be exactly what the token scan makes of it
+    rng = np.random.default_rng(5)
+    accepted = 0
+    for _ in range(4000):
+        block = [_random_line(rng) for _ in range(int(rng.integers(1, 5)))]
+        if rng.random() < 0.2:
+            block[-1] = block[-1].rstrip("\n")
+        fast = problems._parse_block(block)
+        if fast is None:
+            continue
+        accepted += 1
+        scanned = problems._scan_block(block, "f", 1)
+        for a, b in zip(fast, scanned):
+            assert a.dtype == b.dtype
+            npt.assert_array_equal(a, b)
+    assert accepted > 500
+    # the common layouts take the whole-block path
+    assert problems._parse_block(["+1 1:0.5 3:2 \n", "-1\n", "0 2:1e-3"]) is not None
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        ["+1 2:\t3\n"],
+        ["+1 2:\xa03\n"],
+        ["+1 2\u2003:3\n"],
+        ["+1 2\x1c:3\n"],
+        ["+1 2 :3\n"],
+        ["+1 1:2 3\n"],
+        [" 2:3\n", "+1 4:5 6\n"],
+        ["\n", "+1 4:5 6\n"],
+    ],
+)
+def test_libsvm_block_parse_declines_blocks_the_token_scan_rejects(block):
+    # each has an empty label or an empty side of a colon next to a separator
+    # that a count of spaces and colons alone would miss
+    with pytest.raises(DatasetFormatError):
+        problems._scan_block(block, "f", 1)
+    assert problems._parse_block(block) is None
 
 
 def test_libsvm_rejects_empty_file(tmp_path):

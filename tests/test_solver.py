@@ -1,11 +1,14 @@
 """Tests for directions, the noisy line search, and the iteration loop."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from softqn.experiments import fixture_dataset_path
 from softqn.noise import GaussianNoise, MinibatchSampling, NoisyOracle, SphereNoise, UniformNoise
-from softqn.problems import Problem, cutest_like, gen_random_qp, toy_2d
+from softqn.problems import Problem, cutest_like, gen_random_qp, load_libsvm, logistic_problem, toy_2d
 from softqn.solver import (
     Budget,
     DiminishingStep,
@@ -320,11 +323,11 @@ def test_rejected_step_updates_soft_qn_but_skips_bfgs():
     assert rec2.skipped_updates == 0  # the soft update is defined for s = 0
 
 
-@pytest.mark.parametrize(
-    "method",
-    [SoftQn(ConstantAlpha(1.0)), SpBfgs(ConstantBeta(1.0)), StochasticBfgs(), Sgd()],
-    ids=["softqn", "spbfgs", "bfgs", "sgd"],
-)
+_METHODS = [SoftQn(ConstantAlpha(1.0)), SpBfgs(ConstantBeta(1.0)), StochasticBfgs(), Sgd()]
+_METHOD_IDS = ["softqn", "spbfgs", "bfgs", "sgd"]
+
+
+@pytest.mark.parametrize("method", _METHODS, ids=_METHOD_IDS)
 def test_non_finite_noisy_gradient_marks_trial_diverged(method):
     # the first minibatch gradient is exact, every later one is inf
     calls = []
@@ -350,6 +353,84 @@ def test_non_finite_noisy_gradient_marks_trial_diverged(method):
     npt.assert_array_equal(rec.final_x, [0.5, 0.5])
     assert len(rec.grad_norms) == 11
     assert np.all(np.isfinite(rec.grad_norms))
+
+
+# ---------------------------------------------------------------------------
+# exact value channel: phi is evaluated only when the problem has a phi*
+
+
+class _CountingOracle(NoisyOracle):
+    """A NoisyOracle that counts its exact-value calls."""
+
+    phi_calls = 0
+
+    def true_phi(self, x):
+        self.phi_calls += 1
+        return super().true_phi(x)
+
+
+@pytest.mark.parametrize("method", _METHODS, ids=_METHOD_IDS)
+def test_phi_is_not_evaluated_without_phi_star(method):
+    problem = logistic_problem(load_libsvm(fixture_dataset_path()), rho=0.1)
+    assert problem.phi_star is None
+    budget = Budget(iterations=20)
+    oracle = _CountingOracle(problem, grad_noise=MinibatchSampling(20), seed=3)
+    rec = run(oracle, method, FixedStep(0.1), budget)
+    assert oracle.phi_calls == 0
+    # the same trial on the problem with a (made-up) phi* evaluates phi at every
+    # recorded iterate and walks the same path, so grad_norms cannot tell them apart
+    starred = _CountingOracle(
+        dataclasses.replace(problem, phi_star=0.0), grad_noise=MinibatchSampling(20), seed=3
+    )
+    ref = run(starred, method, FixedStep(0.1), budget)
+    assert starred.phi_calls == ref.iterations + 1 == 21
+    npt.assert_array_equal(rec.grad_norms, ref.grad_norms)
+    npt.assert_array_equal(rec.final_x, ref.final_x)
+    # eval_trace keeps its (fun_evals, value) shape; value and suboptimality are NaN
+    assert [n for n, _ in rec.eval_trace] == [n for n, _ in ref.eval_trace]
+    assert np.isnan([v for _, v in rec.eval_trace]).all()
+    assert rec.suboptimality.shape == ref.suboptimality.shape
+    assert np.isnan(rec.suboptimality).all()
+    assert rec.phi_star is None
+
+
+def test_phi_is_evaluated_once_per_recorded_iterate_with_phi_star():
+    p = cutest_like("ARWHEAD", n=20)
+    o = _CountingOracle(p, fun_noise=UniformNoise(1e-4), grad_noise=SphereNoise(1e-4), seed=4)
+    rec = run(o, SoftQn(ConstantAlpha(1e6)), NoisyArmijo(eps_tol=1e-4), Budget(iterations=40))
+    assert o.phi_calls == rec.iterations + 1 == len(rec.eval_trace)
+    npt.assert_array_equal([v for _, v in rec.eval_trace], rec.suboptimality[: rec.iterations + 1])
+
+
+def test_non_finite_exact_gradient_marks_trial_diverged_without_phi_star():
+    def phi(x):
+        raise AssertionError("phi evaluated on a problem without phi*")
+
+    def grad(x):  # finite at the start, infinite at the first step's landing point
+        return x.copy() if x[0] > 0.75 else np.full_like(x, np.inf)
+
+    bowl = Problem(name="bowl", dim=2, x0=np.ones(2), phi=phi, grad=grad)
+    rec = run(NoisyOracle(bowl, seed=0), Sgd(), FixedStep(0.5), Budget(iterations=10))
+    assert rec.diverged
+    assert rec.iterations == 0
+    npt.assert_array_equal(rec.final_x, np.ones(2))
+    npt.assert_array_equal(rec.grad_norms, np.full(11, np.sqrt(2.0)))
+    assert len(rec.eval_trace) == 1 and np.isnan(rec.eval_trace[0][1])
+
+
+def test_non_finite_phi_marks_trial_diverged_with_phi_star():
+    bowl = Problem(
+        name="bowl",
+        dim=2,
+        x0=np.ones(2),
+        phi=lambda x: 0.5 * float(x @ x) if x[0] > 0.75 else np.inf,
+        grad=lambda x: np.asarray(x, dtype=float).copy(),
+        phi_star=0.0,
+    )
+    rec = run(NoisyOracle(bowl, seed=0), Sgd(), FixedStep(0.5), Budget(iterations=10))
+    assert rec.diverged
+    assert rec.iterations == 0
+    npt.assert_array_equal(rec.suboptimality, np.ones(11))
 
 
 def test_sp_bfgs_skips_below_pd_threshold():
