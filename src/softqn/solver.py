@@ -71,10 +71,11 @@ class _Method:
 
 
 class _QuasiNewton(_Method):
-    """H starts at the identity or h0, and the direction is -H g."""
+    """H starts at h0 (default: the identity) symmetrized once, and the direction is -H g."""
 
     def initial_h(self, n: int, h0: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        return np.eye(n) if h0 is None else np.array(h0, dtype=float, copy=True)
+        h0 = np.eye(n) if h0 is None else np.asarray(h0, dtype=float)
+        return 0.5 * (h0 + h0.T)
 
     def direction(self, h, g, hess):
         return biased_direction(h, g)

@@ -65,10 +65,6 @@ class SoftQnScratch(NamedTuple):
     u: np.ndarray
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
-
-
 def is_positive_definite(a: np.ndarray) -> bool:
     """Cholesky-based positive definiteness test (expects a symmetric matrix).
 
@@ -84,11 +80,30 @@ def is_positive_definite(a: np.ndarray) -> bool:
     return math.isfinite(factor.trace())
 
 
+def _rank_two(h, hy, s, c_hh, c_hs, c_ss):
+    """H - c_hh*(Hy)(Hy)' - c_hs*((Hy)s' + s(Hy)') + c_ss*ss', bitwise the outer-product form.
+
+    Broadcasts into two fresh n x n buffers; no hh term when c_hh is 0.  Each term is
+    exactly symmetric elementwise, so the result is exactly symmetric when H is."""
+    out = s[:, None] * hy
+    cross = hy[:, None] * s
+    cross += out
+    cross *= c_hs
+    if c_hh != 0.0:
+        np.multiply(hy[:, None], hy, out=out)
+        out *= c_hh
+        h = np.subtract(h, out, out=out)
+    np.subtract(h, cross, out=out)
+    np.multiply(s[:, None], s, out=cross)
+    cross *= c_ss
+    out += cross
+    return out
+
+
 def _check_pair(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("H must be a square matrix")
-    n = h.shape[0]
-    if s.shape != (n,) or y.shape != (n,):
+    if s.shape != h.shape[:1] or y.shape != h.shape[:1]:
         raise ValueError("s and y must be vectors matching the dimension of H")
     if not (np.all(np.isfinite(h)) and np.all(np.isfinite(s)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite entries in update inputs")
@@ -113,9 +128,9 @@ def soft_qn_update(h, s, y, alpha):
     """Penalized-secant update of a positive definite inverse-Hessian approximation.
 
     Computes H' = H + alpha*ss' - (alpha/gamma^2)*vv' with v = Hy + alpha*(s'y)*s,
-    expanded into cancellation-free rank-one terms so that the BFGS limit
-    (alpha -> inf) is reached without loss of monotonicity in floating point.
-    Well defined for every pair (s, y), including s = 0 or s'y <= 0.
+    expanded into cancellation-free rank-one terms so that the BFGS limit (alpha -> inf)
+    is reached without loss of monotonicity in floating point.  Well defined for every
+    pair (s, y), including s = 0 or s'y <= 0.  H' is exactly symmetric when H is.
 
     Returns ``(h_new, scratch)`` where ``scratch`` carries gamma and u = v/gamma.
     """
@@ -128,16 +143,8 @@ def soft_qn_update(h, s, y, alpha):
     # alpha*ss' - (alpha/g2)*vv' regrouped; the ss' coefficient uses the identity
     # gamma^2 - (alpha*s'y)^2 = gamma + alpha*y'Hy, which avoids forming the
     # difference of two huge multiples of ss' at large alpha.
-    c_hy = alpha / g2
-    c_cross = alpha * (alpha * s_t_y) / g2
     c_ss = alpha * (gamma + alpha * max(y_h_y, 0.0)) / g2
-    h_new = (
-        h
-        - c_hy * np.outer(hy, hy)
-        - c_cross * (np.outer(hy, s) + np.outer(s, hy))
-        + c_ss * np.outer(s, s)
-    )
-    h_new = _symmetrize(h_new)
+    h_new = _rank_two(h, hy, s, alpha / g2, alpha * (alpha * s_t_y) / g2, c_ss)
     if not is_positive_definite(h_new):
         raise UpdateConsistencyError(
             "soft QN update lost positive definiteness; this points at a numerical "
@@ -197,8 +204,8 @@ def bfgs_admissible(s, y, curvature_tol: Optional[float] = None) -> bool:
 def bfgs_update(h, s, y, curvature_tol: Optional[float] = None):
     """Classical BFGS update of the inverse-Hessian approximation.
 
-    Raises CurvatureError unless ``bfgs_admissible(s, y, curvature_tol)``,
-    since the update would lose positive definiteness.
+    Raises CurvatureError unless ``bfgs_admissible(s, y, curvature_tol)``, since
+    the update would lose positive definiteness.  H' is exactly symmetric when H is.
     """
     _check_pair(h, s, y)
     s_t_y = float(s @ y)
@@ -206,13 +213,7 @@ def bfgs_update(h, s, y, curvature_tol: Optional[float] = None):
         raise CurvatureError(f"s'y = {s_t_y:.3e} is at or below the curvature tolerance")
     rho = 1.0 / s_t_y
     hy = h @ y
-    y_h_y = float(y @ hy)
-    h_new = (
-        h
-        - rho * (np.outer(s, hy) + np.outer(hy, s))
-        + (rho * rho * y_h_y + rho) * np.outer(s, s)
-    )
-    return _symmetrize(h_new)
+    return _rank_two(h, hy, s, 0.0, rho, rho * rho * float(y @ hy) + rho)
 
 
 def sp_bfgs_admissible(s, y, beta: float) -> bool:
@@ -229,8 +230,8 @@ def sp_bfgs_admissible(s, y, beta: float) -> bool:
 def sp_bfgs_update(h, s, y, beta):
     """Secant-penalized BFGS update.
 
-    Raises PdThresholdError unless ``sp_bfgs_admissible(s, y, beta)``.
-    beta -> inf recovers BFGS, beta -> 0 leaves H unchanged.
+    Raises PdThresholdError unless ``sp_bfgs_admissible(s, y, beta)``.  beta -> inf
+    recovers BFGS, beta -> 0 leaves H unchanged.  H' is exactly symmetric when H is.
     """
     _check_pair(h, s, y)
     if beta <= 0:
@@ -246,8 +247,7 @@ def sp_bfgs_update(h, s, y, beta):
     hy = h @ y
     y_h_y = float(y @ hy)
     c_ss = omega * omega * y_h_y + pi + (pi - omega) * omega * y_h_y
-    h_new = h - omega * (np.outer(s, hy) + np.outer(hy, s)) + c_ss * np.outer(s, s)
-    return _symmetrize(h_new)
+    return _rank_two(h, hy, s, 0.0, omega, c_ss)
 
 
 def biased_direction(h, g, bias: float = 0.0):

@@ -166,6 +166,37 @@ def test_stochastic_bfgs_skips_exactly_when_the_kernel_raises(scale):
     assert outcomes == {True, False}
 
 
+_QN_METHODS = [SoftQn(ConstantAlpha(2.0)), SpBfgs(ConstantBeta(1.0)), StochasticBfgs()]
+
+
+@pytest.mark.parametrize("method", _QN_METHODS, ids=lambda m: type(m).__name__)
+def test_symmetric_h0_stays_exactly_symmetric_through_absorb(method):
+    # the kernels do not symmetrize: an exactly symmetric start must stay so
+    rng = np.random.default_rng(83)
+    n = 7
+    a = rng.standard_normal((n, n))
+    h0 = a @ a.T / n + np.eye(n)
+    assert np.array_equal(h0, h0.T)
+    h = method.initial_h(n, h0)
+    npt.assert_array_equal(h, h0)
+    assert not np.shares_memory(h, h0)
+    curvature = a @ a.T + np.eye(n)
+    for _ in range(3):
+        s = rng.standard_normal(n)
+        h, applied = method.absorb(h, s, curvature @ s)
+        assert applied
+        assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize("method", _QN_METHODS, ids=lambda m: type(m).__name__)
+def test_asymmetric_h0_comes_back_symmetrized(method):
+    h0 = np.array([[2.0, 0.3], [0.1, 1.0]])
+    h = method.initial_h(2, h0)
+    npt.assert_array_equal(h, [[2.0, 0.2], [0.2, 1.0]])
+    npt.assert_array_equal(h0, [[2.0, 0.3], [0.1, 1.0]])
+    npt.assert_array_equal(method.initial_h(2, None), np.eye(2))
+
+
 # ---------------------------------------------------------------------------
 # noisy line search
 

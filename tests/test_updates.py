@@ -16,6 +16,7 @@ from softqn.updates import (
     SpectrumBoundedAlpha,
     StepNormBeta,
     UpdateConsistencyError,
+    bfgs_admissible,
     bfgs_update,
     biased_direction,
     is_positive_definite,
@@ -23,6 +24,7 @@ from softqn.updates import (
     soft_qn_alpha_bound,
     soft_qn_gamma,
     soft_qn_update,
+    sp_bfgs_admissible,
     sp_bfgs_update,
 )
 
@@ -272,6 +274,133 @@ def test_sp_update_pd_inside_threshold():
     # s'y = -1 > -1/beta = -2
     h_new = sp_bfgs_update(np.eye(2), e1, -e1, beta=0.5)
     assert is_positive_definite(h_new)
+
+
+# ---------------------------------------------------------------------------
+# the shared rank-two kernel: bitwise the outer-product form
+#
+# The references below are the outer-product expressions (four np.outer
+# temporaries and a symmetrize pass) the three kernels used before they shared
+# one rank-two kernel.  Every kernel must reproduce them bit for bit.
+
+
+def _symmetrize(a):
+    return 0.5 * (a + a.T)
+
+
+def _soft_qn_reference(h, s, y, alpha):
+    hy = h @ y
+    y_h_y = float(y @ hy)
+    s_t_y = float(s @ y)
+    gamma = soft_qn_gamma(alpha, y_h_y, s_t_y)
+    g2 = gamma * gamma
+    c_hy = alpha / g2
+    c_cross = alpha * (alpha * s_t_y) / g2
+    c_ss = alpha * (gamma + alpha * max(y_h_y, 0.0)) / g2
+    h_new = (
+        h
+        - c_hy * np.outer(hy, hy)
+        - c_cross * (np.outer(hy, s) + np.outer(s, hy))
+        + c_ss * np.outer(s, s)
+    )
+    return _symmetrize(h_new)
+
+
+def _bfgs_reference(h, s, y):
+    rho = 1.0 / float(s @ y)
+    hy = h @ y
+    y_h_y = float(y @ hy)
+    h_new = (
+        h
+        - rho * (np.outer(s, hy) + np.outer(hy, s))
+        + (rho * rho * y_h_y + rho) * np.outer(s, s)
+    )
+    return _symmetrize(h_new)
+
+
+def _sp_bfgs_reference(h, s, y, beta):
+    s_t_y = float(s @ y)
+    pi = 1.0 / (s_t_y + 1.0 / beta)
+    omega = 1.0 / (s_t_y + 2.0 / beta)
+    hy = h @ y
+    y_h_y = float(y @ hy)
+    c_ss = omega * omega * y_h_y + pi + (pi - omega) * omega * y_h_y
+    return _symmetrize(h - omega * (np.outer(s, hy) + np.outer(hy, s)) + c_ss * np.outer(s, s))
+
+
+def _random_spd(rng, n):
+    a = rng.standard_normal((n, n))
+    return _symmetrize(a @ a.T / n + 0.1 * np.eye(n))
+
+
+def _pairs(rng, n):
+    """Seeded (s, y) pairs: generic, positive curvature, s = 0, y = 0, s'y < 0."""
+    s = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    a = _random_spd(rng, n)
+    yield "generic", s, rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    yield "curved", s, a @ s + 1e-3 * np.linalg.norm(a @ s) * rng.standard_normal(n)
+    yield "s0", np.zeros(n), rng.standard_normal(n)
+    yield "y0", s, np.zeros(n)
+    yield "negative", s, -(a @ s)
+
+
+def _assert_bitwise(h_new, reference):
+    npt.assert_array_equal(h_new, reference, strict=True)
+    assert np.array_equal(h_new, h_new.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 90, 200])
+def test_kernels_are_bitwise_the_outer_product_form(n):
+    rng = np.random.default_rng(600 + n)
+    for trial in range(3):
+        h = _random_spd(rng, n)
+        for _, s, y in _pairs(rng, n):
+            for alpha in (1e-8, 1.0, 1e8):
+                _assert_bitwise(soft_qn_update(h, s, y, alpha)[0], _soft_qn_reference(h, s, y, alpha))
+            if bfgs_admissible(s, y):
+                _assert_bitwise(bfgs_update(h, s, y), _bfgs_reference(h, s, y))
+            for beta in (1e-3, 1.0, 1e3):
+                if sp_bfgs_admissible(s, y, beta):
+                    _assert_bitwise(sp_bfgs_update(h, s, y, beta), _sp_bfgs_reference(h, s, y, beta))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 90, 200])
+@pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
+def test_sp_bfgs_is_bitwise_the_outer_product_form_just_above_the_pd_threshold(n, beta):
+    rng = np.random.default_rng(700 + n)
+    h = _random_spd(rng, n)
+    s = rng.standard_normal(n)
+    y0 = rng.standard_normal(n)
+    applied = 0
+    for excess in (1e-11, 1e-9, 1e-6):
+        # scale y so that s'y sits just above -1/beta
+        target = -1.0 / beta + excess * (1.0 + 1.0 / beta)
+        y = y0 * (target / float(s @ y0))
+        if sp_bfgs_admissible(s, y, beta):
+            applied += 1
+            _assert_bitwise(sp_bfgs_update(h, s, y, beta), _sp_bfgs_reference(h, s, y, beta))
+    assert applied >= 2
+
+
+def test_kernels_leave_inputs_alone_and_return_fresh_memory():
+    rng = np.random.default_rng(41)
+    n = 6
+    h = _random_spd(rng, n)
+    s = rng.standard_normal(n)
+    y = _random_spd(rng, n) @ s
+    calls = {
+        "soft_qn": lambda: soft_qn_update(h, s, y, 3.0)[0],
+        "bfgs": lambda: bfgs_update(h, s, y),
+        "sp_bfgs": lambda: sp_bfgs_update(h, s, y, 2.0),
+    }
+    for name, call in calls.items():
+        h0, s0, y0 = h.copy(), s.copy(), y.copy()
+        h_new = call()
+        npt.assert_array_equal(h, h0, err_msg=name)
+        npt.assert_array_equal(s, s0, err_msg=name)
+        npt.assert_array_equal(y, y0, err_msg=name)
+        assert not np.shares_memory(h_new, h), name
+        assert not np.array_equal(h_new, h), name
 
 
 # ---------------------------------------------------------------------------
