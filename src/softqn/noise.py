@@ -74,7 +74,13 @@ class MinibatchSampling:
 
 
 class NoisyOracle:
-    """Counted noisy f/g access to a problem, plus an uncounted exact channel."""
+    """Counted noisy f/g access to a problem, plus an uncounted exact channel.
+
+    phi and grad are evaluated once per point across both channels: the oracle
+    keeps the last point and value of each, and a call at a bitwise-identical x
+    (same dtype, shape and bytes) reuses the value.  Counters and noise draws
+    are as if every call evaluated the problem.
+    """
 
     def __init__(self, problem, fun_noise=None, grad_noise=None, seed: int = 0):
         fun_noise = fun_noise if fun_noise is not None else NoNoise()
@@ -94,6 +100,7 @@ class NoisyOracle:
         self._rng_batch = np.random.default_rng([self.seed & (2**63 - 1), _STREAM_BATCH])
         self._fun_evals = 0
         self._grad_evals = 0
+        self._last = {"phi": (None, None), "grad": (None, None)}  # (key, value) per callable
 
     @property
     def x0(self) -> np.ndarray:
@@ -111,10 +118,20 @@ class NoisyOracle:
     def grad_evals(self) -> int:
         return self._grad_evals
 
+    def _eval(self, name, x):
+        """problem.<name>(x), reused when the previous call was at the same bytes."""
+        a = np.asarray(x)
+        key = (a.dtype, a.shape, a.tobytes())
+        last_key, value = self._last[name]
+        if last_key != key:
+            value = getattr(self.problem, name)(x)
+            self._last[name] = (key, value)
+        return value
+
     def f(self, x) -> float:
         """Noisy function value; increments the function-evaluation counter."""
         self._fun_evals += 1
-        v = self.problem.phi(x)
+        v = self._eval("phi", x)
         if isinstance(self.fun_noise, UniformNoise):
             hw = self.fun_noise.half_width
             v = v + float(self._rng_fun.uniform(-hw, hw))
@@ -126,7 +143,7 @@ class NoisyOracle:
         gn = self.grad_noise
         if isinstance(gn, MinibatchSampling):
             return self.problem.batch_grad(x, gn.batch, self._rng_batch)
-        g = self.problem.grad(x)
+        g = self._eval("grad", x)
         if isinstance(gn, GaussianNoise):
             g = g + np.sqrt(gn.cov_scale) * self._rng_grad.standard_normal(g.shape)
         elif isinstance(gn, SphereNoise):
@@ -136,14 +153,16 @@ class NoisyOracle:
                 v = self._rng_grad.standard_normal(g.shape)
                 nv = np.linalg.norm(v)
             g = g + (gn.radius / nv) * v
+        else:
+            g = g.copy()
         return g
 
     # exact channel: never counted, used for metrics and Newton baselines
     def true_phi(self, x) -> float:
-        return float(self.problem.phi(x))
+        return float(self._eval("phi", x))
 
     def true_grad(self, x) -> np.ndarray:
-        return self.problem.grad(x)
+        return self._eval("grad", x).copy()
 
     def hess(self, x) -> np.ndarray:
         if self.problem.hess is None:

@@ -41,9 +41,10 @@ class DatasetFormatError(ValueError):
 class Problem:
     """A smooth unconstrained objective with exact value/gradient callables.
 
-    ``phi_star`` and ``x_star`` are set when the optimum is known analytically;
-    ``batch_grad(x, batch, rng)`` is present for data-fitting problems whose
-    gradient can be subsampled.
+    ``phi`` and ``grad`` must be pure functions of x (a ``NoisyOracle`` reuses
+    the value of its last call at the same point).  ``phi_star`` and ``x_star``
+    are set when the optimum is known analytically; ``batch_grad(x, batch, rng)``
+    is present for data-fitting problems whose gradient can be subsampled.
     """
 
     name: str
