@@ -3,7 +3,7 @@
 The core operation softens the secant constraint into a penalty, which keeps
 the inverse-Hessian estimate positive definite for every step/gradient-change
 pair and every penalty weight.  The package bundles the update formulas and
-their eigenvalue-control policies (:mod:`softqn.updates`), a brute-force
+their penalty policies (:mod:`softqn.updates`), a brute-force
 verification oracle for the underlying matrix optimization problem
 (:mod:`softqn.oracle`), an iteration loop with a noise-tolerant backtracking
 line search (:mod:`softqn.solver`), analytic test problems and a LIBSVM reader

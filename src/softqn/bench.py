@@ -9,7 +9,7 @@ reruns with the same configuration are byte-identical.
 
 import os
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -159,75 +159,71 @@ def _write_lines(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-def emit_csv(out_dir, experiment: str, problem: str, records, metrics, final_metric=None):
-    """Write the long-format CSV, one plot-data file per (metric, method), and a
-    summary CSV of the final metric across trials.
+def emit_csv(out_dir, experiment: str, problem: str, records, spec: MetricSpec, summary: bool = False):
+    """Write the long-format CSV, one plot-data file per method, and optionally a
+    summary CSV of each trial's last series value.
 
-    records: dict method -> list[TrialRecord]; metrics: list[MetricSpec];
-    final_metric: optional (name, callable record -> float) feeding the summary.
-    Returns the list of written paths.
+    records: dict method -> list[TrialRecord].  Trials may differ in length:
+    the plot data is cut to the shortest, and the summary reads each trial's
+    own last value.  Returns the list of written paths.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     long_rows = []
     series = {}
-    for spec in metrics:
-        for m, recs in records.items():
-            per_trial = [np.asarray(spec.values(r), dtype=float) for r in recs]
-            width = min(len(v) for v in per_trial)
-            stacked = np.vstack([v[:width] for v in per_trial])
-            series[(spec.name, m)] = stacked
-            for t, v in enumerate(per_trial):
-                for i, val in enumerate(v):
-                    long_rows.append((m, str(t), spec.index_kind, str(i), spec.name, _fmt(val)))
+    for m, recs in records.items():
+        per_trial = [np.asarray(spec.values(r), dtype=float) for r in recs]
+        series[m] = per_trial
+        for t, v in enumerate(per_trial):
+            for i, val in enumerate(v):
+                long_rows.append((m, str(t), spec.index_kind, str(i), spec.name, _fmt(val)))
 
     long_path = os.path.join(out_dir, f"{experiment}_long.csv")
     _write_lines(long_path, "method,trial,index_kind,index,metric_name,value", long_rows)
     written.append(long_path)
 
-    for spec in metrics:
-        for m in records:
-            stacked = series[(spec.name, m)]
-            idx = np.arange(stacked.shape[1])
-            if spec.index_kind == "fun_eval":
-                idx = idx + 1  # eval grids start at 1
-            path = os.path.join(out_dir, f"fig_{experiment}_{spec.name}_{m}.csv")
-            if spec.band == "quartiles":
-                # column by column these equal summarize(), signed zeros included;
-                # percentile(stacked, [25, 75]) in one call can swap +0 and -0
-                median = np.median(stacked, axis=0)
-                q1 = np.percentile(stacked, 25, axis=0)
-                q3 = np.percentile(stacked, 75, axis=0)
-                lo, hi = stacked.min(axis=0), stacked.max(axis=0)
-                rows = [
-                    (str(idx[i]), _fmt(median[i]), _fmt(q1[i]), _fmt(q3[i]), _fmt(lo[i]), _fmt(hi[i]))
-                    for i in range(len(median))
-                ]
-                _write_lines(path, "index,median,q1,q3,min,max", rows)
-            else:
-                mean = stacked.mean(axis=0)
-                sd = stacked.std(axis=0, ddof=1) if stacked.shape[0] > 1 else np.zeros_like(mean)
-                sd_mean = sd / np.sqrt(stacked.shape[0])
-                rows = [
-                    (
-                        str(idx[i]),
-                        _fmt(mean[i]),
-                        _fmt(mean[i] - 3.0 * sd_mean[i]),
-                        _fmt(mean[i] + 3.0 * sd_mean[i]),
-                        _fmt(mean[i] - 3.0 * sd[i]),
-                        _fmt(mean[i] + 3.0 * sd[i]),
-                    )
-                    for i in range(len(mean))
-                ]
-                _write_lines(path, "index,mean,lo3sd,hi3sd,lo3sd_pop,hi3sd_pop", rows)
-            written.append(path)
+    for m, per_trial in series.items():
+        width = min(len(v) for v in per_trial)
+        stacked = np.vstack([v[:width] for v in per_trial])
+        idx = np.arange(width)
+        if spec.index_kind == "fun_eval":
+            idx = idx + 1  # eval grids start at 1
+        path = os.path.join(out_dir, f"fig_{experiment}_{spec.name}_{m}.csv")
+        if spec.band == "quartiles":
+            # column by column these equal summarize(), signed zeros included;
+            # percentile(stacked, [25, 75]) in one call can swap +0 and -0
+            median = np.median(stacked, axis=0)
+            q1 = np.percentile(stacked, 25, axis=0)
+            q3 = np.percentile(stacked, 75, axis=0)
+            lo, hi = stacked.min(axis=0), stacked.max(axis=0)
+            rows = [
+                (str(idx[i]), _fmt(median[i]), _fmt(q1[i]), _fmt(q3[i]), _fmt(lo[i]), _fmt(hi[i]))
+                for i in range(len(median))
+            ]
+            _write_lines(path, "index,median,q1,q3,min,max", rows)
+        else:
+            mean = stacked.mean(axis=0)
+            sd = stacked.std(axis=0, ddof=1) if stacked.shape[0] > 1 else np.zeros_like(mean)
+            sd_mean = sd / np.sqrt(stacked.shape[0])
+            rows = [
+                (
+                    str(idx[i]),
+                    _fmt(mean[i]),
+                    _fmt(mean[i] - 3.0 * sd_mean[i]),
+                    _fmt(mean[i] + 3.0 * sd_mean[i]),
+                    _fmt(mean[i] - 3.0 * sd[i]),
+                    _fmt(mean[i] + 3.0 * sd[i]),
+                )
+                for i in range(len(mean))
+            ]
+            _write_lines(path, "index,mean,lo3sd,hi3sd,lo3sd_pop,hi3sd_pop", rows)
+        written.append(path)
 
-    if final_metric is not None:
-        name, fn = final_metric
+    if summary:
         rows = []
-        for m, recs in records.items():
-            stats = summarize([fn(r) for r in recs])
+        for m, per_trial in series.items():
+            stats = summarize([v[-1] for v in per_trial])
             rows.append(
                 (
                     problem,

@@ -34,11 +34,15 @@ _EXPERIMENTS = {
 }
 
 
-def _u64(text):
-    value = int(text)
+def _check_seed(value, error):
+    """Return ``value`` if it lies in [0, 2**64); raise ``error`` otherwise."""
     if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed {value} out of unsigned 64-bit range")
+        raise error(f"seed {value} out of unsigned 64-bit range")
     return value
+
+
+def _u64(text):
+    return _check_seed(int(text), argparse.ArgumentTypeError)
 
 
 def build_parser():
@@ -74,6 +78,8 @@ def _resolve_params(args, defaults):
         sections = load_config(args.config)
         section = sections.get(args.command, {})
         params.update(coerce_params(section, defaults))
+        if "seed" in params:
+            _check_seed(params["seed"], ConfigError)
     if args.seed is not None:
         params["seed"] = args.seed
     if getattr(args, "trials", None) is not None:

@@ -100,10 +100,6 @@ def fixture_dataset_path() -> str:
     return str(resources.files("softqn").joinpath("data/synthetic_binary_n22.libsvm"))
 
 
-def _final(values_fn):
-    return lambda record: float(values_fn(record)[-1])
-
-
 def run_qp(params, out_dir):
     """Random convex QPs, Gaussian gradient noise, diminishing step eta_k = c/k.
 
@@ -152,14 +148,7 @@ def run_qp(params, out_dir):
         return metric_normalized_subopt(record, phi0, record.phi_star)
 
     metric = MetricSpec("normalized_log10_subopt", "iteration", subopt_series, band="mean3sd")
-    written = emit_csv(
-        out_dir,
-        "qp",
-        f"qp{p['n']}",
-        records,
-        [metric],
-        final_metric=("final_normalized_log10_subopt", _final(subopt_series)),
-    )
+    written = emit_csv(out_dir, "qp", f"qp{p['n']}", records, metric, summary=True)
     return records, written
 
 
@@ -208,14 +197,7 @@ def run_cutest(params, out_dir):
     metric = MetricSpec(
         "suboptimality", "fun_eval", lambda r: align_trace(r, grid_max).values, band="quartiles"
     )
-    written = emit_csv(
-        out_dir,
-        f"cutest_{problem.name.lower()}",
-        problem.name,
-        records,
-        [metric],
-        final_metric=("final_suboptimality", lambda r: float(align_trace(r, grid_max).values[-1])),
-    )
+    written = emit_csv(out_dir, f"cutest_{problem.name.lower()}", problem.name, records, metric, summary=True)
     return records, written
 
 
@@ -249,14 +231,7 @@ def run_logreg(params, out_dir):
 
     records = monte_carlo(trial_fn, p["methods"], int(p["trials"]))
     metric = MetricSpec("log10_grad_norm", "iteration", metric_log10_grad, band="mean3sd")
-    written = emit_csv(
-        out_dir,
-        "logreg",
-        os.path.basename(path),
-        records,
-        [metric],
-        final_metric=("final_log10_grad_norm", _final(metric_log10_grad)),
-    )
+    written = emit_csv(out_dir, "logreg", os.path.basename(path), records, metric, summary=True)
     return records, written
 
 
@@ -280,7 +255,7 @@ def run_toy(params, out_dir):
 
     records = monte_carlo(trial_fn, p["methods"], 1)
     metric = MetricSpec("log10_grad_norm", "iteration", metric_log10_grad, band="mean3sd")
-    written = emit_csv(out_dir, "toy", problem.name, records, [metric])
+    written = emit_csv(out_dir, "toy", problem.name, records, metric)
     for m, recs in records.items():
         path = os.path.join(out_dir, f"fig_toy_path_{m}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

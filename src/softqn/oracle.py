@@ -51,8 +51,10 @@ class PenaltyObjectiveSpec:
             raise ValueError("s and y must match the dimension of h_prev")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if not _is_spd(self.h_prev):
-            raise ValueError("h_prev must be symmetric positive definite")
+        try:
+            _chol_or_domain_error(self.h_prev)
+        except ValueError as exc:
+            raise ValueError("h_prev must be symmetric positive definite") from exc
 
 
 class OracleResult(NamedTuple):
@@ -61,16 +63,6 @@ class OracleResult(NamedTuple):
     objective_value: float
     stationarity_residual: float
     iterations: int
-
-
-def _is_spd(a: np.ndarray) -> bool:
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(a).max())):
-        return False
-    try:
-        cholesky(a, lower=True)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _chol_or_domain_error(b: np.ndarray) -> np.ndarray:

@@ -585,8 +585,18 @@ def _scan_block(block, path, first_lineno):
     return np.array(raw), np.array(counts, dtype=np.intp), idx, np.array(vals, dtype=float)
 
 
-def _margins(data: LogisticDataset, v: np.ndarray) -> np.ndarray:
-    return data.labels * (v[0] + data.features @ v[1:])
+def _margins(features: np.ndarray, labels: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return labels * (v[0] + features @ v[1:])
+
+
+def _logistic_grad(features: np.ndarray, labels: np.ndarray, rho: float, v: np.ndarray) -> np.ndarray:
+    """Mean log-loss gradient over the given rows plus the regularizer gradient."""
+    m = _margins(features, labels, v)
+    coef = labels * expit(-m) / features.shape[0]
+    g = np.empty(v.shape)
+    g[0] = -np.sum(coef)
+    g[1:] = -(coef @ features) + 2.0 * rho * v[1:]
+    return g
 
 
 def minibatch_gradient(
@@ -598,14 +608,7 @@ def minibatch_gradient(
     if not 1 <= batch <= n:
         raise ValueError(f"batch size {batch} outside [1, {n}]")
     idx = rng.choice(n, size=batch, replace=False)
-    xb = data.features[idx]
-    yb = data.labels[idx]
-    m = yb * (v[0] + xb @ v[1:])
-    coef = yb * expit(-m) / batch
-    g = np.empty(v.shape)
-    g[0] = -np.sum(coef)
-    g[1:] = -(coef @ xb) + 2.0 * rho * v[1:]
-    return g
+    return _logistic_grad(data.features[idx], data.labels[idx], rho, v)
 
 
 def logistic_problem(data: LogisticDataset, rho: float) -> Problem:
@@ -620,19 +623,14 @@ def logistic_problem(data: LogisticDataset, rho: float) -> Problem:
     dim = data.n_features + 1
 
     def phi(v):
-        m = _margins(data, v)
+        m = _margins(data.features, data.labels, v)
         return float(np.mean(np.logaddexp(0.0, -m)) + rho * float(v[1:] @ v[1:]))
 
     def grad(v):
-        m = _margins(data, v)
-        coef = data.labels * expit(-m) / n
-        g = np.empty(dim)
-        g[0] = -np.sum(coef)
-        g[1:] = -(coef @ data.features) + 2.0 * rho * v[1:]
-        return g
+        return _logistic_grad(data.features, data.labels, rho, v)
 
     def hess(v):
-        m = _margins(data, v)
+        m = _margins(data.features, data.labels, v)
         p = expit(-m)
         d = p * (1.0 - p) / n
         a = np.concatenate([np.ones((n, 1)), data.features], axis=1)

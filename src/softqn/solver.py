@@ -1,7 +1,7 @@
 """Iteration loop for stochastic quasi-Newton methods with noisy oracles.
 
-One iteration computes a direction p = -(H + bias*I) g (or a Newton-type
-direction from the exact Hessian), takes a step chosen by the step policy,
+One iteration computes a direction p = -H g (or a Newton-type direction
+from the exact Hessian), takes a step chosen by the step policy,
 re-evaluates the noisy gradient, and feeds the pair (s, y) to the method's
 inverse-Hessian update.  The loop tolerates noise-corrupted pairs: the soft QN
 update is applied unconditionally, SP-BFGS skips pairs outside its positive
@@ -86,9 +86,6 @@ class SoftQn(_QuasiNewton):
     """Penalized-secant quasi-Newton; updates on every pair."""
 
     policy: ConstantAlpha = ConstantAlpha(1.0)
-
-    def direction(self, h, g, hess):
-        return biased_direction(h, g, self.policy.bias)
 
     def absorb(self, h, s, y):
         h_new, _ = soft_qn_update(h, s, y, self.policy.value(h, s, y))

@@ -11,7 +11,7 @@ baselines, together with cheap spectral-bound machinery for choosing alpha.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "biased_direction",
     "is_positive_definite",
     "ConstantAlpha",
-    "SpectrumBoundedAlpha",
     "ConstantBeta",
     "StepNormBeta",
     "CurvatureRelaxedBeta",
@@ -190,26 +189,24 @@ def lambda_max_upper_bound(a: np.ndarray) -> float:
     return m + math.sqrt(var * (n - 1))
 
 
-def bfgs_admissible(s, y, curvature_tol: Optional[float] = None) -> bool:
-    """Whether s'y lies above ``curvature_tol`` (default 1e-12*|s|*|y|).
+def bfgs_admissible(s, y) -> bool:
+    """Whether s'y lies above the curvature tolerance 1e-12*|s|*|y|.
 
     BFGS keeps positive definiteness only on such pairs; ``bfgs_update`` raises
     CurvatureError on the others, and the solver skips them.
     """
-    if curvature_tol is None:
-        curvature_tol = 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
-    return float(s @ y) > curvature_tol
+    return float(s @ y) > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
 
 
-def bfgs_update(h, s, y, curvature_tol: Optional[float] = None):
+def bfgs_update(h, s, y):
     """Classical BFGS update of the inverse-Hessian approximation.
 
-    Raises CurvatureError unless ``bfgs_admissible(s, y, curvature_tol)``, since
-    the update would lose positive definiteness.  H' is exactly symmetric when H is.
+    Raises CurvatureError unless ``bfgs_admissible(s, y)``, since the update
+    would lose positive definiteness.  H' is exactly symmetric when H is.
     """
     _check_pair(h, s, y)
     s_t_y = float(s @ y)
-    if not bfgs_admissible(s, y, curvature_tol):
+    if not bfgs_admissible(s, y):
         raise CurvatureError(f"s'y = {s_t_y:.3e} is at or below the curvature tolerance")
     rho = 1.0 / s_t_y
     hy = h @ y
@@ -250,45 +247,23 @@ def sp_bfgs_update(h, s, y, beta):
     return _rank_two(h, hy, s, 0.0, omega, c_ss)
 
 
-def biased_direction(h, g, bias: float = 0.0):
-    """Descent direction -(H + bias*I) g; bias > 0 floors the direction curvature."""
-    d = h @ g
-    if bias != 0.0:
-        d = d + bias * g
-    return -d
+def biased_direction(h, g):
+    """Descent direction -H g.
+
+    The name stays from an earlier form -(H + bias*I) g because the perfbench
+    tracer wraps ``softqn.solver.biased_direction`` by name.
+    """
+    return -(h @ g)
 
 
 @dataclass(frozen=True)
 class ConstantAlpha:
-    """Fixed penalty weight for soft QN, with an optional direction bias."""
+    """Fixed penalty weight for soft QN."""
 
     alpha: float
-    bias: float = 0.0
 
     def value(self, h, s, y) -> float:
         return self.alpha
-
-
-@dataclass(frozen=True)
-class SpectrumBoundedAlpha:
-    """Penalty weight clamped so the inverse-Hessian spectrum stays inside bounds.
-
-    The upper eigenvalue is estimated by the O(n^2) trace bound; the lower one by
-    the running floor plus the direction bias (an exact lambda_min would cost a
-    factorization per iteration).  The produced alpha is min(cap, bound) floored
-    at ``alpha_floor`` so it stays strictly positive.
-    """
-
-    bounds: EigenBounds
-    cap: float
-    bias: float = 0.0
-    alpha_floor: float = 1e-16
-
-    def value(self, h, s, y) -> float:
-        lam_max = lambda_max_upper_bound(h)
-        lam_min = self.bounds.floor + self.bias
-        bound = soft_qn_alpha_bound(h, s, y, self.bounds, lam_min, lam_max)
-        return min(self.cap, max(bound, self.alpha_floor))
 
 
 @dataclass(frozen=True)

@@ -159,14 +159,7 @@ def test_emit_csv_schemas(tmp_path):
         "sgd": [_record(grad_norms=(1.0, 0.5)), _record(grad_norms=(1.0, 0.6))],
     }
     metric = MetricSpec("log10_grad_norm", "iteration", metric_log10_grad, band="mean3sd")
-    written = emit_csv(
-        tmp_path,
-        "unit",
-        "toyprob",
-        records,
-        [metric],
-        final_metric=("final", lambda r: float(r.grad_norms[-1])),
-    )
+    written = emit_csv(tmp_path, "unit", "toyprob", records, metric, summary=True)
     paths = {p.rsplit("/", 1)[-1] for p in written}
     assert paths == {
         "unit_long.csv",
@@ -198,7 +191,7 @@ def test_emit_csv_schemas(tmp_path):
 def test_emit_csv_quartile_band(tmp_path):
     records = {"m": [_record(grad_norms=(1.0, 10.0 ** (-i))) for i in range(5)]}
     metric = MetricSpec("log10_grad_norm", "fun_eval", metric_log10_grad, band="quartiles")
-    emit_csv(tmp_path, "q", "prob", records, [metric])
+    emit_csv(tmp_path, "q", "prob", records, metric)
     lines = (tmp_path / "fig_q_log10_grad_norm_m.csv").read_text().splitlines()
     assert lines[0] == "index,median,q1,q3,min,max"
     # fun_eval grids start at 1
@@ -221,13 +214,27 @@ def test_emit_csv_quartile_band_matches_summarize_per_column(tmp_path):
     )
     records = {"m": [_record(grad_norms=row) for row in stacked]}
     metric = MetricSpec("raw", "iteration", lambda r: r.grad_norms, band="quartiles")
-    emit_csv(tmp_path, "q", "prob", records, [metric])
+    emit_csv(tmp_path, "q", "prob", records, metric)
     lines = (tmp_path / "fig_q_raw_m.csv").read_text().splitlines()[1:]
     assert len(lines) == stacked.shape[1]
     for i, line in enumerate(lines):
         st = summarize(stacked[:, i])
         expected = [st.median, st.q1, st.q3, st.min, st.max]
         assert line == ",".join([str(i)] + [f"{v:.8e}" for v in expected])
+
+
+def test_emit_csv_summary_is_each_trials_last_series_value(tmp_path):
+    # trials stop after 2, 4 and 3 iterations: the figure file is cut to the
+    # shortest, but the summary reads each trial's own last value
+    grads = [(1.0, 0.5), (1.0, 0.5, 0.25, 1e-3), (1.0, 0.5, 0.1)]
+    records = {"m": [_record(grad_norms=g) for g in grads]}
+    metric = MetricSpec("log10_grad_norm", "iteration", metric_log10_grad)
+    emit_csv(tmp_path, "s", "prob", records, metric, summary=True)
+    st = summarize([np.log10(g[-1]) for g in grads])
+    expected = [st.min, st.max, st.mean, st.median, st.variance]
+    lines = (tmp_path / "s_summary.csv").read_text().splitlines()
+    assert lines[1:] == [",".join(["prob", "m"] + [f"{v:.8e}" for v in expected])]
+    assert len((tmp_path / "fig_s_log10_grad_norm_m.csv").read_text().splitlines()) == 1 + 2
 
 
 def test_emit_csv_reruns_are_byte_identical(tmp_path):
@@ -237,7 +244,7 @@ def test_emit_csv_reruns_are_byte_identical(tmp_path):
         }
 
     metric = MetricSpec("log10_grad_norm", "iteration", metric_log10_grad)
-    emit_csv(tmp_path / "a", "e", "p", build(), [metric])
-    emit_csv(tmp_path / "b", "e", "p", build(), [metric])
+    emit_csv(tmp_path / "a", "e", "p", build(), metric)
+    emit_csv(tmp_path / "b", "e", "p", build(), metric)
     for name in ["e_long.csv", "fig_e_log10_grad_norm_m.csv"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

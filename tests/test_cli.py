@@ -25,6 +25,17 @@ def test_seed_out_of_range_is_usage_error(capsys):
     assert main(["toy", "--seed", str(2**64)]) == 2
 
 
+def test_config_seed_is_range_checked(tmp_path, capsys):
+    cfg = tmp_path / "bench.ini"
+    for seed in (-1, 2**64):
+        cfg.write_text(f"[toy]\nseed = {seed}\niterations = 2\n")
+        capsys.readouterr()
+        assert main(["toy", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config error: seed {seed} out of unsigned 64-bit range" in capsys.readouterr().err
+    cfg.write_text(f"[toy]\nseed = {2**64 - 1}\niterations = 2\n")
+    assert main(["toy", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
 def test_toy_run_writes_csvs(tmp_path, capsys):
     code = main(["toy", "--out", str(tmp_path)])
     assert code == 0

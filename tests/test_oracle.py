@@ -32,8 +32,10 @@ def test_spec_validation():
         _spec(np.eye(2), np.zeros(3), np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         _spec(np.eye(2), np.zeros(2), np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric positive definite"):
         _spec(-np.eye(2), np.zeros(2), np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="symmetric positive definite"):
+        _spec([[2.0, 1.0], [0.0, 2.0]], np.zeros(2), np.zeros(2), 1.0)
 
 
 # ---------------------------------------------------------------------------
