@@ -25,7 +25,7 @@ for method, recs in records.items():
     finals = []
     for rec in recs:
         phi0 = rec.suboptimality[0] + rec.phi_star
-        finals.append(metric_normalized_subopt(rec, phi0, rec.phi_star)[-1])
+        finals.append(metric_normalized_subopt(rec, phi0)[-1])
     print(f"{method:>8}  {np.mean(finals):+42.3f}")
 
 rec = records["bfgs"][0]

@@ -25,13 +25,14 @@ __all__ = [
     "summarize",
     "monte_carlo",
     "emit_csv",
+    "write_csv",
 ]
 
 LOG_FLOOR = -16.0
 
 
 class AlignedTrace(NamedTuple):
-    """Step-function resampling of an eval_trace onto the grid 1..grid_max."""
+    """Step-function resampling of a record's suboptimality onto the evaluation grid 1..grid_max."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -52,44 +53,34 @@ def metric_log10_grad(record: TrialRecord) -> np.ndarray:
     return np.log10(np.maximum(record.grad_norms, 10.0 ** LOG_FLOOR))
 
 
-def metric_normalized_subopt(record: TrialRecord, phi0: float, phi_star: float) -> np.ndarray:
-    """Per-iteration log10((phi_k - phi*)/(phi_0 - phi*)), floored at -16.
+def metric_normalized_subopt(record: TrialRecord, phi0: float) -> np.ndarray:
+    """Per-iteration log10((phi_k - phi*)/(phi_0 - phi*)) with the record's phi*,
+    floored at -16.
 
     Non-positive numerators (the iterate beat phi* to rounding) are clamped to
     the floor.  At the start point the metric is exactly 0.
     """
     if record.phi_star is None:
         raise ValueError("record has no phi_star to reconstruct values from")
-    denom = phi0 - phi_star
+    denom = phi0 - record.phi_star
     if denom <= 0:
         raise ValueError("phi0 must exceed phi_star")
-    if phi_star == record.phi_star:
-        numer = record.suboptimality
-    else:
-        numer = (record.suboptimality + record.phi_star) - phi_star
-    ratio = np.maximum(numer / denom, 10.0 ** LOG_FLOOR)
+    ratio = np.maximum(record.suboptimality / denom, 10.0 ** LOG_FLOOR)
     return np.log10(ratio)
 
 
 def align_trace(record: TrialRecord, grid_max: int) -> AlignedTrace:
     """Suboptimality of the last iterate adopted at or before each evaluation count.
 
-    The trace is right-continuous: a step accepted at evaluation j changes the
-    value exactly at grid index j.
+    Grid point j takes the last iterate i with ``eval_counts[i] <= j``, or the
+    start point when there is none.  The trace is right-continuous: a step
+    accepted at evaluation j changes the value exactly at grid index j.
     """
     if record.phi_star is None:
         raise ValueError("align_trace needs a problem with a known phi_star")
     grid = np.arange(1, grid_max + 1)
-    values = np.empty(grid_max)
-    trace = record.eval_trace
-    pos = 0
-    current = trace[0][1] - record.phi_star
-    for j in range(1, grid_max + 1):
-        while pos + 1 < len(trace) and trace[pos + 1][0] <= j:
-            pos += 1
-            current = trace[pos][1] - record.phi_star
-        values[j - 1] = current
-    return AlignedTrace(grid=grid, values=values)
+    pos = np.maximum(np.searchsorted(record.eval_counts, grid, side="right") - 1, 0)
+    return AlignedTrace(grid=grid, values=record.suboptimality[pos])
 
 
 def summarize(values) -> SummaryStats:
@@ -148,15 +139,45 @@ def monte_carlo(trial_fn: Callable[[str, int], TrialRecord], methods, trials: in
 # CSV emission
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.8e}"
+def write_csv(path, header: str, columns) -> None:
+    """Write equal-length columns under ``header`` as UTF-8 with LF line endings.
 
-
-def _write_lines(path, header, rows):
+    A NumPy float array is written in scientific notation with 9 significant
+    digits (``%.8e``); any other column is written with ``str``.
+    """
+    cells = [
+        map("{:.8e}".format, c.tolist()) if isinstance(c, np.ndarray) and c.dtype.kind == "f" else map(str, c)
+        for c in columns
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _quartile_columns(stacked):
+    # column by column these equal summarize(), signed zeros included;
+    # percentile(stacked, [25, 75]) in one call can swap +0 and -0
+    return [
+        np.median(stacked, axis=0),
+        np.percentile(stacked, 25, axis=0),
+        np.percentile(stacked, 75, axis=0),
+        stacked.min(axis=0),
+        stacked.max(axis=0),
+    ]
+
+
+def _mean3sd_columns(stacked):
+    mean = stacked.mean(axis=0)
+    sd = stacked.std(axis=0, ddof=1) if stacked.shape[0] > 1 else np.zeros_like(mean)
+    sd_mean = sd / np.sqrt(stacked.shape[0])
+    return [mean, mean - 3.0 * sd_mean, mean + 3.0 * sd_mean, mean - 3.0 * sd, mean + 3.0 * sd]
+
+
+# MetricSpec.band -> (header, per-index columns of a trials x indices array)
+_BANDS = {
+    "quartiles": ("index,median,q1,q3,min,max", _quartile_columns),
+    "mean3sd": ("index,mean,lo3sd,hi3sd,lo3sd_pop,hi3sd_pop", _mean3sd_columns),
+}
 
 
 def emit_csv(out_dir, experiment: str, problem: str, records, spec: MetricSpec, summary: bool = False):
@@ -168,75 +189,41 @@ def emit_csv(out_dir, experiment: str, problem: str, records, spec: MetricSpec, 
     own last value.  Returns the list of written paths.
     """
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    series = {m: [np.asarray(spec.values(r), dtype=float) for r in recs] for m, recs in records.items()}
 
-    long_rows = []
-    series = {}
-    for m, recs in records.items():
-        per_trial = [np.asarray(spec.values(r), dtype=float) for r in recs]
-        series[m] = per_trial
+    methods, trials, index = [], [], []
+    for m, per_trial in series.items():
         for t, v in enumerate(per_trial):
-            for i, val in enumerate(v):
-                long_rows.append((m, str(t), spec.index_kind, str(i), spec.name, _fmt(val)))
-
+            methods += [m] * len(v)
+            trials += [t] * len(v)
+            index += range(len(v))
+    values = np.concatenate([np.empty(0), *(v for per_trial in series.values() for v in per_trial)])
+    n = len(index)
     long_path = os.path.join(out_dir, f"{experiment}_long.csv")
-    _write_lines(long_path, "method,trial,index_kind,index,metric_name,value", long_rows)
-    written.append(long_path)
+    write_csv(
+        long_path,
+        "method,trial,index_kind,index,metric_name,value",
+        [methods, trials, [spec.index_kind] * n, index, [spec.name] * n, values],
+    )
+    written = [long_path]
 
+    header, band_columns = _BANDS[spec.band]
+    first = 1 if spec.index_kind == "fun_eval" else 0  # eval grids start at 1
     for m, per_trial in series.items():
         width = min(len(v) for v in per_trial)
         stacked = np.vstack([v[:width] for v in per_trial])
-        idx = np.arange(width)
-        if spec.index_kind == "fun_eval":
-            idx = idx + 1  # eval grids start at 1
         path = os.path.join(out_dir, f"fig_{experiment}_{spec.name}_{m}.csv")
-        if spec.band == "quartiles":
-            # column by column these equal summarize(), signed zeros included;
-            # percentile(stacked, [25, 75]) in one call can swap +0 and -0
-            median = np.median(stacked, axis=0)
-            q1 = np.percentile(stacked, 25, axis=0)
-            q3 = np.percentile(stacked, 75, axis=0)
-            lo, hi = stacked.min(axis=0), stacked.max(axis=0)
-            rows = [
-                (str(idx[i]), _fmt(median[i]), _fmt(q1[i]), _fmt(q3[i]), _fmt(lo[i]), _fmt(hi[i]))
-                for i in range(len(median))
-            ]
-            _write_lines(path, "index,median,q1,q3,min,max", rows)
-        else:
-            mean = stacked.mean(axis=0)
-            sd = stacked.std(axis=0, ddof=1) if stacked.shape[0] > 1 else np.zeros_like(mean)
-            sd_mean = sd / np.sqrt(stacked.shape[0])
-            rows = [
-                (
-                    str(idx[i]),
-                    _fmt(mean[i]),
-                    _fmt(mean[i] - 3.0 * sd_mean[i]),
-                    _fmt(mean[i] + 3.0 * sd_mean[i]),
-                    _fmt(mean[i] - 3.0 * sd[i]),
-                    _fmt(mean[i] + 3.0 * sd[i]),
-                )
-                for i in range(len(mean))
-            ]
-            _write_lines(path, "index,mean,lo3sd,hi3sd,lo3sd_pop,hi3sd_pop", rows)
+        write_csv(path, header, [range(first, first + width), *band_columns(stacked)])
         written.append(path)
 
     if summary:
-        rows = []
-        for m, per_trial in series.items():
-            stats = summarize([v[-1] for v in per_trial])
-            rows.append(
-                (
-                    problem,
-                    m,
-                    _fmt(stats.min),
-                    _fmt(stats.max),
-                    _fmt(stats.mean),
-                    _fmt(stats.median),
-                    _fmt(stats.variance),
-                )
-            )
+        stats = [summarize([v[-1] for v in per_trial]) for per_trial in series.values()]
         summary_path = os.path.join(out_dir, f"{experiment}_summary.csv")
-        _write_lines(summary_path, "problem,method,min,max,mean,median,variance", rows)
+        write_csv(
+            summary_path,
+            "problem,method,min,max,mean,median,variance",
+            [[problem] * len(stats), list(series), *np.array([s[:5] for s in stats]).reshape(-1, 5).T],
+        )
         written.append(summary_path)
 
     return written

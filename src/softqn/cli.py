@@ -90,8 +90,9 @@ def _resolve_params(args, defaults):
         params["dataset"] = args.dataset
     if getattr(args, "problem", None):
         params["problem"] = args.problem
-    if params.get("trials", 1) < 1:
-        raise ConfigError(f"trials must be >= 1, got {params['trials']}")
+    for key in ("trials", "iterations", "budget"):
+        if params.get(key, 1) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {params[key]}")
     return params
 
 

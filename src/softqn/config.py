@@ -4,12 +4,14 @@ Plain INI: one section per experiment (``[qp]``, ``[cutest]``, ``[logreg]``,
 ``[toy]``), flat key=value pairs inside.  Values are coerced against the
 experiment's defaults table, so the defaults double as the schema: an int
 default means the key parses as int, a float as float, and ``methods`` is a
-comma-separated list.  Unknown keys or unparseable values raise ConfigError.
+comma-separated list.  Unknown keys, unparseable values and non-finite floats
+raise ConfigError.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 
 
@@ -50,6 +52,8 @@ def coerce_params(section, defaults):
                 out[key] = int(raw)
             elif isinstance(template, float):
                 out[key] = float(raw)
+                if not math.isfinite(out[key]):
+                    raise ValueError(f"non-finite {key}")
             else:
                 out[key] = raw
         except ValueError as exc:

@@ -13,6 +13,7 @@ from importlib import resources
 import numpy as np
 
 from .bench import MetricSpec, align_trace, emit_csv, metric_log10_grad, metric_normalized_subopt, monte_carlo
+from .bench import write_csv
 from .noise import GaussianNoise, MinibatchSampling, NoisyOracle, SphereNoise, UniformNoise, derive_seed
 from .problems import cutest_like, gen_random_qp, load_libsvm, logistic_problem, toy_2d
 from .solver import (
@@ -144,8 +145,7 @@ def run_qp(params, out_dir):
     records = monte_carlo(trial_fn, p["methods"], int(p["trials"]))
 
     def subopt_series(record):
-        phi0 = record.suboptimality[0] + record.phi_star
-        return metric_normalized_subopt(record, phi0, record.phi_star)
+        return metric_normalized_subopt(record, record.suboptimality[0] + record.phi_star)
 
     metric = MetricSpec("normalized_log10_subopt", "iteration", subopt_series, band="mean3sd")
     written = emit_csv(out_dir, "qp", f"qp{p['n']}", records, metric, summary=True)
@@ -258,10 +258,8 @@ def run_toy(params, out_dir):
     written = emit_csv(out_dir, "toy", problem.name, records, metric)
     for m, recs in records.items():
         path = os.path.join(out_dir, f"fig_toy_path_{m}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("index,x1,x2\n")
-            for i, xk in enumerate(recs[0].iterates):
-                fh.write(f"{i},{xk[0]:.8e},{xk[1]:.8e}\n")
+        xs = np.array(recs[0].iterates)
+        write_csv(path, "index,x1,x2", [range(len(xs)), xs[:, 0], xs[:, 1]])
         written.append(path)
     return records, written
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NoNoise",
     "UniformNoise",
     "GaussianNoise",
     "SphereNoise",
@@ -38,11 +37,6 @@ def derive_seed(*parts) -> int:
             h.update(b"i" + int(p).to_bytes(16, "little", signed=True))
         h.update(b"\x00")
     return int.from_bytes(h.digest(), "little")
-
-
-@dataclass(frozen=True)
-class NoNoise:
-    """Exact values; the oracle still counts calls."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +70,10 @@ class MinibatchSampling:
 class NoisyOracle:
     """Counted noisy f/g access to a problem, plus an uncounted exact channel.
 
+    ``fun_noise`` is None (exact values) or a UniformNoise; ``grad_noise`` is
+    None (exact gradients) or a GaussianNoise, SphereNoise or
+    MinibatchSampling.  Exact channels still count their calls.
+
     phi and grad are evaluated once per point across both channels: the oracle
     keeps the last point and value of each, and a call at a bitwise-identical x
     (same dtype, shape and bytes) reuses the value.  Counters and noise draws
@@ -83,11 +81,9 @@ class NoisyOracle:
     """
 
     def __init__(self, problem, fun_noise=None, grad_noise=None, seed: int = 0):
-        fun_noise = fun_noise if fun_noise is not None else NoNoise()
-        grad_noise = grad_noise if grad_noise is not None else NoNoise()
-        if not isinstance(fun_noise, (NoNoise, UniformNoise)):
+        if not isinstance(fun_noise, (type(None), UniformNoise)):
             raise ValueError(f"unsupported function-noise model {fun_noise!r}")
-        if not isinstance(grad_noise, (NoNoise, GaussianNoise, SphereNoise, MinibatchSampling)):
+        if not isinstance(grad_noise, (type(None), GaussianNoise, SphereNoise, MinibatchSampling)):
             raise ValueError(f"unsupported gradient-noise model {grad_noise!r}")
         if isinstance(grad_noise, MinibatchSampling) and problem.batch_grad is None:
             raise ValueError("minibatch sampling needs a problem with batch_grad")
@@ -132,7 +128,7 @@ class NoisyOracle:
         """Noisy function value; increments the function-evaluation counter."""
         self._fun_evals += 1
         v = self._eval("phi", x)
-        if isinstance(self.fun_noise, UniformNoise):
+        if self.fun_noise is not None:
             hw = self.fun_noise.half_width
             v = v + float(self._rng_fun.uniform(-hw, hw))
         return float(v)

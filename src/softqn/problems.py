@@ -8,6 +8,7 @@ optimal value when it is known analytically.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Callable, Optional
 
@@ -352,36 +353,29 @@ def _genrose(n):
     return x0, phi, grad, 1.0, np.ones(n)
 
 
-_DIXMAAN_K = {"A": (0, 0, 0, 0), "E": (1, 0, 0, 1), "I": (2, 0, 0, 2), "M": (2, 1, 1, 2)}
+# (k1, k3, k4) of the A, E, I, M variants; their beta term is zero, so k2 is unused
+_DIXMAAN_K = {"A": (0, 0, 0), "E": (1, 0, 1), "I": (2, 0, 2), "M": (2, 1, 2)}
 
 
 def _dixmaan(variant, n):
     if n % 3:
         raise ValueError("dimension must be a multiple of 3")
-    k1, k2, k3, k4 = _DIXMAAN_K[variant]
-    ca, cb, cc, cd = 1.0, 0.0, 0.125, 0.125
+    k1, k3, k4 = _DIXMAAN_K[variant]
+    cc, cd = 0.125, 0.125
     m = n // 3
     i = np.arange(1.0, n + 1.0) / n
     w1 = i ** k1
-    w2 = i[: n - 1] ** k2
     w3 = i[: 2 * m] ** k3
     w4 = i[:m] ** k4
 
     def phi(x):
-        val = 1.0 + ca * float(np.sum(w1 * x * x))
-        if cb:
-            p = x[1:] + x[1:] ** 2
-            val += cb * float(np.sum(w2 * x[:-1] ** 2 * p * p))
+        val = 1.0 + float(np.sum(w1 * x * x))
         val += cc * float(np.sum(w3 * x[: 2 * m] ** 2 * x[m : 3 * m] ** 4))
         val += cd * float(np.sum(w4 * x[:m] * x[2 * m :]))
         return val
 
     def grad(x):
-        g = 2.0 * ca * w1 * x
-        if cb:
-            p = x[1:] + x[1:] ** 2
-            g[:-1] += cb * w2 * 2.0 * x[:-1] * p * p
-            g[1:] += cb * w2 * x[:-1] ** 2 * 2.0 * p * (1.0 + 2.0 * x[1:])
+        g = 2.0 * w1 * x
         g[: 2 * m] += cc * w3 * 2.0 * x[: 2 * m] * x[m : 3 * m] ** 4
         g[m : 3 * m] += cc * w3 * 4.0 * x[: 2 * m] ** 2 * x[m : 3 * m] ** 3
         g[:m] += cd * w4 * x[2 * m :]
@@ -391,51 +385,34 @@ def _dixmaan(variant, n):
     return 2.0 * np.ones(n), phi, grad, 1.0, np.zeros(n)
 
 
-_BUILDERS = {
-    "ARWHEAD": _arwhead,
-    "NONDIA": _nondia,
-    "TRIDIA": _tridia,
-    "WOODS": _woods,
-    "QUARTC": _quartc,
-    "SPARSQUR": _sparsqur,
-    "TQUARTIC": _tquartic,
-    "MOREBV": _morebv,
-    "NONDQUAR": _nondquar,
-    "GENROSE": _genrose,
-    "DIXMAANA": lambda n: _dixmaan("A", n),
-    "DIXMAANE": lambda n: _dixmaan("E", n),
-    "DIXMAANI": lambda n: _dixmaan("I", n),
-    "DIXMAANM": lambda n: _dixmaan("M", n),
+# name -> (builder(n) -> (x0, phi, grad, phi_star, x_star), standard dimension)
+_PROBLEMS = {
+    "ARWHEAD": (_arwhead, 100),
+    "NONDIA": (_nondia, 100),
+    "TRIDIA": (_tridia, 100),
+    "WOODS": (_woods, 100),
+    "QUARTC": (_quartc, 100),
+    "SPARSQUR": (_sparsqur, 100),
+    "TQUARTIC": (_tquartic, 100),
+    "MOREBV": (_morebv, 100),
+    "NONDQUAR": (_nondquar, 100),
+    "GENROSE": (_genrose, 100),
+    **{f"DIXMAAN{v}": (partial(_dixmaan, v), 90) for v in "AEIM"},
 }
 
-PROBLEM_DIMS = {
-    "ARWHEAD": 100,
-    "NONDIA": 100,
-    "TRIDIA": 100,
-    "WOODS": 100,
-    "QUARTC": 100,
-    "SPARSQUR": 100,
-    "TQUARTIC": 100,
-    "MOREBV": 100,
-    "NONDQUAR": 100,
-    "GENROSE": 100,
-    "DIXMAANA": 90,
-    "DIXMAANE": 90,
-    "DIXMAANI": 90,
-    "DIXMAANM": 90,
-}
+PROBLEM_DIMS = {name: dim for name, (_, dim) in _PROBLEMS.items()}
 
 
 def cutest_like(name: str, n: Optional[int] = None) -> Problem:
     """Analytic test problem by name at its standard dimension (or a custom n)."""
     key = name.upper()
-    if key not in _BUILDERS:
+    if key not in _PROBLEMS:
         raise UnknownProblemError(
-            f"unknown problem {name!r}; available: {', '.join(sorted(_BUILDERS))}"
+            f"unknown problem {name!r}; available: {', '.join(sorted(_PROBLEMS))}"
         )
-    if n is None:
-        n = PROBLEM_DIMS[key]
-    x0, phi, grad, phi_star, x_star = _BUILDERS[key](n)
+    build, dim = _PROBLEMS[key]
+    n = dim if n is None else n
+    x0, phi, grad, phi_star, x_star = build(n)
     return Problem(
         name=key, dim=n, x0=x0, phi=phi, grad=grad, phi_star=phi_star, x_star=x_star
     )
@@ -619,7 +596,6 @@ def logistic_problem(data: LogisticDataset, rho: float) -> Problem:
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    n = data.n_samples
     dim = data.n_features + 1
 
     def phi(v):
@@ -628,15 +604,6 @@ def logistic_problem(data: LogisticDataset, rho: float) -> Problem:
 
     def grad(v):
         return _logistic_grad(data.features, data.labels, rho, v)
-
-    def hess(v):
-        m = _margins(data.features, data.labels, v)
-        p = expit(-m)
-        d = p * (1.0 - p) / n
-        a = np.concatenate([np.ones((n, 1)), data.features], axis=1)
-        h = a.T @ (a * d[:, None])
-        h[1:, 1:] += 2.0 * rho * np.eye(dim - 1)
-        return 0.5 * (h + h.T)
 
     def batch_grad(v, batch, rng):
         return minibatch_gradient(data, rho, v, batch, rng)
@@ -647,6 +614,5 @@ def logistic_problem(data: LogisticDataset, rho: float) -> Problem:
         x0=np.zeros(dim),
         phi=phi,
         grad=grad,
-        hess=hess,
         batch_grad=batch_grad,
     )

@@ -307,15 +307,17 @@ class TrialRecord:
     """Everything recorded along one run, on exact-oracle channels.
 
     ``grad_norms``/``suboptimality`` are per-iteration (index 0 is the start
-    point); ``eval_trace`` holds (function-evaluation count, exact value) at
-    every adopted iterate for evaluation-aligned comparisons.  The exact value
-    is evaluated only when the problem has a ``phi_star``; without one, every
-    ``suboptimality`` entry and every ``eval_trace`` value is NaN.
+    point), padded with their last value to the iteration budget on early
+    stops.  ``eval_counts`` holds the function-evaluation count at each adopted
+    iterate, unpadded, so ``eval_counts[i]`` belongs to ``suboptimality[i]``;
+    it is what evaluation-aligned comparisons step on.  The exact value is
+    evaluated only when the problem has a ``phi_star``; without one, every
+    ``suboptimality`` entry is NaN.
     """
 
     grad_norms: np.ndarray
     suboptimality: np.ndarray
-    eval_trace: list
+    eval_counts: np.ndarray
     final_x: np.ndarray
     iterations: int
     fun_evals: int
@@ -340,10 +342,11 @@ def run(
     The inverse-Hessian approximation starts at the identity unless ``h0`` is
     given.  The exact channel records the gradient norm at every iterate, and
     the value phi only when the problem has a ``phi_star`` (phi feeds nothing
-    but phi - phi*); without one, ``suboptimality`` and the ``eval_trace``
-    values are NaN.  Divergence (non-finite iterate, noisy gradient, exact
-    gradient norm or recorded phi, or an iterate norm above 1e12) stops the run
-    and freezes the per-iteration traces at their last finite values.
+    but phi - phi*); without one, ``suboptimality`` is NaN.  ``eval_counts``
+    records the function-evaluation count at every adopted iterate.
+    Divergence (non-finite iterate, noisy gradient, exact gradient norm or
+    recorded phi, or an iterate norm above 1e12) stops the run and freezes the
+    per-iteration traces at their last finite values.
     """
     x = np.array(oracle.x0, dtype=float, copy=True)
     g = oracle.g(x)
@@ -355,7 +358,7 @@ def run(
     exact_phi = oracle.true_phi if phi_star is not None else _no_phi
     grad_norms = [float(np.linalg.norm(oracle.true_grad(x)))]
     phis = [exact_phi(x)]
-    eval_trace = [(oracle.fun_evals, phis[0])]
+    eval_counts = [oracle.fun_evals]
     iterates = [x.copy()] if keep_iterates else None
     rejections = 0
     skipped = 0
@@ -383,7 +386,7 @@ def run(
             diverged = True
             break
         k += 1
-        eval_trace.append((oracle.fun_evals, phi_new))
+        eval_counts.append(oracle.fun_evals)
         grad_norms.append(gn_new)
         phis.append(phi_new)
         if keep_iterates:
@@ -412,7 +415,7 @@ def run(
     return TrialRecord(
         grad_norms=np.array(grad_norms),
         suboptimality=subopt,
-        eval_trace=eval_trace,
+        eval_counts=np.array(eval_counts),
         final_x=x.copy(),
         iterations=k,
         fun_evals=oracle.fun_evals,

@@ -146,14 +146,14 @@ def test_criterion_08_qp_ordering_between_methods(tmp_path):
         values = []
         for rec in records[method]:
             phi0 = rec.suboptimality[0] + rec.phi_star
-            values.append(metric_normalized_subopt(rec, phi0, rec.phi_star)[-1])
+            values.append(metric_normalized_subopt(rec, phi0)[-1])
         return float(np.mean(values))
 
     def initial_mean(method):
         values = []
         for rec in records[method]:
             phi0 = rec.suboptimality[0] + rec.phi_star
-            values.append(metric_normalized_subopt(rec, phi0, rec.phi_star)[0])
+            values.append(metric_normalized_subopt(rec, phi0)[0])
         return float(np.mean(values))
 
     means = {m: final_mean(m) for m in ["newton", "softqn", "spbfgs", "bfgs", "sgd", "sgd_ck"]}

@@ -1,5 +1,7 @@
 """Tests for metrics, trace alignment, summary statistics, and CSV emission."""
 
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,15 +19,13 @@ from softqn.bench import (
 from softqn.solver import TrialRecord
 
 
-def _record(grad_norms=(1.0,), subopt=(1.0,), eval_trace=None, phi_star=0.0):
+def _record(grad_norms=(1.0,), subopt=(1.0,), eval_counts=(0,), phi_star=0.0):
     grad_norms = np.asarray(grad_norms, dtype=float)
     subopt = np.asarray(subopt, dtype=float)
-    if eval_trace is None:
-        eval_trace = [(0, float(subopt[0]) + (phi_star or 0.0))]
     return TrialRecord(
         grad_norms=grad_norms,
         suboptimality=subopt,
-        eval_trace=eval_trace,
+        eval_counts=np.asarray(eval_counts, dtype=int),
         final_x=np.zeros(1),
         iterations=len(grad_norms) - 1,
         fun_evals=0,
@@ -53,7 +53,7 @@ def test_log10_grad_clamps_zero_norm():
 
 def test_normalized_subopt_starts_at_zero():
     rec = _record(subopt=(2.0, 1.0, 0.5))
-    values = metric_normalized_subopt(rec, phi0=2.0, phi_star=0.0)
+    values = metric_normalized_subopt(rec, phi0=2.0)
     assert values[0] == 0.0
     # halving per step is an arithmetic sequence with slope -log10(2)
     npt.assert_allclose(np.diff(values), -np.log10(2.0) * np.ones(2))
@@ -61,23 +61,23 @@ def test_normalized_subopt_starts_at_zero():
 
 def test_normalized_subopt_clamps_below_optimum():
     rec = _record(subopt=(1.0, -1e-17))
-    values = metric_normalized_subopt(rec, phi0=1.0, phi_star=0.0)
+    values = metric_normalized_subopt(rec, phi0=1.0)
     assert values[1] == LOG_FLOOR
 
 
 def test_normalized_subopt_positive_for_divergent_traces():
     rec = _record(subopt=(1.0, 1e4))
-    values = metric_normalized_subopt(rec, phi0=1.0, phi_star=0.0)
+    values = metric_normalized_subopt(rec, phi0=1.0)
     assert values[1] == pytest.approx(4.0)
 
 
 def test_normalized_subopt_validates_inputs():
     rec = _record(subopt=(1.0, 0.5), phi_star=None)
     with pytest.raises(ValueError):
-        metric_normalized_subopt(rec, phi0=1.0, phi_star=0.0)
+        metric_normalized_subopt(rec, phi0=1.0)
     rec = _record(subopt=(1.0, 0.5))
     with pytest.raises(ValueError):
-        metric_normalized_subopt(rec, phi0=0.0, phi_star=0.0)
+        metric_normalized_subopt(rec, phi0=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +85,14 @@ def test_normalized_subopt_validates_inputs():
 
 
 def test_align_trace_single_iterate_is_constant():
-    rec = _record(eval_trace=[(0, 5.0)], phi_star=1.0)
+    rec = _record(subopt=(4.0,), eval_counts=(0,), phi_star=1.0)
     aligned = align_trace(rec, grid_max=10)
     npt.assert_array_equal(aligned.grid, np.arange(1, 11))
     npt.assert_allclose(aligned.values, np.full(10, 4.0))
 
 
 def test_align_trace_steps_exactly_at_eval_index():
-    rec = _record(eval_trace=[(0, 5.0), (10, 3.0)], phi_star=0.0)
+    rec = _record(subopt=(5.0, 3.0), eval_counts=(0, 10), phi_star=0.0)
     aligned = align_trace(rec, grid_max=12)
     # "last iterate before j evaluations": the value changes at grid index 10
     npt.assert_allclose(aligned.values[:9], np.full(9, 5.0))
@@ -100,9 +100,40 @@ def test_align_trace_steps_exactly_at_eval_index():
 
 
 def test_align_trace_needs_phi_star():
-    rec = _record(eval_trace=[(0, 5.0)], phi_star=None)
+    rec = _record(subopt=(np.nan,), eval_counts=(0,), phi_star=None)
     with pytest.raises(ValueError):
         align_trace(rec, 5)
+
+
+def _stepwise_align(eval_trace, phi_star, grid_max):
+    """The per-grid-point scan align_trace replaced, over (count, phi) pairs."""
+    values = np.empty(grid_max)
+    pos = 0
+    current = eval_trace[0][1] - phi_star
+    for j in range(1, grid_max + 1):
+        while pos + 1 < len(eval_trace) and eval_trace[pos + 1][0] <= j:
+            pos += 1
+            current = eval_trace[pos][1] - phi_star
+        values[j - 1] = current
+    return values
+
+
+def test_align_trace_matches_the_stepwise_scan():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        length = int(rng.integers(1, 12))
+        # ties (increment 0), gaps (increments above 1) and a first count above 1
+        first = int(rng.choice([0, 1, 2, 5]))
+        counts = first + np.concatenate([[0], np.cumsum(rng.choice([0, 0, 1, 2, 7], length - 1))])
+        phi_star = float(rng.choice([0.0, 1.0, -3.25]))
+        phis = phi_star + rng.exponential(size=length) * 10.0 ** rng.integers(-20, 3, size=length)
+        rec = _record(subopt=phis - phi_star, eval_counts=counts, phi_star=phi_star)
+        # grids ending below the first count, between counts and past the last one
+        grid_max = int(rng.integers(0, counts[-1] + 6))
+        aligned = align_trace(rec, grid_max)
+        npt.assert_array_equal(aligned.grid, np.arange(1, grid_max + 1))
+        expected = _stepwise_align(list(zip(counts.tolist(), phis.tolist())), phi_star, grid_max)
+        assert np.array_equal(aligned.values, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -248,3 +279,98 @@ def test_emit_csv_reruns_are_byte_identical(tmp_path):
     emit_csv(tmp_path / "b", "e", "p", build(), metric)
     for name in ["e_long.csv", "fig_e_log10_grad_norm_m.csv"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def _reference_emit_csv(out_dir, experiment, problem, records, spec, summary=False):
+    """emit_csv as it was with one row-building branch per band, kept as the
+    byte-level reference for the table-driven writer."""
+
+    def fmt(v):
+        return f"{v:.8e}"
+
+    def write_lines(path, header, rows):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+
+    os.makedirs(out_dir, exist_ok=True)
+    long_rows = []
+    series = {}
+    for m, recs in records.items():
+        per_trial = [np.asarray(spec.values(r), dtype=float) for r in recs]
+        series[m] = per_trial
+        for t, v in enumerate(per_trial):
+            for i, val in enumerate(v):
+                long_rows.append((m, str(t), spec.index_kind, str(i), spec.name, fmt(val)))
+    write_lines(
+        os.path.join(out_dir, f"{experiment}_long.csv"), "method,trial,index_kind,index,metric_name,value", long_rows
+    )
+    for m, per_trial in series.items():
+        width = min(len(v) for v in per_trial)
+        stacked = np.vstack([v[:width] for v in per_trial])
+        idx = np.arange(width)
+        if spec.index_kind == "fun_eval":
+            idx = idx + 1
+        path = os.path.join(out_dir, f"fig_{experiment}_{spec.name}_{m}.csv")
+        if spec.band == "quartiles":
+            median = np.median(stacked, axis=0)
+            q1 = np.percentile(stacked, 25, axis=0)
+            q3 = np.percentile(stacked, 75, axis=0)
+            lo, hi = stacked.min(axis=0), stacked.max(axis=0)
+            rows = [
+                (str(idx[i]), fmt(median[i]), fmt(q1[i]), fmt(q3[i]), fmt(lo[i]), fmt(hi[i]))
+                for i in range(len(median))
+            ]
+            write_lines(path, "index,median,q1,q3,min,max", rows)
+        else:
+            mean = stacked.mean(axis=0)
+            sd = stacked.std(axis=0, ddof=1) if stacked.shape[0] > 1 else np.zeros_like(mean)
+            sd_mean = sd / np.sqrt(stacked.shape[0])
+            rows = [
+                (
+                    str(idx[i]),
+                    fmt(mean[i]),
+                    fmt(mean[i] - 3.0 * sd_mean[i]),
+                    fmt(mean[i] + 3.0 * sd_mean[i]),
+                    fmt(mean[i] - 3.0 * sd[i]),
+                    fmt(mean[i] + 3.0 * sd[i]),
+                )
+                for i in range(len(mean))
+            ]
+            write_lines(path, "index,mean,lo3sd,hi3sd,lo3sd_pop,hi3sd_pop", rows)
+    if summary:
+        rows = []
+        for m, per_trial in series.items():
+            st = summarize([v[-1] for v in per_trial])
+            rows.append((problem, m, fmt(st.min), fmt(st.max), fmt(st.mean), fmt(st.median), fmt(st.variance)))
+        write_lines(
+            os.path.join(out_dir, f"{experiment}_summary.csv"), "problem,method,min,max,mean,median,variance", rows
+        )
+
+
+@pytest.mark.parametrize("band", ["mean3sd", "quartiles"])
+@pytest.mark.parametrize("index_kind", ["iteration", "fun_eval"])
+def test_emit_csv_bytes_match_the_per_band_writer(tmp_path, band, index_kind):
+    rng = np.random.default_rng(11)
+    pool = np.array([0.0, -0.0, np.nan, 1.0, -1.0, 1e-300, -2.5e17, 3.0])
+
+    def trial(length):
+        # random magnitudes mixed with signed zeros and NaNs
+        v = rng.standard_normal(length) * 10.0 ** rng.integers(-8, 8, size=length)
+        mask = rng.random(length) < 0.4
+        v[mask] = rng.choice(pool, mask.sum())
+        return _record(grad_norms=v)
+
+    records = {
+        "a": [trial(n) for n in (6, 9, 4)],  # unequal lengths: plot data cut to 4
+        "b": [trial(5)],  # a single trial: zero spread
+        "c": [trial(7) for _ in range(8)],
+    }
+    metric = MetricSpec("raw", index_kind, lambda r: r.grad_norms, band=band)
+    written = emit_csv(tmp_path / "new", "e", "prob", records, metric, summary=True)
+    _reference_emit_csv(tmp_path / "ref", "e", "prob", records, metric, summary=True)
+    names = sorted(os.path.basename(p) for p in written)
+    assert names == sorted(os.listdir(tmp_path / "ref"))
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name

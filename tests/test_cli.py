@@ -114,6 +114,32 @@ def test_nonpositive_trials_rejected(tmp_path, capsys):
     assert "trials must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, value", [("cutest", "budget", 0), ("toy", "iterations", -1)])
+def test_counts_below_one_are_config_errors(tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([section, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config error: {key} must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_iteration_runs(tmp_path):
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text("[toy]\niterations = 1\n")
+    assert main(["toy", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    # the start point and one iterate per method
+    assert len((tmp_path / "toy_long.csv").read_text().splitlines()) == 1 + 2 * 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_floats_are_config_errors(tmp_path, capsys, value):
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text(f"[cutest]\nnoise_rel = {value}\nbudget = 40\n")
+    assert main(["cutest", "--config", str(cfg), "--trials", "1", "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: bad value for 'noise_rel': '{value}'" in capsys.readouterr().err
+
+
 def test_cutest_without_gradient_noise(tmp_path, capsys):
     # SP-BFGS's beta scales with 1/e_g; with e_g = 0 the run is refused before any trial
     cfg = tmp_path / "bench.ini"
@@ -146,13 +172,19 @@ def test_proptest_quick_sweep_passes(capsys):
 
 
 def test_cli_import_does_not_load_scipy_optimize():
-    # nothing in softqn needs scipy.optimize, which took about 0.3 s of the CLI's import
-    code = "import sys, softqn.cli; print('scipy.optimize' in sys.modules)"
+    # nothing in softqn needs scipy.optimize, which took about 0.3 s of the CLI's import;
+    # scipy.linalg adds about 6.5 MB to the peak RSS of a fresh import of the package
     env = {**os.environ, "PYTHONPATH": str(Path(softqn.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert proc.stdout.strip() == "False"
+    for module, absent in [
+        ("softqn.cli", "scipy.optimize"),
+        ("softqn", "scipy.linalg"),
+        ("softqn.experiments", "scipy.linalg"),
+    ]:
+        code = f"import sys, {module}; print({absent!r} in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert proc.stdout.strip() == "False", (module, absent)
 
 
 def test_console_script_is_installed():

@@ -319,7 +319,7 @@ def test_eval_budget_is_never_exceeded():
         Budget(fun_evals=37),
     )
     assert rec.fun_evals <= 37
-    assert rec.eval_trace[-1][0] <= 37
+    assert rec.eval_counts[-1] <= 37
 
 
 def test_divergence_guard_freezes_traces():
@@ -417,9 +417,9 @@ def test_phi_is_not_evaluated_without_phi_star(method):
     assert starred.phi_calls == ref.iterations + 1 == 21
     npt.assert_array_equal(rec.grad_norms, ref.grad_norms)
     npt.assert_array_equal(rec.final_x, ref.final_x)
-    # eval_trace keeps its (fun_evals, value) shape; value and suboptimality are NaN
-    assert [n for n, _ in rec.eval_trace] == [n for n, _ in ref.eval_trace]
-    assert np.isnan([v for _, v in rec.eval_trace]).all()
+    # the evaluation counts are kept; the values at those iterates and suboptimality are NaN
+    npt.assert_array_equal(rec.eval_counts, ref.eval_counts)
+    assert np.isnan(rec.suboptimality[: len(rec.eval_counts)]).all()
     assert rec.suboptimality.shape == ref.suboptimality.shape
     assert np.isnan(rec.suboptimality).all()
     assert rec.phi_star is None
@@ -428,9 +428,11 @@ def test_phi_is_not_evaluated_without_phi_star(method):
 def test_phi_is_evaluated_once_per_recorded_iterate_with_phi_star():
     p = cutest_like("ARWHEAD", n=20)
     o = _CountingOracle(p, fun_noise=UniformNoise(1e-4), grad_noise=SphereNoise(1e-4), seed=4)
-    rec = run(o, SoftQn(ConstantAlpha(1e6)), NoisyArmijo(eps_tol=1e-4), Budget(iterations=40))
-    assert o.phi_calls == rec.iterations + 1 == len(rec.eval_trace)
-    npt.assert_array_equal([v for _, v in rec.eval_trace], rec.suboptimality[: rec.iterations + 1])
+    rec = run(
+        o, SoftQn(ConstantAlpha(1e6)), NoisyArmijo(eps_tol=1e-4), Budget(iterations=40), keep_iterates=True
+    )
+    assert o.phi_calls == rec.iterations + 1 == len(rec.eval_counts)
+    npt.assert_array_equal(rec.suboptimality[: rec.iterations + 1], [p.phi(x) - p.phi_star for x in rec.iterates])
 
 
 def test_non_finite_exact_gradient_marks_trial_diverged_without_phi_star():
@@ -446,7 +448,7 @@ def test_non_finite_exact_gradient_marks_trial_diverged_without_phi_star():
     assert rec.iterations == 0
     npt.assert_array_equal(rec.final_x, np.ones(2))
     npt.assert_array_equal(rec.grad_norms, np.full(11, np.sqrt(2.0)))
-    assert len(rec.eval_trace) == 1 and np.isnan(rec.eval_trace[0][1])
+    assert len(rec.eval_counts) == 1 and np.isnan(rec.suboptimality[0])
 
 
 def test_non_finite_phi_marks_trial_diverged_with_phi_star():
