@@ -265,6 +265,8 @@ def run_toy(params, out_dir):
 
 
 def _check_methods(requested, available):
+    if not requested:
+        raise ValueError(f"no method selected; available: {', '.join(available)}")
     unknown = [m for m in requested if m not in available]
     if unknown:
         raise ValueError(

@@ -13,7 +13,6 @@ from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "Problem",
@@ -568,6 +567,10 @@ def _margins(features: np.ndarray, labels: np.ndarray, v: np.ndarray) -> np.ndar
 
 def _logistic_grad(features: np.ndarray, labels: np.ndarray, rho: float, v: np.ndarray) -> np.ndarray:
     """Mean log-loss gradient over the given rows plus the regularizer gradient."""
+    # imported here, not at module level: scipy.special is most of the package's
+    # import time and memory, and only the logistic runs use it
+    from scipy.special import expit
+
     m = _margins(features, labels, v)
     coef = labels * expit(-m) / features.shape[0]
     g = np.empty(v.shape)

@@ -140,6 +140,23 @@ def test_non_finite_floats_are_config_errors(tmp_path, capsys, value):
     assert f"config error: bad value for 'noise_rel': '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["toy", "qp", "cutest", "logreg"])
+def test_empty_method_flag_is_a_config_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--method", ",", "--out", str(out)]) == 2
+    assert "config error: no method selected; available: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_method_list_in_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text("[toy]\nmethods =\n")
+    out = tmp_path / "out"
+    assert main(["toy", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: no method selected; available: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cutest_without_gradient_noise(tmp_path, capsys):
     # SP-BFGS's beta scales with 1/e_g; with e_g = 0 the run is refused before any trial
     cfg = tmp_path / "bench.ini"
@@ -173,12 +190,20 @@ def test_proptest_quick_sweep_passes(capsys):
 
 def test_cli_import_does_not_load_scipy_optimize():
     # nothing in softqn needs scipy.optimize, which took about 0.3 s of the CLI's import;
-    # scipy.linalg adds about 6.5 MB to the peak RSS of a fresh import of the package
+    # scipy.linalg adds about 6.5 MB to the peak RSS of a fresh import of the package and
+    # only proptest needs it; scipy.special took about 0.25 s and 19 MB of the 0.43-0.56 s
+    # and 53.7 MB of `import softqn`, and only the logistic gradient needs it.  A fresh
+    # `import softqn.cli` measured 60.5 MB and 0.37-0.47 s with both, 35.0 MB and
+    # 0.11-0.17 s without
     env = {**os.environ, "PYTHONPATH": str(Path(softqn.__file__).resolve().parents[1])}
     for module, absent in [
         ("softqn.cli", "scipy.optimize"),
         ("softqn", "scipy.linalg"),
         ("softqn.experiments", "scipy.linalg"),
+        ("softqn", "scipy.special"),
+        ("softqn.experiments", "scipy.special"),
+        ("softqn.cli", "scipy.special"),
+        ("softqn.cli", "scipy.linalg"),
     ]:
         code = f"import sys, {module}; print({absent!r} in sys.modules)"
         proc = subprocess.run(

@@ -1,6 +1,10 @@
 """Tests for problem generators, the LIBSVM reader, and logistic objectives."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -406,6 +410,45 @@ def test_minibatch_is_unbiased():
     # three-sigma band of the Monte Carlo mean, coordinatewise
     band = 3.0 * draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
     assert np.all(np.abs(err) <= band + 1e-12)
+
+
+_LAZY_EXPIT_SCRIPT = """
+import sys
+import numpy as np
+from softqn.experiments import fixture_dataset_path
+from softqn.problems import load_libsvm, logistic_problem, minibatch_gradient
+
+before = "scipy.special" in sys.modules
+data = load_libsvm(fixture_dataset_path())
+rho = 0.1
+x = 0.3 * np.random.default_rng(5).standard_normal(data.n_features + 1)
+g = logistic_problem(data, rho).grad(x)
+after = "scipy.special" in sys.modules
+g_batch = minibatch_gradient(data, rho, x, 37, np.random.default_rng(6))
+
+from scipy.special import expit
+
+def reference(z, y):
+    coef = y * expit(-(y * (x[0] + z @ x[1:]))) / z.shape[0]
+    out = np.empty(x.shape)
+    out[0] = -np.sum(coef)
+    out[1:] = -(coef @ z) + 2.0 * rho * x[1:]
+    return out
+
+idx = np.random.default_rng(6).choice(data.n_samples, size=37, replace=False)
+print(before, after, np.array_equal(g, reference(data.features, data.labels)),
+      np.array_equal(g_batch, reference(data.features[idx], data.labels[idx])))
+"""
+
+
+def test_logistic_gradient_loads_scipy_special_on_first_use():
+    # `import softqn.problems` leaves scipy.special out (most of the package's import
+    # cost); the first logistic gradient loads it, and the result is the expit formula
+    env = {**os.environ, "PYTHONPATH": str(Path(problems.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_EXPIT_SCRIPT], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout.split() == ["False", "True", "True", "True"]
 
 
 def test_minibatch_validates_batch_size():
