@@ -3,7 +3,8 @@
 Subcommands: ``qp``, ``cutest``, ``logreg``, ``toy`` run the corresponding
 experiment and write CSVs into --out; ``proptest`` runs a quick sweep of the
 randomized property checks.  Exit codes: 0 success, 1 failed property checks,
-2 configuration errors, 3 dataset errors.
+2 configuration errors, 3 dataset errors, 4 any other exception (a crash; its
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from .config import ConfigError, coerce_params, load_config
 from .experiments import (
@@ -119,7 +121,14 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    try:
+        return _run(args)
+    except Exception:  # a crash must not read as a failed check (1) or a config error (2)
+        traceback.print_exc()
+        return 4
 
+
+def _run(args):
     if args.command == "proptest":
         return _run_proptest()
 

@@ -79,21 +79,41 @@ def is_positive_definite(a: np.ndarray) -> bool:
     return math.isfinite(factor.trace())
 
 
+def _outer_broadcast(a, b, out=None):
+    return np.multiply(a[:, None], b, out=out)
+
+
+def _outer_einsum(a, b, out=None):
+    return np.einsum("i,j->ij", a, b, out=out)
+
+
 def _rank_two(h, hy, s, c_hh, c_hs, c_ss):
     """H - c_hh*(Hy)(Hy)' - c_hs*((Hy)s' + s(Hy)') + c_ss*ss', bitwise the outer-product form.
 
-    Broadcasts into two fresh n x n buffers; no hh term when c_hh is 0.  Each term is
-    exactly symmetric elementwise, so the result is exactly symmetric when H is."""
-    out = s[:, None] * hy
-    cross = hy[:, None] * s
+    Writes into two fresh n x n buffers; no hh term when c_hh is 0.  Each term is
+    exactly symmetric elementwise, so the result is exactly symmetric when H is.
+
+    The four outer products come from ``np.einsum("i,j->ij")``, about twice as fast
+    as the broadcast ``a[:, None] * b`` at n = 200.  Each einsum entry is the same
+    rounded product, but einsum adds it to +0.0, so an exact zero product comes out
+    +0.0 where the broadcast gives -0.0.  einsum therefore runs only when no product
+    can be zero: min(min|s|, min|Hy|)**2 must round above 0 (a NaN fails the test).
+    s = 0, a zero or -0.0 entry, magnitudes below about 1e-154 and n = 0 keep the
+    broadcast.  Either way the result is bitwise the broadcast form."""
+    if s.size and np.minimum(np.abs(s).min(), np.abs(hy).min()) ** 2 > 0.0:
+        outer = _outer_einsum
+    else:
+        outer = _outer_broadcast
+    out = outer(s, hy)
+    cross = outer(hy, s)
     cross += out
     cross *= c_hs
     if c_hh != 0.0:
-        np.multiply(hy[:, None], hy, out=out)
+        outer(hy, hy, out)
         out *= c_hh
         h = np.subtract(h, out, out=out)
     np.subtract(h, cross, out=out)
-    np.multiply(s[:, None], s, out=cross)
+    outer(s, s, cross)
     cross *= c_ss
     out += cross
     return out

@@ -172,6 +172,25 @@ def test_cutest_without_gradient_noise(tmp_path, capsys):
     assert (out / "cutest_dixmaana_long.csv").is_file()
 
 
+def test_unexpected_exception_exits_four_with_its_traceback(tmp_path, capsys, monkeypatch):
+    # exit 1 means failed property checks and 2 a config error; a crash gets its own code
+    def crash(*args, **kwargs):
+        raise RuntimeError("runner crashed")
+
+    defaults = softqn.cli._EXPERIMENTS["toy"][1]
+    monkeypatch.setitem(softqn.cli._EXPERIMENTS, "toy", (crash, defaults))
+    assert main(["toy", "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "RuntimeError: runner crashed" in err
+
+    from softqn import checks
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", {"crash": (crash, {})})
+    assert main(["proptest"]) == 4
+    assert "RuntimeError: runner crashed" in capsys.readouterr().err
+
+
 def test_method_list_parsing():
     parser = build_parser()
     from softqn.experiments import QP_DEFAULTS

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softqn.updates import (
     ConstantAlpha,
@@ -15,6 +17,7 @@ from softqn.updates import (
     PdThresholdError,
     StepNormBeta,
     UpdateConsistencyError,
+    _rank_two,
     bfgs_admissible,
     bfgs_update,
     biased_direction,
@@ -346,8 +349,21 @@ def _pairs(rng, n):
     yield "negative", s, -(a @ s)
 
 
+def _rank_two_reference(h, hy, s, c_hh, c_hs, c_ss):
+    """The outer-product form of the shared kernel, without its hh term when c_hh is 0."""
+    if c_hh != 0.0:
+        h = h - c_hh * np.outer(hy, hy)
+    return h - c_hs * (np.outer(hy, s) + np.outer(s, hy)) + c_ss * np.outer(s, s)
+
+
+def _assert_same_bits(a, b):
+    # assert_array_equal counts -0.0 equal to +0.0; the int64 view tells them apart
+    npt.assert_array_equal(a, b, strict=True)
+    npt.assert_array_equal(a.view(np.int64), b.view(np.int64), strict=True)
+
+
 def _assert_bitwise(h_new, reference):
-    npt.assert_array_equal(h_new, reference, strict=True)
+    _assert_same_bits(h_new, reference)
     assert np.array_equal(h_new, h_new.T)
 
 
@@ -382,6 +398,86 @@ def test_sp_bfgs_is_bitwise_the_outer_product_form_just_above_the_pd_threshold(n
             applied += 1
             _assert_bitwise(sp_bfgs_update(h, s, y, beta), _sp_bfgs_reference(h, s, y, beta))
     assert applied >= 2
+
+
+def _identity_with_negative_zeros(n):
+    h = np.eye(n)
+    h[~np.eye(n, dtype=bool)] = -0.0
+    return h
+
+
+# Each pair has exact zero products whose sign survives into H': the broadcast
+# outer product writes -0.0 there, where np.einsum("i,j->ij") would write +0.0.
+@pytest.mark.parametrize(
+    "kernel, s, y",
+    [
+        ("bfgs", [2.0, -1.0, -0.0], [2.0, -0.0, 0.0]),
+        ("soft_qn", [-0.0, 1.0, -1.0], [1.0, -0.0, 0.0]),
+        ("sp_bfgs", [0.0, -0.0, 0.0], [2.0, 2.0, 1.0]),
+    ],
+)
+def test_kernels_keep_the_sign_of_zero_products(kernel, s, y):
+    h = _identity_with_negative_zeros(3)
+    s, y = np.array(s), np.array(y)
+    if kernel == "bfgs":
+        h_new, reference = bfgs_update(h, s, y), _bfgs_reference(h, s, y)
+    elif kernel == "soft_qn":
+        h_new, reference = soft_qn_update(h, s, y, 1.0)[0], _soft_qn_reference(h, s, y, 1.0)
+    else:
+        h_new, reference = sp_bfgs_update(h, s, y, 1.0), _sp_bfgs_reference(h, s, y, 1.0)
+    _assert_bitwise(h_new, reference)
+    assert np.signbit(h_new).any()
+
+
+@pytest.mark.parametrize("c_hh", [0.0, 0.5])
+@pytest.mark.parametrize(
+    "s, hy",
+    [
+        pytest.param([], [], id="n0"),
+        # every product underflows to a signed zero, and -0.0 survives off the diagonal
+        pytest.param([1e-170, -2e-170, 3e-170], [2e-170, -1e-170, 3e-170], id="underflow"),
+        pytest.param([1.0, -2.0, 3.0], [np.inf, 1.0, -2.0], id="inf_in_hy"),
+        pytest.param([1.0, -2.0, 0.0], [np.inf, 1.0, -2.0], id="inf_times_zero"),
+        pytest.param([1.0, -2.0, 3.0], [np.nan, 1.0, -2.0], id="nan_in_hy"),
+    ],
+)
+def test_rank_two_is_bitwise_the_outer_product_form_at_the_edges(s, hy, c_hh):
+    s, hy = np.array(s), np.array(hy)
+    h = _identity_with_negative_zeros(s.size)
+    with np.errstate(all="ignore"):
+        out = _rank_two(h, hy, s, c_hh, -1.5, 2.0)
+        reference = _rank_two_reference(h, hy, s, c_hh, -1.5, 2.0)
+    assert out.shape == (s.size, s.size)
+    _assert_same_bits(out, reference)
+
+
+def _double_range_vectors(size):
+    """Entries log-uniform in [1e-200, 1e200] with random signs, some of them 0.0 or -0.0."""
+    entry = st.builds(
+        lambda zero, exponent, sign: math.copysign(0.0 if zero else 10.0**exponent, sign),
+        st.integers(0, 7).map(lambda k: k == 0),
+        st.floats(-200.0, 200.0),
+        st.sampled_from([1.0, -1.0]),
+    )
+    return st.lists(entry, min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def _rank_two_inputs(draw):
+    n = draw(st.integers(1, 12))
+    h = draw(_double_range_vectors(n * n)).reshape(n, n)
+    s = draw(_double_range_vectors(n))
+    hy = draw(_double_range_vectors(n))
+    c_hh, c_hs, c_ss = draw(_double_range_vectors(3))
+    c_hh = draw(st.sampled_from([0.0, c_hh]))
+    return h, hy, s, c_hh, c_hs, c_ss
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_two_inputs())
+def test_rank_two_is_bitwise_the_outer_product_form_over_the_double_range(args):
+    with np.errstate(all="ignore"):
+        _assert_same_bits(_rank_two(*args), _rank_two_reference(*args))
 
 
 def test_kernels_leave_inputs_alone_and_return_fresh_memory():
