@@ -7,6 +7,7 @@ Hessian where a Newton baseline needs it), the standard start point, and the
 optimal value when it is known analytically.
 """
 
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -444,48 +445,68 @@ def load_libsvm(path, n_features: Optional[int] = None, normalize: bool = True) 
     repeats within a row the last value wins.  Labels are mapped to -1/+1 (any
     positive raw label becomes +1).  Blank lines and lines starting with ``#``
     are skipped.  With ``normalize`` each feature column is scaled to unit
-    2-norm, skipping all-zero columns.  Malformed lines raise DatasetFormatError
-    with the offending line number.
+    2-norm, skipping all-zero columns.  Malformed lines, bytes that are not
+    UTF-8 and an index whose matrix cannot be allocated raise DatasetFormatError
+    naming the file, and the line where there is one.
 
     The file is read in blocks of ``_BLOCK_LINES`` lines.  When every line of a
-    block reads ``label idx:val idx:val ...`` in ASCII with single spaces, the
-    block's labels, indices and values are converted with one numpy call each.
-    Any other block (comments, blank lines, tabs, a malformed token) is scanned
-    token by token, which gives the same triples or finds the offending line.
-    The (row, index, value) triples of all blocks are gathered and the dense
-    matrix is filled once; no per-row objects are kept.
+    block reads ``label idx:val idx:val ...`` in ASCII decimal with single
+    spaces and digit-only indices, the block's numbers are converted with one
+    ``np.fromstring`` call; any other block (comments, blank lines, tabs, nan,
+    a malformed token) is scanned token by token, which gives the same numbers
+    or finds the offending line.  Each block is scattered into a dense row
+    block at once, and the row blocks are copied into the matrix at the end, so
+    nothing sized to the whole file is kept beside the matrix.
     """
-    parsed = []
-    with open(path, "r", encoding="utf-8") as fh:
+    row_blocks, label_blocks = [], []
+    top = 0  # largest index seen
+    over = None  # first index beyond n_features
+    too_big = False  # the matrix cannot be allocated
+    # an undecodable byte becomes a lone surrogate, which _scan_block reports with its line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lineno = 1
         while block := list(islice(fh, _BLOCK_LINES)):
-            parsed.append(_parse_block(block) or _scan_block(block, path, lineno))
+            raw, counts, idx, vals = _parse_block(block) or _scan_block(block, path, lineno)
             lineno += len(block)
-    if not any(raw.size for raw, *_ in parsed):
+            label_blocks.append(np.where(raw > 0, 1.0, -1.0))
+            if idx.size:
+                top = max(top, idx.max())
+                if over is None and n_features is not None and (beyond := idx > n_features).any():
+                    over = idx[np.argmax(beyond)]
+            # once no matrix can be returned, the rest is only checked for format errors
+            if over is None and not too_big:
+                try:
+                    row_blocks.append(_dense_rows(counts, idx, vals))
+                except (MemoryError, ValueError):
+                    too_big = True
+                    row_blocks.clear()
+            del raw, counts, idx, vals  # before the next block is read
+    # the errors come in the order: a malformed line, no rows, the matrix, n_features
+    if not any(labels.size for labels in label_blocks):
         raise DatasetFormatError(f"{path}: no data rows")
-    raw, counts, idx, vals = map(np.concatenate, zip(*parsed))
-    del parsed  # free the per-block arrays before the matrix is allocated
-    if n_features is None:
-        n_features = int(idx.max()) if idx.size else 0
-    x = np.zeros((raw.size, n_features))
-    over = idx > n_features
-    if over.any():
+    labels = np.concatenate(label_blocks)
+    cols = top if n_features is None else n_features
+    try:
+        x = np.zeros((labels.size, cols))
+    except (MemoryError, ValueError):
+        if n_features is not None:  # the caller's width, not the file's
+            raise
+        too_big = True
+    if too_big:
         raise DatasetFormatError(
-            f"{path}: index {idx[np.argmax(over)]} exceeds n_features={n_features}"
+            f"{path}: index {top} needs a {labels.size} x {cols} feature matrix, too large to allocate"
         )
-    # position of each entry in the flattened matrix, row by row
-    flat = np.repeat(np.arange(raw.size) * n_features - 1, counts)
-    flat += idx.astype(np.intp, copy=False)
-    if np.any(np.diff(flat) <= 0):
-        # a row lists an index twice (or out of order): keep each cell's last value
-        _, last_rev = np.unique(flat[::-1], return_index=True)
-        keep = flat.size - 1 - last_rev
-        flat, vals = flat[keep], vals[keep]
-    x.ravel()[flat] = vals
+    if over is not None:
+        raise DatasetFormatError(f"{path}: index {over} exceeds n_features={n_features}")
+    start = 0
+    for i, rows in enumerate(row_blocks):
+        x[start : start + rows.shape[0], : rows.shape[1]] = rows
+        start += rows.shape[0]
+        row_blocks[i] = None  # each row block is freed once copied
     if normalize:
-        norms = np.linalg.norm(x, axis=0)
+        norms = _column_norms(x)
         x /= np.where(norms > 0, norms, 1.0)  # dividing by 1 leaves all-zero columns as they are
-    return LogisticDataset(features=x, labels=np.where(raw > 0, 1.0, -1.0))
+    return LogisticDataset(features=x, labels=labels)
 
 
 _BLOCK_LINES = 4096
@@ -497,36 +518,49 @@ _NOT_SEPARATORS = bytes(c for c in range(256) if c not in b" :\n\t\v\f\r\x1c\x1d
 def _parse_block(block):
     """(raw labels, entries per row, indices, values) of a block whose every line
     reads ``label idx:val idx:val ...`` in ASCII with single spaces (a trailing
-    one allowed); None for any other block, and when a token does not convert."""
+    one allowed), every token made of ``0-9 . e E + -`` and every index of digits
+    below 2**53; None for any other block, and when a token does not convert."""
     text = "".join(block)
     if not text.endswith("\n"):
         text += "\n"
     text = text.replace(" \n", "\n")
     if not text.isascii():
         return None
-    seps = text.encode().translate(None, _NOT_SEPARATORS)
+    data = text.encode()
+    del text
+    seps = data.translate(None, _NOT_SEPARATORS)
     # every line's separators read " :" once per entry and nothing else
     if seps.replace(b" :", b"") != b"\n" * len(block):
         return None
+    n_entries = (len(seps) - len(block)) // 2
+    # every line starts with a label: np.fromstring reads a blank line as -1.0
+    if data[:1] in b" \n" or b"\n\n" in data or b"\n " in data:
+        return None
+    # Without its digits an index is empty, so each space meets its colon, and the
+    # other tokens keep only ".eE+-": no nan, inf, hex, underscore or signed index.
+    rest = data.translate(None, b"0123456789")
+    if rest.count(b" :") != n_entries or rest.translate(None, b".eE+- :\n"):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            numbers = np.fromstring(data.replace(b":", b" "), sep=" ")
+        except (ValueError, Warning):  # a token it cannot read to its end
+            return None
+    # each token gives one number or stops the conversion, so an empty side of a
+    # colon shows as a missing number
+    if numbers.size != len(block) + 2 * n_entries:
+        return None
     ends = np.flatnonzero(np.frombuffer(seps, dtype=np.uint8) == ord("\n"))
     counts = np.diff(ends, prepend=-1) // 2
-    pieces = text.replace(":", " ").split()
-    # one piece fewer for each empty label (a blank line) or empty side of a colon
-    if len(pieces) != len(block) + 2 * counts.sum():
-        return None
-    tokens = np.array(pieces, dtype=object)
-    is_label = np.zeros(tokens.size, dtype=bool)
+    is_label = np.zeros(numbers.size, dtype=bool)
     is_label[np.arange(len(block)) + 2 * (np.cumsum(counts) - counts)] = True
-    entries = tokens[~is_label].reshape(-1, 2)
-    try:
-        raw = tokens[is_label].astype(float)
-        idx = entries[:, 0].astype(np.int64)
-        vals = entries[:, 1].astype(float)
-    except (ValueError, OverflowError):
+    entries = numbers[~is_label].reshape(-1, 2)
+    idx = entries[:, 0]
+    # an index below 2**53 is read exactly; a larger one is left to the token scan
+    if idx.size and not (idx.min() >= 1 and idx.max() < 2.0**53):
         return None
-    if idx.size and idx.min() < 1:
-        return None
-    return raw, counts, idx, vals
+    return numbers[is_label], counts, idx.astype(np.int64), entries[:, 1]
 
 
 def _scan_block(block, path, first_lineno):
@@ -534,10 +568,16 @@ def _scan_block(block, path, first_lineno):
     naming the first malformed line."""
     raw, counts, idx, vals = [], [], [], []
     for offset, line in enumerate(block):
+        lineno = first_lineno + offset
+        if not line.isascii():
+            try:
+                line.encode()
+            except UnicodeEncodeError as exc:  # a surrogate stands for an undecodable byte
+                byte = ord(line[exc.start]) - 0xDC00
+                raise DatasetFormatError(f"{path}:{lineno}: byte 0x{byte:02x} is not UTF-8") from None
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
-        lineno = first_lineno + offset
         try:
             raw.append(float(parts[0]))
         except ValueError as exc:
@@ -559,6 +599,40 @@ def _scan_block(block, path, first_lineno):
     except OverflowError:  # an index beyond int64 can only be reported, never filled
         idx = np.array(idx, dtype=object)
     return np.array(raw), np.array(counts, dtype=np.intp), idx, np.array(vals, dtype=float)
+
+
+def _dense_rows(counts, idx, vals):
+    """Dense rows of a parsed block, as wide as its largest index; when an index
+    repeats within a row the last value wins."""
+    width = int(idx.max()) if idx.size else 0
+    rows = np.zeros((counts.size, width))
+    # position of each entry in the flattened row block, row by row
+    flat = np.repeat(np.arange(counts.size) * width - 1, counts)
+    flat += idx.astype(np.intp, copy=False)
+    if np.any(np.diff(flat) <= 0):
+        # a row lists an index twice (or out of order): keep each cell's last value
+        _, last_rev = np.unique(flat[::-1], return_index=True)
+        keep = flat.size - 1 - last_rev
+        flat, vals = flat[keep], vals[keep]
+    rows.ravel()[flat] = vals
+    return rows
+
+
+def _column_norms(x):
+    """``np.linalg.norm(x, axis=0)`` bit for bit, without its n x d temporary of squares.
+
+    For two or more columns that norm adds the squares row after row, so carrying
+    the running sums into the first row of each block of rows keeps its order.  A
+    single column is summed pairwise, so it goes through the norm itself; its
+    temporary is one column."""
+    if x.shape[1] < 2:
+        return np.linalg.norm(x, axis=0)
+    sumsq = np.zeros(x.shape[1])
+    for start in range(0, x.shape[0], _BLOCK_LINES):
+        sq = np.square(x[start : start + _BLOCK_LINES])
+        sq[0] += sumsq
+        sumsq = np.add.reduce(sq, axis=0)
+    return np.sqrt(sumsq)
 
 
 def _margins(features: np.ndarray, labels: np.ndarray, v: np.ndarray) -> np.ndarray:

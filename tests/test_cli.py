@@ -80,9 +80,14 @@ def test_missing_dataset_exits_three(tmp_path, capsys):
     assert "LIBSVM" in err  # tells the user how to obtain a dataset
 
 
-def test_malformed_dataset_exits_three(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content",
+    [b"+1 7:not_a_number\n", b"-1 2:\xff\n", b"-1 99999999999999:1\n"],
+    ids=["bad_entry", "not_utf8", "index_too_large"],
+)
+def test_malformed_dataset_exits_three(tmp_path, capsys, content):
     bad = tmp_path / "bad.libsvm"
-    bad.write_text("+1 7:not_a_number\n")
+    bad.write_bytes(content)
     code = main(["logreg", "--dataset", str(bad), "--out", str(tmp_path)])
     assert code == 3
     assert "bad.libsvm" in capsys.readouterr().err

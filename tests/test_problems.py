@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,44 @@ def test_libsvm_n_features(tmp_path):
     with pytest.raises(DatasetFormatError) as exc:
         load_libsvm(f, n_features=2)
     assert str(exc.value) == f"{f}: index 99999999999999999999 exceeds n_features=2"
+    with pytest.raises(DatasetFormatError) as exc:
+        load_libsvm(f)
+    assert str(exc.value) == (
+        f"{f}: index 99999999999999999999 needs a 1 x 99999999999999999999 feature matrix, too large to allocate"
+    )
+
+
+# Each shape is above the 128 TiB user address space, so numpy cannot allocate
+# anything for it, however the machine overcommits.
+@pytest.mark.parametrize(
+    "text, rows, index",
+    [
+        ("-1 99999999999999:1\n", 1, 99999999999999),
+        ("+1 1:2\n-1 3:1\n" * 3000 + "-1 99999999999999:1\n", 6001, 99999999999999),
+        ("+1 9007199254740992:1\n", 1, 2**53),
+    ],
+    ids=["one_row", "after_a_block", "2**53"],
+)
+def test_libsvm_index_too_large_to_allocate_names_index_and_shape(tmp_path, text, rows, index):
+    f = tmp_path / "huge.libsvm"
+    f.write_text(text)
+    with pytest.raises(DatasetFormatError) as exc:
+        load_libsvm(f)
+    assert str(exc.value) == f"{f}: index {index} needs a {rows} x {index} feature matrix, too large to allocate"
+
+
+def test_libsvm_non_utf8_bytes_name_their_line(tmp_path):
+    f = tmp_path / "latin1.libsvm"
+    f.write_bytes(b"+1 1:2\n-1 2:\xff\n")
+    with pytest.raises(DatasetFormatError) as exc:
+        load_libsvm(f)
+    assert str(exc.value) == f"{f}:2: byte 0xff is not UTF-8"
+    f.write_bytes(b"+1 1:2\n# caf\xe9\n-1 1:x\n")  # a comment must be text too
+    with pytest.raises(DatasetFormatError) as exc:
+        load_libsvm(f)
+    assert str(exc.value) == f"{f}:2: byte 0xe9 is not UTF-8"
+    f.write_bytes("+1 1:2\n# caf\u00e9\n".encode())  # well-formed UTF-8 is fine
+    assert load_libsvm(f).n_samples == 1
 
 
 def test_libsvm_normalizes_columns(tmp_path):
@@ -352,6 +391,153 @@ def test_libsvm_block_parse_declines_blocks_the_token_scan_rejects(block):
     with pytest.raises(DatasetFormatError):
         problems._scan_block(block, "f", 1)
     assert problems._parse_block(block) is None
+
+
+@pytest.mark.parametrize(
+    "text, n_features, outcome",
+    [
+        ("\n", None, ": no data rows"),  # np.fromstring reads a blank line as -1.0
+        ("+1 1:2\n\n-1 2:1\n", None, [[2.0, 0.0], [0.0, 1.0]]),
+        ("+1 1:0x1p3\n", None, ":1: bad entry '1:0x1p3'"),
+        ("+1 1:1_0\n", None, [[10.0]]),
+        ("+1 1:-inf 2:nan\n", None, [[-np.inf, np.nan]]),
+        ("+1 1e3:1\n", None, ":1: bad entry '1e3:1'"),
+        ("+1 1.5:1\n", None, ":1: bad entry '1.5:1'"),
+        ("+1 +2:1\n", None, [[0.0, 1.0]]),
+        ("+1 9007199254740993:1\n", 3, ": index 9007199254740993 exceeds n_features=3"),
+    ],
+    ids=["blank", "blank_between", "hex", "underscore", "inf_nan", "exponent_index", "float_index",
+         "signed_index", "index_2**53+1"],
+)
+def test_libsvm_whole_block_conversion_leaves_these_to_the_token_scan(tmp_path, text, n_features, outcome):
+    assert problems._parse_block(text.splitlines(keepends=True)) is None
+    f = tmp_path / "pinned.libsvm"
+    f.write_text(text)
+    if isinstance(outcome, str):
+        with pytest.raises(DatasetFormatError) as exc:
+            load_libsvm(f, n_features=n_features, normalize=False)
+        assert str(exc.value) == f"{f}{outcome}"
+    else:
+        npt.assert_array_equal(load_libsvm(f, n_features=n_features, normalize=False).features, outcome)
+
+
+def _reference_load(path, n_features=None, normalize=True):
+    """load_libsvm as one token scan of the whole file, filled entry by entry."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = fh.readlines()
+    raw, counts, idx, vals = problems._scan_block(lines, path, 1)
+    if not raw.size:
+        raise DatasetFormatError(f"{path}: no data rows")
+    width = n_features if n_features is not None else (max(idx) if idx.size else 0)
+    try:
+        x = np.zeros((raw.size, width))
+    except (MemoryError, ValueError) as exc:
+        raise DatasetFormatError(
+            f"{path}: index {width} needs a {raw.size} x {width} feature matrix, too large to allocate"
+        ) from exc
+    for i in idx:
+        if i > width:
+            raise DatasetFormatError(f"{path}: index {i} exceeds n_features={n_features}")
+    for r, i, v in zip(np.repeat(np.arange(raw.size), counts), idx, vals):
+        x[r, i - 1] = v  # the last of a repeated index wins
+    if normalize:
+        norms = np.linalg.norm(x, axis=0)
+        x /= np.where(norms > 0, norms, 1.0)
+    return x, np.where(raw > 0, 1.0, -1.0)
+
+
+# mostly well-formed lines, so that many blocks take the whole-block conversion;
+# the indices stay small or lie far beyond what can be allocated
+_FUZZ_ODD = ["nan", "-inf", "0x1p3", "1_0", "1e3", "1.5", "+2", "0", "1e", ".", "-", "e5", "1e999",
+             "9007199254740991", "9007199254740992", "99999999999999999999", "\udcff", "\u0663", ""]
+_FUZZ_SEPS = ["  ", "\t", "\r", "\x0b", "\xa0"]
+
+
+def _fuzz_line(rng):
+    if rng.random() < 0.03:
+        return str(rng.choice(["\n", " \n", "# note\n", "#\udce9\n"]))
+    odd = rng.random() < 0.08
+    label = str(rng.choice(_FUZZ_ODD)) if odd and rng.random() < 0.3 else str(rng.choice(["+1", "-1", "0", "2.5"]))
+    parts = [label]
+    for _ in range(int(rng.integers(0, 6))):
+        i, v = str(rng.integers(1, 7)), str(rng.choice(["0.5", "-1", "2e-3", "1E+2", ".25", "-0", "7."]))
+        if odd and rng.random() < 0.3:
+            if rng.random() < 0.5:
+                i = str(rng.choice(_FUZZ_ODD))
+            else:
+                v = str(rng.choice(_FUZZ_ODD))
+        parts.append(f"{i}:{v}" if rng.random() < 0.98 else f"{i}{v}")
+    line = parts[0]
+    for part in parts[1:]:
+        line += str(rng.choice(_FUZZ_SEPS)) if odd and rng.random() < 0.2 else " "
+        line += part
+    return line + (" " if rng.random() < 0.1 else "") + "\n"
+
+
+def _outcome(load, *args, **kwargs):
+    try:
+        return load(*args, **kwargs)
+    except DatasetFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("block_lines", [1, 2, 3, 4096])
+def test_libsvm_whole_file_agrees_with_the_token_scan(tmp_path, monkeypatch, block_lines):
+    monkeypatch.setattr(problems, "_BLOCK_LINES", block_lines)
+    rng = np.random.default_rng(31 + block_lines)
+    f = tmp_path / "fuzz.libsvm"
+    loaded = 0
+    for case in range(700):
+        text = "".join(_fuzz_line(rng) for _ in range(int(rng.integers(0, 12))))
+        if rng.random() < 0.1:
+            text = text.rstrip("\n")
+        f.write_bytes(text.encode("utf-8", "surrogateescape"))
+        n_features = None if case % 2 else int(rng.integers(0, 8))
+        normalize = bool(case % 3)
+        with np.errstate(invalid="ignore"):  # an inf column normalizes to NaN in both
+            got = _outcome(load_libsvm, f, n_features=n_features, normalize=normalize)
+            want = _outcome(_reference_load, f, n_features=n_features, normalize=normalize)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        loaded += 1
+        features, labels = want
+        assert got.features.shape == features.shape
+        npt.assert_array_equal(got.features.view(np.int64), features.view(np.int64))
+        npt.assert_array_equal(got.labels.view(np.int64), labels.view(np.int64))
+    assert loaded > 200
+
+
+def test_libsvm_load_peak_memory_stays_near_the_matrix(tmp_path):
+    # ijcnn1-like rows: a one-hot feature among ten and twelve continuous ones
+    rng = np.random.default_rng(8)
+    rows = 20_000
+    hot = rng.integers(1, 11, size=rows)
+    dense = rng.standard_normal((rows, 12))
+    f = tmp_path / "big.libsvm"
+    with open(f, "w") as fh:
+        for r in range(rows):
+            entries = " ".join(f"{11 + j}:{v:.6f}" for j, v in enumerate(dense[r]))
+            fh.write(f"{'+1' if r % 3 else '-1'} {hot[r]}:1 {entries}\n")
+    tracemalloc.start()
+    try:
+        data = load_libsvm(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.features.shape == (rows, 22)
+    assert peak <= 2.5 * data.features.nbytes
+
+
+def test_column_norms_are_bitwise_numpys(monkeypatch):
+    monkeypatch.setattr(problems, "_BLOCK_LINES", 7)
+    rng = np.random.default_rng(9)
+    for rows, cols in [(1, 1), (3, 0), (300, 1), (6, 2), (7, 3), (8, 5), (300, 22), (50, 200)]:
+        x = rng.standard_normal((rows, cols)) * np.exp(rng.uniform(-300, 300, (rows, cols)))
+        x[rng.random((rows, cols)) < 0.3] = 0.0
+        npt.assert_array_equal(
+            problems._column_norms(x).view(np.int64), np.linalg.norm(x, axis=0).view(np.int64)
+        )
 
 
 def test_libsvm_rejects_empty_file(tmp_path):

@@ -17,6 +17,7 @@ from softqn.updates import (
     PdThresholdError,
     StepNormBeta,
     UpdateConsistencyError,
+    _EINSUM_MIN_N,
     _rank_two,
     bfgs_admissible,
     bfgs_update,
@@ -367,7 +368,7 @@ def _assert_bitwise(h_new, reference):
     assert np.array_equal(h_new, h_new.T)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 90, 200])
+@pytest.mark.parametrize("n", [1, 2, 7, _EINSUM_MIN_N - 1, _EINSUM_MIN_N, 90, 200])
 def test_kernels_are_bitwise_the_outer_product_form(n):
     rng = np.random.default_rng(600 + n)
     for trial in range(3):
@@ -382,7 +383,7 @@ def test_kernels_are_bitwise_the_outer_product_form(n):
                     _assert_bitwise(sp_bfgs_update(h, s, y, beta), _sp_bfgs_reference(h, s, y, beta))
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 90, 200])
+@pytest.mark.parametrize("n", [1, 2, 7, _EINSUM_MIN_N - 1, _EINSUM_MIN_N, 90, 200])
 @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
 def test_sp_bfgs_is_bitwise_the_outer_product_form_just_above_the_pd_threshold(n, beta):
     rng = np.random.default_rng(700 + n)
@@ -408,6 +409,8 @@ def _identity_with_negative_zeros(n):
 
 # Each pair has exact zero products whose sign survives into H': the broadcast
 # outer product writes -0.0 there, where np.einsum("i,j->ij") would write +0.0.
+# Padded with ones to the einsum threshold, the zero test must keep the broadcast.
+@pytest.mark.parametrize("n", [3, _EINSUM_MIN_N])
 @pytest.mark.parametrize(
     "kernel, s, y",
     [
@@ -416,9 +419,9 @@ def _identity_with_negative_zeros(n):
         ("sp_bfgs", [0.0, -0.0, 0.0], [2.0, 2.0, 1.0]),
     ],
 )
-def test_kernels_keep_the_sign_of_zero_products(kernel, s, y):
-    h = _identity_with_negative_zeros(3)
-    s, y = np.array(s), np.array(y)
+def test_kernels_keep_the_sign_of_zero_products(kernel, s, y, n):
+    h = _identity_with_negative_zeros(n)
+    s, y = np.array(s + [1.0] * (n - 3)), np.array(y + [1.0] * (n - 3))
     if kernel == "bfgs":
         h_new, reference = bfgs_update(h, s, y), _bfgs_reference(h, s, y)
     elif kernel == "soft_qn":
@@ -441,8 +444,9 @@ def test_kernels_keep_the_sign_of_zero_products(kernel, s, y):
         pytest.param([1.0, -2.0, 3.0], [np.nan, 1.0, -2.0], id="nan_in_hy"),
     ],
 )
-def test_rank_two_is_bitwise_the_outer_product_form_at_the_edges(s, hy, c_hh):
-    s, hy = np.array(s), np.array(hy)
+@pytest.mark.parametrize("copies", [1, _EINSUM_MIN_N // 3 + 1])
+def test_rank_two_is_bitwise_the_outer_product_form_at_the_edges(s, hy, c_hh, copies):
+    s, hy = np.tile(s, copies), np.tile(hy, copies)
     h = _identity_with_negative_zeros(s.size)
     with np.errstate(all="ignore"):
         out = _rank_two(h, hy, s, c_hh, -1.5, 2.0)
@@ -470,6 +474,9 @@ def _rank_two_inputs(draw):
     hy = draw(_double_range_vectors(n))
     c_hh, c_hs, c_ss = draw(_double_range_vectors(3))
     c_hh = draw(st.sampled_from([0.0, c_hh]))
+    # the same entries repeated past the einsum threshold take the other path
+    copies = draw(st.sampled_from([1, -(-_EINSUM_MIN_N // n)]))
+    h, hy, s = np.tile(h, (copies, copies)), np.tile(hy, copies), np.tile(s, copies)
     return h, hy, s, c_hh, c_hs, c_ss
 
 
