@@ -4,13 +4,13 @@ Subcommands: ``qp``, ``cutest``, ``logreg``, ``toy`` run the corresponding
 experiment and write CSVs into --out; ``proptest`` runs a quick sweep of the
 randomized property checks.  Exit codes: 0 success, 1 failed property checks,
 2 configuration errors, 3 dataset errors, 4 any other exception (a crash; its
-traceback goes to stderr).
+traceback goes to stderr).  The runners check their own parameters; the CLI only
+parses, merges flags over the config, and maps exceptions to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
 
@@ -35,17 +35,6 @@ _EXPERIMENTS = {
 }
 
 
-def _check_seed(value, error):
-    """Return ``value`` if it lies in [0, 2**64); raise ``error`` otherwise."""
-    if not 0 <= value < 2**64:
-        raise error(f"seed {value} out of unsigned 64-bit range")
-    return value
-
-
-def _u64(text):
-    return _check_seed(int(text), argparse.ArgumentTypeError)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="softqn-bench",
@@ -55,7 +44,7 @@ def build_parser():
 
     def add_common(p, trials=True):
         p.add_argument("--config", metavar="PATH", help="INI config file (section per experiment)")
-        p.add_argument("--seed", type=_u64, metavar="U64", help="base seed override")
+        p.add_argument("--seed", type=int, metavar="U64", help="base seed override")
         if trials:
             p.add_argument("--trials", type=int, metavar="N", help="number of Monte Carlo trials")
         p.add_argument("--out", metavar="DIR", default="results", help="output directory (default: results)")
@@ -79,8 +68,6 @@ def _resolve_params(args, defaults):
         sections = load_config(args.config)
         section = sections.get(args.command, {})
         params.update(coerce_params(section, defaults))
-        if "seed" in params:
-            _check_seed(params["seed"], ConfigError)
     if args.seed is not None:
         params["seed"] = args.seed
     if getattr(args, "trials", None) is not None:
@@ -91,9 +78,6 @@ def _resolve_params(args, defaults):
         params["dataset"] = args.dataset
     if getattr(args, "problem", None):
         params["problem"] = args.problem
-    for key in ("trials", "iterations", "budget"):
-        if params.get(key, 1) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {params[key]}")
     return params
 
 
@@ -134,27 +118,15 @@ def _run(args):
 
     runner, defaults = _EXPERIMENTS[args.command]
     try:
-        params = _resolve_params(args, defaults)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "logreg" and params.get("dataset"):
-        if not os.path.isfile(params["dataset"]):
-            print(
-                f"dataset not found: {params['dataset']}\n"
-                "supply a LIBSVM-format file (e.g. ijcnn1 from the LIBSVM collection), "
-                "or omit --dataset to use the bundled synthetic fixture",
-                file=sys.stderr,
-            )
-            return 3
-
-    try:
-        _, written = runner(params, args.out)
+        _, written = runner(_resolve_params(args, defaults), args.out)
     except DatasetFormatError as exc:
-        print(f"dataset error: {exc}", file=sys.stderr)
+        print(
+            f"dataset error: {exc}\nsupply a LIBSVM-format file (e.g. ijcnn1 from the LIBSVM "
+            "collection), or omit --dataset to use the bundled synthetic fixture",
+            file=sys.stderr,
+        )
         return 3
-    except ValueError as exc:  # unknown method or problem name
+    except (ConfigError, ValueError) as exc:  # a config file, or a parameter the runner refuses
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for path in written:

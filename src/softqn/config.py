@@ -4,14 +4,13 @@ Plain INI: one section per experiment (``[qp]``, ``[cutest]``, ``[logreg]``,
 ``[toy]``), flat key=value pairs inside.  Values are coerced against the
 experiment's defaults table, so the defaults double as the schema: an int
 default means the key parses as int, a float as float, and ``methods`` is a
-comma-separated list.  Unknown keys, unparseable values and non-finite floats
-raise ConfigError.
+comma-separated list.  Unknown keys and unparseable values raise ConfigError;
+the ranges of the values are checked by the experiment that takes them.
 """
 
 from __future__ import annotations
 
 import configparser
-import math
 import os
 
 
@@ -52,8 +51,6 @@ def coerce_params(section, defaults):
                 out[key] = int(raw)
             elif isinstance(template, float):
                 out[key] = float(raw)
-                if not math.isfinite(out[key]):
-                    raise ValueError(f"non-finite {key}")
             else:
                 out[key] = raw
         except ValueError as exc:

@@ -7,6 +7,7 @@ search, and the deterministic 2-D saddle walk.  Each writes the long-format
 CSV, per-figure plot data, and (where meaningful) a summary table.
 """
 
+import math
 import os
 from importlib import resources
 
@@ -115,7 +116,7 @@ def run_qp(params, out_dir):
     defaults).  At the defaults its final suboptimality was measured to lie
     between SGD at those two scales, behind SGD at step_scale.
     """
-    p = {**QP_DEFAULTS, **params}
+    p = _params(QP_DEFAULTS, params)
     methods = {
         "newton": lambda: ExactNewton(),
         "softqn": lambda: SoftQn(ConstantAlpha(p["alpha"])),
@@ -159,7 +160,7 @@ def run_cutest(params, out_dir):
     noise is uniform on the sphere of radius e_g = noise_rel*|grad(x0)|.  Both
     methods of a trial replay the same noise streams.
     """
-    p = {**CUTEST_DEFAULTS, **params}
+    p = _params(CUTEST_DEFAULTS, params)
     problem = cutest_like(p["problem"])
     e_f = p["noise_rel"] * abs(problem.phi(problem.x0))
     e_g = p["noise_rel"] * float(np.linalg.norm(problem.grad(problem.x0)))
@@ -203,7 +204,7 @@ def run_cutest(params, out_dir):
 
 def run_logreg(params, out_dir):
     """Regularized logistic regression with minibatch gradients and a fixed step."""
-    p = {**LOGREG_DEFAULTS, **params}
+    p = _params(LOGREG_DEFAULTS, params)
     path = p["dataset"] or fixture_dataset_path()
     data = load_libsvm(path)
     problem = logistic_problem(data, p["rho"])
@@ -237,7 +238,7 @@ def run_logreg(params, out_dir):
 
 def run_toy(params, out_dir):
     """Deterministic walk on the 2-D saddle landscape; writes iterate paths."""
-    p = {**TOY_DEFAULTS, **params}
+    p = _params(TOY_DEFAULTS, params)
     problem = toy_2d()
     budget = Budget(iterations=int(p["iterations"]))
     step = FixedStep(p["eta"])
@@ -262,6 +263,21 @@ def run_toy(params, out_dir):
         write_csv(path, "index,x1,x2", [range(len(xs)), xs[:, 0], xs[:, 1]])
         written.append(path)
     return records, written
+
+
+def _params(defaults, params):
+    """The defaults overridden by ``params``.  Before any work, raises ValueError on a
+    seed outside [0, 2**64), a count below 1 or a non-finite float."""
+    p = {**defaults, **params}
+    if not 0 <= p["seed"] < 2**64:
+        raise ValueError(f"seed {p['seed']} out of unsigned 64-bit range")
+    for key in ("trials", "iterations", "budget"):
+        if p.get(key, 1) < 1:
+            raise ValueError(f"{key} must be >= 1, got {p[key]}")
+    for key, value in p.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"bad value for '{key}': '{value}'")
+    return p
 
 
 def _check_methods(requested, available):

@@ -7,6 +7,7 @@ Hessian where a Newton baseline needs it), the standard start point, and the
 optimal value when it is known analytically.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -35,7 +36,7 @@ class UnknownProblemError(ValueError):
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file could not be parsed."""
+    """A dataset file could not be opened or parsed."""
 
 
 @dataclass(frozen=True)
@@ -438,32 +439,35 @@ class LogisticDataset:
         return self.features.shape[1]
 
 
-def load_libsvm(path, n_features: Optional[int] = None, normalize: bool = True) -> LogisticDataset:
+def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
     """Parse a sparse LIBSVM file into a dense dataset.
 
     Feature indices are 1-based; missing indices are zero, and when an index
     repeats within a row the last value wins.  Labels are mapped to -1/+1 (any
     positive raw label becomes +1).  Blank lines and lines starting with ``#``
-    are skipped.  With ``normalize`` each feature column is scaled to unit
-    2-norm, skipping all-zero columns.  Malformed lines, bytes that are not
-    UTF-8 and an index whose matrix cannot be allocated raise DatasetFormatError
-    naming the file, and the line where there is one.
+    are skipped.  With ``normalize`` each feature column is scaled to unit 2-norm,
+    skipping all-zero columns.  An unopenable file, malformed lines, non-finite
+    numbers, bytes that are not UTF-8 and an index whose matrix cannot be
+    allocated raise DatasetFormatError naming the file, and the line if any.
 
     The file is read in blocks of ``_BLOCK_LINES`` lines.  When every line of a
     block reads ``label idx:val idx:val ...`` in ASCII decimal with single
-    spaces and digit-only indices, the block's numbers are converted with one
-    ``np.fromstring`` call; any other block (comments, blank lines, tabs, nan,
-    a malformed token) is scanned token by token, which gives the same numbers
-    or finds the offending line.  Each block is scattered into a dense row
+    spaces, digit-only indices and finite numbers, the block's numbers are
+    converted with one ``np.fromstring`` call; any other block (comments, blank
+    lines, tabs, nan, a malformed token) is scanned token by token, which gives
+    the same numbers or finds the offending line.  Each block is scattered into a dense row
     block at once, and the row blocks are copied into the matrix at the end, so
     nothing sized to the whole file is kept beside the matrix.
     """
     row_blocks, label_blocks = [], []
     top = 0  # largest index seen
-    over = None  # first index beyond n_features
     too_big = False  # the matrix cannot be allocated
     # an undecodable byte becomes a lone surrogate, which _scan_block reports with its line
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise DatasetFormatError(f"{path}: cannot open: {exc.strerror}") from exc
+    with fh:
         lineno = 1
         while block := list(islice(fh, _BLOCK_LINES)):
             raw, counts, idx, vals = _parse_block(block) or _scan_block(block, path, lineno)
@@ -471,33 +475,26 @@ def load_libsvm(path, n_features: Optional[int] = None, normalize: bool = True) 
             label_blocks.append(np.where(raw > 0, 1.0, -1.0))
             if idx.size:
                 top = max(top, idx.max())
-                if over is None and n_features is not None and (beyond := idx > n_features).any():
-                    over = idx[np.argmax(beyond)]
             # once no matrix can be returned, the rest is only checked for format errors
-            if over is None and not too_big:
+            if not too_big:
                 try:
                     row_blocks.append(_dense_rows(counts, idx, vals))
                 except (MemoryError, ValueError):
                     too_big = True
                     row_blocks.clear()
             del raw, counts, idx, vals  # before the next block is read
-    # the errors come in the order: a malformed line, no rows, the matrix, n_features
+    # the errors come in the order: a malformed line, no rows, the matrix
     if not any(labels.size for labels in label_blocks):
         raise DatasetFormatError(f"{path}: no data rows")
     labels = np.concatenate(label_blocks)
-    cols = top if n_features is None else n_features
     try:
-        x = np.zeros((labels.size, cols))
+        x = np.zeros((labels.size, top))
     except (MemoryError, ValueError):
-        if n_features is not None:  # the caller's width, not the file's
-            raise
         too_big = True
     if too_big:
         raise DatasetFormatError(
-            f"{path}: index {top} needs a {labels.size} x {cols} feature matrix, too large to allocate"
+            f"{path}: index {top} needs a {labels.size} x {top} feature matrix, too large to allocate"
         )
-    if over is not None:
-        raise DatasetFormatError(f"{path}: index {over} exceeds n_features={n_features}")
     start = 0
     for i, rows in enumerate(row_blocks):
         x[start : start + rows.shape[0], : rows.shape[1]] = rows
@@ -518,8 +515,9 @@ _NOT_SEPARATORS = bytes(c for c in range(256) if c not in b" :\n\t\v\f\r\x1c\x1d
 def _parse_block(block):
     """(raw labels, entries per row, indices, values) of a block whose every line
     reads ``label idx:val idx:val ...`` in ASCII with single spaces (a trailing
-    one allowed), every token made of ``0-9 . e E + -`` and every index of digits
-    below 2**53; None for any other block, and when a token does not convert."""
+    one allowed), every token made of ``0-9 . e E + -``, every index of digits
+    below 2**53 and every number finite; None for any other block, and when a
+    token does not convert."""
     text = "".join(block)
     if not text.endswith("\n"):
         text += "\n"
@@ -549,7 +547,8 @@ def _parse_block(block):
             return None
     # each token gives one number or stops the conversion, so an empty side of a
     # colon shows as a missing number
-    if numbers.size != len(block) + 2 * n_entries:
+    # a number that overflows to inf (1e999) is left to the scan, which names its line
+    if numbers.size != len(block) + 2 * n_entries or not np.isfinite(numbers).all():
         return None
     ends = np.flatnonzero(np.frombuffer(seps, dtype=np.uint8) == ord("\n"))
     counts = np.diff(ends, prepend=-1) // 2
@@ -579,14 +578,14 @@ def _scan_block(block, path, first_lineno):
         if not parts or parts[0].startswith("#"):
             continue
         try:
-            raw.append(float(parts[0]))
+            raw.append(_finite(parts[0]))
         except ValueError as exc:
             raise DatasetFormatError(f"{path}:{lineno}: bad label {parts[0]!r}") from exc
         for tok in parts[1:]:
             try:
                 idx_s, val_s = tok.split(":", 1)
                 i = int(idx_s)
-                v = float(val_s)
+                v = _finite(val_s)
             except ValueError as exc:
                 raise DatasetFormatError(f"{path}:{lineno}: bad entry {tok!r}") from exc
             if i < 1:
@@ -599,6 +598,14 @@ def _scan_block(block, path, first_lineno):
     except OverflowError:  # an index beyond int64 can only be reported, never filled
         idx = np.array(idx, dtype=object)
     return np.array(raw), np.array(counts, dtype=np.intp), idx, np.array(vals, dtype=float)
+
+
+def _finite(text):
+    """float(text), raising ValueError when it is not finite (nan, inf, 1e999)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {text!r}")
+    return value
 
 
 def _dense_rows(counts, idx, vals):

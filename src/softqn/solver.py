@@ -17,6 +17,7 @@ import numpy as np
 from .updates import (
     ConstantAlpha,
     ConstantBeta,
+    UpdateConsistencyError,
     bfgs_admissible,
     biased_direction,
     bfgs_update,
@@ -345,8 +346,8 @@ def run(
     but phi - phi*); without one, ``suboptimality`` is NaN.  ``eval_counts``
     records the function-evaluation count at every adopted iterate.
     Divergence (non-finite iterate, noisy gradient, exact gradient norm or
-    recorded phi, or an iterate norm above 1e12) stops the run and freezes the
-    per-iteration traces at their last finite values.
+    recorded phi, an iterate norm above 1e12, or an UpdateConsistencyError) stops
+    the run and freezes the per-iteration traces at their last finite values.
     """
     x = np.array(oracle.x0, dtype=float, copy=True)
     g = oracle.g(x)
@@ -400,7 +401,11 @@ def run(
         if not np.isfinite(g_new).all():
             diverged = True
             break
-        h, applied = method.absorb(h, x - x_prev, g_new - g)
+        try:
+            h, applied = method.absorb(h, x - x_prev, g_new - g)
+        except UpdateConsistencyError:  # the update failed; the other trials go on
+            diverged = True
+            break
         skipped += not applied
         g = g_new
 

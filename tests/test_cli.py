@@ -9,6 +9,7 @@ import pytest
 
 import softqn
 from softqn.cli import _resolve_params, build_parser, main
+from softqn.experiments import run_cutest, run_logreg, run_qp, run_toy
 
 
 def test_help_exits_zero(capsys):
@@ -127,6 +128,40 @@ def test_counts_below_one_are_config_errors(tmp_path, capsys, section, key, valu
     assert main([section, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"config error: {key} must be >= 1, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "runner, params, message",
+    [
+        (run_cutest, {"budget": 0}, "budget must be >= 1, got 0"),
+        (run_cutest, {"noise_rel": float("nan")}, "bad value for 'noise_rel': 'nan'"),
+        (run_qp, {"seed": 2**130}, f"seed {2**130} out of unsigned 64-bit range"),
+        (run_qp, {"trials": 0}, "trials must be >= 1, got 0"),
+        (run_toy, {"seed": -1}, "seed -1 out of unsigned 64-bit range"),
+        (run_toy, {"iterations": -1}, "iterations must be >= 1, got -1"),
+        (run_logreg, {"iterations": 0}, "iterations must be >= 1, got 0"),
+    ],
+    ids=["budget_0", "noise_rel_nan", "seed_2**130", "trials_0", "seed_-1", "iterations_-1", "logreg_iterations_0"],
+)
+def test_runners_refuse_what_the_cli_refuses(tmp_path, runner, params, message):
+    # the rules hold for any caller of a runner, with the CLI's messages
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as exc:
+        runner(params, str(out))
+    assert str(exc.value) == message
+    assert not out.exists()
+
+
+def test_failed_update_ends_only_its_trial(tmp_path, capsys):
+    # at this alpha the soft QN update of the second trial fails its positive-definiteness
+    # check; that trial is marked diverged and the run still writes its CSVs
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text("[qp]\nalpha = 1e150\nn = 5\niterations = 50\ntrials = 2\nmethods = softqn\n")
+    out = tmp_path / "out"
+    assert main(["qp", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert len((out / "qp_long.csv").read_text().splitlines()) == 1 + 2 * 51
+    assert (out / "qp_summary.csv").is_file()
 
 
 def test_one_iteration_runs(tmp_path):

@@ -31,6 +31,7 @@ from softqn.updates import (
     CurvatureError,
     CurvatureRelaxedBeta,
     PdThresholdError,
+    UpdateConsistencyError,
     bfgs_update,
     sp_bfgs_update,
 )
@@ -464,6 +465,19 @@ def test_non_finite_phi_marks_trial_diverged_with_phi_star():
     assert rec.diverged
     assert rec.iterations == 0
     npt.assert_array_equal(rec.suboptimality, np.ones(11))
+
+
+def test_failed_update_marks_trial_diverged():
+    # soft QN at alpha = 1e300 overflows gamma on a unit-sized pair
+    p = gen_random_qp(5, 3)
+    method = SoftQn(ConstantAlpha(1e300))
+    with pytest.raises(UpdateConsistencyError):
+        method.absorb(np.eye(5), np.ones(5), p.grad(np.ones(5)) - p.grad(np.zeros(5)))
+    rec = run(NoisyOracle(p, grad_noise=GaussianNoise(1.0), seed=0), method, FixedStep(0.1), Budget(iterations=10))
+    assert rec.diverged
+    assert rec.iterations == 1  # the first pair is the one that fails
+    assert len(rec.grad_norms) == 11
+    npt.assert_array_equal(rec.grad_norms[1:], rec.grad_norms[1])
 
 
 def test_sp_bfgs_skips_below_pd_threshold():
