@@ -425,7 +425,11 @@ def cutest_like(name: str, n: Optional[int] = None) -> Problem:
 
 @dataclass(frozen=True)
 class LogisticDataset:
-    """Dense feature matrix with +-1 labels."""
+    """Dense feature matrix with +-1 labels.
+
+    ``load_libsvm`` returns the features column-major (Fortran order): the full-data
+    margins and gradient are then matrix-vector products down contiguous columns.
+    Any layout gives the same values up to rounding."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -457,7 +461,8 @@ def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
     lines, tabs, nan, a malformed token) is scanned token by token, which gives
     the same numbers or finds the offending line.  Each block is scattered into a dense row
     block at once, and the row blocks are copied into the matrix at the end, so
-    nothing sized to the whole file is kept beside the matrix.
+    nothing sized to the whole file is kept beside the matrix.  The matrix is
+    column-major (Fortran order); its values do not depend on the layout.
     """
     row_blocks, label_blocks = [], []
     top = 0  # largest index seen
@@ -488,7 +493,7 @@ def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
         raise DatasetFormatError(f"{path}: no data rows")
     labels = np.concatenate(label_blocks)
     try:
-        x = np.zeros((labels.size, top))
+        x = np.zeros((labels.size, top), order="F")
     except (MemoryError, ValueError):
         too_big = True
     if too_big:
@@ -626,17 +631,19 @@ def _dense_rows(counts, idx, vals):
 
 
 def _column_norms(x):
-    """``np.linalg.norm(x, axis=0)`` bit for bit, without its n x d temporary of squares.
+    """The C-order ``np.linalg.norm(x, axis=0)`` bit for bit, in either layout,
+    without its n x d temporary of squares.
 
-    For two or more columns that norm adds the squares row after row, so carrying
-    the running sums into the first row of each block of rows keeps its order.  A
-    single column is summed pairwise, so it goes through the norm itself; its
-    temporary is one column."""
+    For two or more columns of a C-order matrix that norm adds the squares row after
+    row, so carrying the running sums into the first row of each block of rows keeps
+    its order.  Each block is squared into a C-order temporary, so a column-major x
+    is summed in the same order.  A single column is summed pairwise, so it goes
+    through the norm itself; its temporary is one column."""
     if x.shape[1] < 2:
         return np.linalg.norm(x, axis=0)
     sumsq = np.zeros(x.shape[1])
     for start in range(0, x.shape[0], _BLOCK_LINES):
-        sq = np.square(x[start : start + _BLOCK_LINES])
+        sq = np.square(x[start : start + _BLOCK_LINES], order="C")
         sq[0] += sumsq
         sumsq = np.add.reduce(sq, axis=0)
     return np.sqrt(sumsq)
@@ -647,13 +654,18 @@ def _margins(features: np.ndarray, labels: np.ndarray, v: np.ndarray) -> np.ndar
 
 
 def _logistic_grad(features: np.ndarray, labels: np.ndarray, rho: float, v: np.ndarray) -> np.ndarray:
-    """Mean log-loss gradient over the given rows plus the regularizer gradient."""
-    # imported here, not at module level: scipy.special is most of the package's
-    # import time and memory, and only the logistic runs use it
-    from scipy.special import expit
+    """Mean log-loss gradient over the given rows plus the regularizer gradient.
 
+    The loss derivative expit(-m) is scipy's own formula 1/(1 + exp(m)), evaluated
+    with numpy's exp, so no run loads scipy.special.  A margin above about 709
+    overflows exp to inf and gives 0, expit's limit; the overflow is not warned."""
     m = _margins(features, labels, v)
-    coef = labels * expit(-m) / features.shape[0]
+    with np.errstate(over="ignore"):
+        coef = np.exp(m, out=m)
+    coef += 1.0
+    np.divide(1.0, coef, out=coef)
+    coef *= labels
+    coef /= features.shape[0]
     g = np.empty(v.shape)
     g[0] = -np.sum(coef)
     g[1:] = -(coef @ features) + 2.0 * rho * v[1:]

@@ -251,7 +251,7 @@ def test_cli_import_does_not_load_scipy_optimize():
     # nothing in softqn needs scipy.optimize, which took about 0.3 s of the CLI's import;
     # scipy.linalg adds about 6.5 MB to the peak RSS of a fresh import of the package and
     # only proptest needs it; scipy.special took about 0.22 s and 19 MB of the 0.34 s and
-    # 53 MB of a fresh `import softqn`, and only the logistic gradient needs it.  A fresh
+    # 53 MB of a fresh `import softqn`, and nothing needs it any more.  A fresh
     # `import softqn.cli` measured 0.44 s and 59.8 MB with both, 0.14 s and 34.2 MB
     # without (medians of 8)
     env = {**os.environ, "PYTHONPATH": str(Path(softqn.__file__).resolve().parents[1])}

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -500,6 +501,28 @@ def test_libsvm_whole_file_agrees_with_the_token_scan(tmp_path, monkeypatch, blo
     assert loaded > 200
 
 
+def test_libsvm_features_are_column_major_and_bitwise_the_row_major_reference(tmp_path, monkeypatch):
+    # several row blocks, each long enough for numpy's pairwise summation down a
+    # column, and magnitudes spread wide enough that the order of the squares'
+    # summation shows in the norms' last bits
+    monkeypatch.setattr(problems, "_BLOCK_LINES", 64)
+    rng = np.random.default_rng(12)
+    lines, x, _ = _block_file(rng, 300, 22)
+    scale = np.exp(rng.uniform(-30, 30, x.shape))
+    lines = [
+        f"{line.split(' ', 1)[0]}" + "".join(f" {j + 1}:{float(v)!r}" for j, v in enumerate(row) if v != 0.0) + "\n"
+        for line, row in zip(lines, x * scale)
+    ]
+    f = tmp_path / "wide.libsvm"
+    f.write_text("".join(lines))
+    for normalize in (False, True):
+        got = load_libsvm(f, normalize=normalize).features
+        want, _ = _reference_load(f, normalize=normalize)
+        assert got.flags.f_contiguous and want.flags.c_contiguous
+        assert got.shape == want.shape == (300, 22)
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_libsvm_load_peak_memory_stays_near_the_matrix(tmp_path):
     # ijcnn1-like rows: a one-hot feature among ten and twelve continuous ones
     rng = np.random.default_rng(8)
@@ -530,6 +553,17 @@ def test_column_norms_are_bitwise_numpys(monkeypatch):
         npt.assert_array_equal(
             problems._column_norms(x).view(np.int64), np.linalg.norm(x, axis=0).view(np.int64)
         )
+    # a column-major x gives the row-major matrix's norms, whose squares are added
+    # row after row, where numpy would sum each contiguous column pairwise
+    for block_lines in (7, 64, 4096):
+        monkeypatch.setattr(problems, "_BLOCK_LINES", block_lines)
+        for rows, cols in [(1, 1), (3, 0), (300, 1), (7, 3), (300, 22), (5000, 22), (50, 200)]:
+            x = rng.standard_normal((rows, cols)) * np.exp(rng.uniform(-300, 300, (rows, cols)))
+            x[rng.random((rows, cols)) < 0.3] = 0.0
+            npt.assert_array_equal(
+                problems._column_norms(np.asfortranarray(x)).view(np.int64),
+                np.linalg.norm(x, axis=0).view(np.int64),
+            )
 
 
 def test_libsvm_rejects_empty_file(tmp_path):
@@ -590,43 +624,75 @@ def test_minibatch_is_unbiased():
     assert np.all(np.abs(err) <= band + 1e-12)
 
 
-_LAZY_EXPIT_SCRIPT = """
-import sys
+_NO_SCIPY_SPECIAL_SCRIPT = """
+import sys, tempfile
 import numpy as np
-from softqn.experiments import fixture_dataset_path
+from softqn.experiments import fixture_dataset_path, run_logreg
 from softqn.problems import load_libsvm, logistic_problem, minibatch_gradient
 
-before = "scipy.special" in sys.modules
+with tempfile.TemporaryDirectory() as out:
+    run_logreg({"trials": 2, "iterations": 20}, out)
 data = load_libsvm(fixture_dataset_path())
 rho = 0.1
 x = 0.3 * np.random.default_rng(5).standard_normal(data.n_features + 1)
 g = logistic_problem(data, rho).grad(x)
-after = "scipy.special" in sys.modules
 g_batch = minibatch_gradient(data, rho, x, 37, np.random.default_rng(6))
 
-from scipy.special import expit
-
 def reference(z, y):
-    coef = y * expit(-(y * (x[0] + z @ x[1:]))) / z.shape[0]
+    coef = y * (1.0 / (1.0 + np.exp(y * (x[0] + z @ x[1:])))) / z.shape[0]
     out = np.empty(x.shape)
     out[0] = -np.sum(coef)
     out[1:] = -(coef @ z) + 2.0 * rho * x[1:]
     return out
 
+def same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
 idx = np.random.default_rng(6).choice(data.n_samples, size=37, replace=False)
-print(before, after, np.array_equal(g, reference(data.features, data.labels)),
-      np.array_equal(g_batch, reference(data.features[idx], data.labels[idx])))
+print("scipy.special" in sys.modules, same_bits(g, reference(data.features, data.labels)),
+      same_bits(g_batch, reference(data.features[idx], data.labels[idx])))
 """
 
 
-def test_logistic_gradient_loads_scipy_special_on_first_use():
-    # `import softqn.problems` leaves scipy.special out (most of the package's import
-    # cost); the first logistic gradient loads it, and the result is the expit formula
+def test_logistic_runs_never_load_scipy_special():
+    # the loss derivative is scipy's expit formula in numpy, so a whole logreg run
+    # leaves scipy.special (about 25 MB of a worker's peak RSS) unloaded
     env = {**os.environ, "PYTHONPATH": str(Path(problems.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", _LAZY_EXPIT_SCRIPT], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", _NO_SCIPY_SPECIAL_SCRIPT], capture_output=True, text=True, check=True, env=env
     )
-    assert proc.stdout.split() == ["False", "True", "True", "True"]
+    assert proc.stdout.split() == ["False", "True", "True"]
+
+
+def test_logistic_gradient_is_finite_at_margins_beyond_exp_overflow():
+    data = problems.LogisticDataset(
+        features=np.asfortranarray([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), labels=np.array([1.0, -1.0, 1.0])
+    )
+    p = logistic_problem(data, rho=0.1)
+    for scale in (710.0, 1e5, 1e300):
+        for v in (np.array([0.0, scale, -scale]), np.array([0.0, -scale, scale])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g = p.grad(v)
+            assert np.all(np.isfinite(g)), (scale, v)
+    # every margin far positive: the data term is exactly 0 (expit's limit), the
+    # regularizer term is left
+    v = np.array([0.0, 800.0, -800.0])
+    npt.assert_array_equal(p.grad(v), np.concatenate([[-0.0], 2.0 * 0.1 * v[1:]]))
+
+
+def test_logistic_gradient_does_not_depend_on_the_feature_layout():
+    data = load_libsvm(fixture_dataset_path())
+    assert data.features.flags.f_contiguous
+    row_major = problems.LogisticDataset(features=np.ascontiguousarray(data.features), labels=data.labels)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        v = 0.5 * rng.standard_normal(data.n_features + 1)
+        g = logistic_problem(data, 0.1).grad(v)
+        g_c = logistic_problem(row_major, 0.1).grad(v)
+        # a different summation order in the matrix-vector products: a few ulp of
+        # the terms' size
+        npt.assert_allclose(g_c, g, rtol=0, atol=8 * np.finfo(float).eps * np.max(np.abs(g)))
 
 
 def test_minibatch_validates_batch_size():

@@ -455,11 +455,12 @@ def test_rank_two_is_bitwise_the_outer_product_form_at_the_edges(s, hy, c_hh, co
     _assert_same_bits(out, reference)
 
 
-def _double_range_vectors(size):
-    """Entries log-uniform in [1e-200, 1e200] with random signs, some of them 0.0 or -0.0."""
+def _double_range_vectors(size, zero_one_in=8):
+    """Entries log-uniform in [1e-200, 1e200] with random signs, about one in
+    ``zero_one_in`` of them 0.0 or -0.0."""
     entry = st.builds(
         lambda zero, exponent, sign: math.copysign(0.0 if zero else 10.0**exponent, sign),
-        st.integers(0, 7).map(lambda k: k == 0),
+        st.integers(1, zero_one_in).map(lambda k: k == 1),
         st.floats(-200.0, 200.0),
         st.sampled_from([1.0, -1.0]),
     )
@@ -469,9 +470,12 @@ def _double_range_vectors(size):
 @st.composite
 def _rank_two_inputs(draw):
     n = draw(st.integers(1, 12))
-    h = draw(_double_range_vectors(n * n)).reshape(n, n)
-    s = draw(_double_range_vectors(n))
-    hy = draw(_double_range_vectors(n))
+    # In half the examples every other entry is a zero, so that zero products whose
+    # sign survives into H' (zeros in s and Hy at one index, and in H) are common.
+    zero_one_in = draw(st.sampled_from([8, 2]))
+    h = draw(_double_range_vectors(n * n, zero_one_in)).reshape(n, n)
+    s = draw(_double_range_vectors(n, zero_one_in))
+    hy = draw(_double_range_vectors(n, zero_one_in))
     c_hh, c_hs, c_ss = draw(_double_range_vectors(3))
     c_hh = draw(st.sampled_from([0.0, c_hh]))
     # the same entries repeated past the einsum threshold take the other path
