@@ -88,13 +88,28 @@ def penalty_objective(spec: PenaltyObjectiveSpec, b: np.ndarray) -> float:
     return float(np.sum(b * h)) - logdet_b - logdet_h + spec.alpha * secant_pen
 
 
-def _gradient(spec: PenaltyObjectiveSpec, b: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Matrix gradient of U at B, which doubles as the stationarity residual matrix."""
-    n = b.shape[0]
+def _gradient_and_scale(spec: PenaltyObjectiveSpec, l: np.ndarray):
+    """Matrix gradient of U at B = l l', and the sum of its terms' Frobenius norms,
+    ||H|| + ||B^{-1}|| + alpha*(||s||^2 + ||w||^2) with w = B^{-1}y.
+
+    The residual cannot be resolved below a few ulps of that sum, so the
+    minimizer's tolerance is relative to it.
+    """
+    n = l.shape[0]
     b_inv = cho_solve((l, True), np.eye(n))
     w = cho_solve((l, True), spec.y)
     g = spec.h_prev - b_inv + spec.alpha * (np.outer(spec.s, spec.s) - np.outer(w, w))
-    return 0.5 * (g + g.T)
+    scale = (
+        float(np.linalg.norm(spec.h_prev))
+        + float(np.linalg.norm(b_inv))
+        + spec.alpha * (float(spec.s @ spec.s) + float(w @ w))
+    )
+    return 0.5 * (g + g.T), scale
+
+
+def _gradient(spec: PenaltyObjectiveSpec, b: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Matrix gradient of U at B, which doubles as the stationarity residual matrix."""
+    return _gradient_and_scale(spec, l)[0]
 
 
 def stationarity_residual(spec: PenaltyObjectiveSpec, b: np.ndarray) -> float:
@@ -128,7 +143,7 @@ def _newton_matrix(spec: PenaltyObjectiveSpec, b_inv: np.ndarray, basis: np.ndar
 
 
 def minimize_penalty_objective(
-    spec: PenaltyObjectiveSpec, tol: float = 1e-9, max_iter: int = 1_000_000
+    spec: PenaltyObjectiveSpec, tol: float = 3e-12, max_iter: int = 1_000_000
 ) -> OracleResult:
     """Minimize U over symmetric PD matrices B by damped Newton steps.
 
@@ -139,9 +154,13 @@ def minimize_penalty_objective(
     residual falls; from the first step accepted that way on, the residual
     alone judges trials.  Each phase thus strictly lowers one quantity and
     cannot cycle on rounding noise.  Stops once the residual is at most
-    ``tol``; raises NoConvergenceError when halving no longer moves B (the
-    residual cannot be lowered, e.g. ``tol`` lies below its rounding floor) or
-    after ``max_iter`` Newton steps.
+    ``tol`` times the size of the gradient's terms,
+    ||H|| + ||B^{-1}|| + alpha*(||s||^2 + ||w||^2) with w = B^{-1}y (Frobenius
+    norms at the current B): the residual's rounding floor grows with those
+    terms, so an absolute tolerance is out of reach on stiff specs (large
+    alpha*||s||^2).  Raises NoConvergenceError when halving no longer moves B
+    (the residual cannot be lowered, e.g. ``tol`` lies below its rounding
+    floor) or after ``max_iter`` Newton steps.
     """
     n = spec.h_prev.shape[0]
     basis = _symmetric_basis(n)
@@ -156,11 +175,11 @@ def minimize_penalty_objective(
     b = 0.5 * (b + b.T)
     value = objective(b)
     l = cholesky(b, lower=True)
-    grad = _gradient(spec, b, l)
+    grad, scale = _gradient_and_scale(spec, l)
     residual = float(np.linalg.norm(grad, "fro"))
     u_is_flat = False
     iterations = 0
-    while residual > tol:
+    while residual > tol * scale:
         if iterations == max_iter:
             raise NoConvergenceError(f"no convergence within {max_iter} Newton steps")
         iterations += 1
@@ -174,7 +193,8 @@ def minimize_penalty_objective(
             trial = b + t * step
             if np.array_equal(trial, b):
                 raise NoConvergenceError(
-                    f"Newton step collapsed at residual {residual:.3e} > tol {tol:.1e}"
+                    f"Newton step collapsed at residual {residual:.3e} > tol*scale "
+                    f"{tol:.1e}*{scale:.3e}"
                 )
             trial_value = objective(trial)
             if not u_is_flat and trial_value < value + t * armijo_slope:
@@ -185,7 +205,7 @@ def minimize_penalty_objective(
             t *= 0.5
         b, value = trial, trial_value
         l = cholesky(b, lower=True)
-        grad = _gradient(spec, b, l)
+        grad, scale = _gradient_and_scale(spec, l)
         residual = float(np.linalg.norm(grad, "fro"))
 
     h_star = cho_solve((l, True), np.eye(n))

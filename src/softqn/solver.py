@@ -10,7 +10,7 @@ definiteness region, and plain BFGS skips pairs without positive curvature.
 
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Optional
+from typing import ClassVar, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -82,15 +82,69 @@ class _QuasiNewton(_Method):
         return biased_direction(h, g)
 
 
+# A refresh costs one eigvalsh, 1.3 to 5.5 Cholesky factorizations at n = 10 to
+# 1000 (one BLAS thread, 2-vCPU Xeon), so it is paid only for a bound that has
+# already saved more guards than that.
+_REFRESH_AFTER = 8
+
+
+class _CertifiedH(NamedTuple):
+    """SoftQn's H: the matrix, a certified interval (lo, hi) on its spectrum or
+    None when unknown, and how many updates in a row that interval has certified."""
+
+    matrix: np.ndarray
+    bounds: Optional[Tuple[float, float]]
+    certified: int = 0
+
+
+def _eigvalsh_bounds(h: np.ndarray) -> Optional[Tuple[float, float]]:
+    """An interval on the spectrum of symmetric h from eigvalsh, or None when it is not positive.
+
+    eigvalsh is backward stable, |lambda^ - lambda| <= p(n)*u*||h||_2 with a
+    modestly growing p(n); p(n) = 4n^2 stands in for it here.
+    """
+    w = np.linalg.eigvalsh(h)
+    n = h.shape[0]
+    slack = 4.0 * n * n * 2.0**-53 * max(abs(float(w[0])), abs(float(w[-1])))
+    lo, hi = float(w[0]) - slack, float(w[-1]) + slack
+    return (lo, hi) if 0.0 < lo and np.isfinite(hi) else None
+
+
 @dataclass(frozen=True)
 class SoftQn(_QuasiNewton):
-    """Penalized-secant quasi-Newton; updates on every pair."""
+    """Penalized-secant quasi-Newton; updates on every pair.
+
+    H is a ``_CertifiedH``: next to the matrix it carries a certified interval
+    on the spectrum, exactly [1, 1] for the default identity start and from one
+    eigvalsh for any other h0.  ``soft_qn_update`` moves the interval through
+    each update and skips its O(n^3) Cholesky guard while the interval proves
+    the guard would pass.  Once it proves nothing, the guard runs on every
+    update; the interval is refreshed from eigvalsh of the guarded H' only if
+    the old one had certified at least ``_REFRESH_AFTER`` updates, and stays
+    unknown otherwise.  H' and every decision are those of the plain update.
+    ``direction`` and ``absorb`` also take a plain matrix, which carries no
+    interval (``absorb`` then returns a plain matrix).
+    """
 
     policy: ConstantAlpha = ConstantAlpha(1.0)
 
+    def initial_h(self, n: int, h0: Optional[np.ndarray]) -> _CertifiedH:
+        h = super().initial_h(n, h0)
+        return _CertifiedH(h, (1.0, 1.0) if h0 is None else _eigvalsh_bounds(h))
+
+    def direction(self, h, g, hess):
+        return biased_direction(getattr(h, "matrix", h), g)
+
     def absorb(self, h, s, y):
-        h_new, _ = soft_qn_update(h, s, y, self.policy.value(h, s, y))
-        return h_new, True
+        if not isinstance(h, _CertifiedH):
+            h_new, _ = soft_qn_update(h, s, y, self.policy.value(h, s, y))
+            return h_new, True
+        h_new, scratch = soft_qn_update(h.matrix, s, y, self.policy.value(h.matrix, s, y), h.bounds)
+        if scratch.bounds is not None:
+            return _CertifiedH(h_new, scratch.bounds, h.certified + 1), True
+        if h.certified >= _REFRESH_AFTER:
+            return _CertifiedH(h_new, _eigvalsh_bounds(h_new)), True
+        return _CertifiedH(h_new, None), True
 
 
 @dataclass(frozen=True)

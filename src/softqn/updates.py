@@ -11,7 +11,7 @@ baselines, together with cheap spectral-bound machinery for choosing alpha.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -58,10 +58,13 @@ class EigenBounds(NamedTuple):
 
 
 class SoftQnScratch(NamedTuple):
-    """Intermediates of a soft QN update: the scaling gamma and the rank-one direction u."""
+    """Intermediates of a soft QN update: the scaling gamma, the rank-one direction u,
+    and ``bounds``, a certified interval (lo, hi) on the spectrum of H' (None unless
+    the update carried one through, see ``soft_qn_update``)."""
 
     gamma: float
     u: np.ndarray
+    bounds: Optional[Tuple[float, float]] = None
 
 
 def is_positive_definite(a: np.ndarray) -> bool:
@@ -151,7 +154,7 @@ def soft_qn_gamma(alpha: float, y_h_y: float, s_t_y: float) -> float:
     return 0.5 + math.sqrt(0.25 + alpha * y_h_y + t * t)
 
 
-def soft_qn_update(h, s, y, alpha):
+def soft_qn_update(h, s, y, alpha, bounds=None):
     """Penalized-secant update of a positive definite inverse-Hessian approximation.
 
     Computes H' = H + alpha*ss' - (alpha/gamma^2)*vv' with v = Hy + alpha*(s'y)*s,
@@ -159,7 +162,17 @@ def soft_qn_update(h, s, y, alpha):
     is reached without loss of monotonicity in floating point.  Well defined for every
     pair (s, y), including s = 0 or s'y <= 0.  H' is exactly symmetric when H is.
 
-    Returns ``(h_new, scratch)`` where ``scratch`` carries gamma and u = v/gamma.
+    H' is checked for positive definiteness by a Cholesky factorization
+    (``is_positive_definite``), which raises UpdateConsistencyError on failure,
+    unless ``bounds`` proves that check cannot fail.  ``bounds`` is an optional
+    certified interval (lo, hi) on the spectrum of H; ``_carry_bounds`` moves it
+    to H' in O(n), and when the interval it gets proves that Cholesky succeeds on
+    H', the factorization is skipped.  The decision and H' are the same either
+    way.  Without ``bounds``, or when the carried interval proves nothing, the
+    guard runs as before.
+
+    Returns ``(h_new, scratch)`` where ``scratch`` carries gamma, u = v/gamma and
+    the certified interval on H' when the guard was skipped (None when it ran).
     """
     _check_pair(h, s, y)
     hy = h @ y
@@ -170,15 +183,152 @@ def soft_qn_update(h, s, y, alpha):
     # alpha*ss' - (alpha/g2)*vv' regrouped; the ss' coefficient uses the identity
     # gamma^2 - (alpha*s'y)^2 = gamma + alpha*y'Hy, which avoids forming the
     # difference of two huge multiples of ss' at large alpha.
+    c_hh = alpha / g2
+    c_hs = alpha * (alpha * s_t_y) / g2
     c_ss = alpha * (gamma + alpha * max(y_h_y, 0.0)) / g2
-    h_new = _rank_two(h, hy, s, alpha / g2, alpha * (alpha * s_t_y) / g2, c_ss)
-    if not is_positive_definite(h_new):
+    h_new = _rank_two(h, hy, s, c_hh, c_hs, c_ss)
+    if bounds is not None:
+        bounds = _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss)
+    if bounds is None and not is_positive_definite(h_new):
         raise UpdateConsistencyError(
             "soft QN update lost positive definiteness; this points at a numerical "
             "problem in the inputs (H far from symmetric PD or wildly scaled data)"
         )
     u = (hy + (alpha * s_t_y) * s) / gamma
-    return h_new, SoftQnScratch(gamma=gamma, u=u)
+    return h_new, SoftQnScratch(gamma=gamma, u=u, bounds=bounds)
+
+
+_U = 2.0**-53  # unit roundoff of float64
+_ETA = 2.0**-1074  # smallest subnormal: the absolute error one underflowing product can add
+# Certified bounds must stay inside [2**-960, 2**960], where neither _rank_two's
+# products nor the Cholesky factorization can overflow, and underflow is lost in
+# rounding.
+_TINY, _HUGE = 2.0**-960, 2.0**960
+# Demmel's condition, met with this factor to spare, is what skips the guard.
+_CHOLESKY_SAFETY = 4.0
+
+
+def _gamma_k(k):
+    """Higham's gamma_k = k*u/(1 - k*u): the relative error of k chained roundings."""
+    return k * _U / (1.0 - k * _U)
+
+
+_G2, _G4, _G5, _G6 = (_gamma_k(k) for k in (2, 4, 5, 6))
+
+
+def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss):
+    """Certified interval on the spectrum of the computed soft update, or None.
+
+    ``bounds`` = (lo, hi) encloses the spectrum of the symmetric H; the other
+    arguments are the computed quantities of ``soft_qn_update``.  Returns
+    (lo', hi') enclosing the spectrum of fl(H'), the matrix ``_rank_two``
+    returned, when it also proves that Cholesky succeeds on fl(H'), and None
+    otherwise.  Costs three dot products and a few dozen float operations.
+
+    Exact arithmetic.  With A = H + alpha*ss', the update is
+    H' = A - (alpha/gamma^2)(Ay)(Ay)', and gamma^2 - gamma = alpha*y'Ay, so on
+    w = A^(1/2)y the rank-one factor I - (alpha/gamma^2)ww' has eigenvalues 1
+    and 1/gamma.  Hence H/gamma <= A/gamma <= H' <= A, and
+    lo/gamma <= lambda_min(H'), lambda_max(H') <= hi + alpha*||s||^2.
+
+    Rounding.  u = 2^-53, gamma_k = k*u/(1 - k*u), eta = 2^-1074 (one product
+    that underflows adds at most eta/2); ||s||, ||y||, ||h^|| are upper bounds
+    from one dot product each, and ||H||_F <= sqrt(n)*hi.  H' here is the exact update
+    of the stored H, s, y and alpha; eps bounds ||fl(H') - H'||_2:
+
+    - h^ = fl(Hy): |h^ - Hy| <= gamma_n*|H||y| + n*eta entrywise, so
+      e_h = gamma_n*sqrt(n)*hi*||y|| + n^1.5*eta bounds ||h^ - Hy||.
+    - q^ = fl(y'h^): e_q = gamma_n*||y||*||h^|| + ||y||*e_h + n*eta bounds
+      |q^ - y'Hy|; q+ = max(q^, 0) is no farther from y'Hy >= 0.
+    - t^ = fl(s'y): e_t = gamma_n*||s||*||y|| + n*eta bounds |t^ - s'y|.  This is
+      an absolute bound: when s and y are nearly orthogonal, s'y cancels and t^
+      may have no correct digit.  So e_t enters below through alpha^2*e_t (in
+      gamma and in c_hs), never as a relative error of t^.
+    - gamma: D = alpha*y'Hy + alpha^2*(s'y)^2 differs from its value at (q+, t^)
+      by at most e_D = alpha*e_q + alpha^2*e_t*(2|t^| + e_t), which moves
+      1/2 + sqrt(1/4 + D) by at most e_D/gamma; evaluating gamma^ takes at most
+      six roundings of positive terms (underflow there is far below u/4).  So
+      |gamma^ - gamma| <= e_g = gamma_6*gamma^/(1 - gamma_6) + e_D*(1 + gamma_6)/gamma^,
+      and gamma lies in [g_lo, g_up] = [max(1, gamma^ - e_g), gamma^ + e_g].
+    - The coefficients c_hh = alpha/gamma^2, c_hs = alpha^2*(s'y)/gamma^2 and
+      c_ss = alpha/gamma + alpha^2*(y'Hy)/gamma^2 are monotone in gamma on
+      [g_lo, g_up], and their computed values carry 2, 4 and 5 roundings.  With
+      d2 >= 1/g_lo^2 - 1/g_up^2 and d1 >= 1/g_lo - 1/g_up (both from
+      g_up - g_lo <= 2*e_g) and z = 4*(1 + alpha)*eta for underflow:
+        |c_hh^ - c_hh| <= alpha*d2 + gamma_2*c_hh^ + z
+        |c_hs^ - c_hs| <= alpha^2*e_t/g_lo^2 + alpha^2*(|t^| + e_t)*d2 + gamma_4*|c_hs^| + z
+        |c_ss^ - c_ss| <= alpha*d1 + alpha^2*e_q/g_lo^2 + alpha^2*(q+ + e_q)*d2 + gamma_5*c_ss^ + z
+    - H' - M, where M is the exact rank-two form of the computed h^ and
+      coefficients: each term c*ab' moves by |c^ - c|*||a||*||b|| through its
+      coefficient and by |c|*||a b' - a^ b^'|| through h^, so with C_x = |c_x^| + |c_x^ - c_x|,
+        ||M - H'|| <= |dc_hh|*||h^||^2 + C_hh*e_h*(2||h^|| + e_h)
+                      + 2|dc_hs|*||h^||*||s|| + 2*C_hs*e_h*||s|| + |dc_ss|*||s||^2.
+    - fl(H') - M: every entry of ``_rank_two``'s result has at most five
+      roundings along any of its terms (product, scaling, and up to three sums),
+      so ||fl(H') - M|| <= gamma_5*(sqrt(n)*hi + c_hh^*||h^||^2
+      + 2|c_hs^|*||h^||*||s|| + c_ss^*||s||^2) + n*(c_hh^ + 2|c_hs^| + c_ss^ + 3)*eta.
+
+    eps is twice the sum of the last two bounds: the factor covers the
+    second-order terms and the rounding of this O(1) evaluation.  By Weyl,
+      lo' = (lo/g_up)*(1 - 4u) - eps <= lambda_min(fl(H')),
+      hi' = (hi + alpha*||s||^2)*(1 + 4u) + eps >= lambda_max(fl(H')).
+
+    Certificate.  By Demmel's theorem (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.7), Cholesky succeeds on a symmetric
+    matrix whose diagonally scaled form has lambda_min above
+    n*gamma_(n+1)/(1 - gamma_(n+1)); since every diagonal entry is at most hi',
+    lo' > n*gamma_(n+1)/(1 - gamma_(n+1))*hi' suffices.  The interval is
+    returned when lo' exceeds that by the factor _CHOLESKY_SAFETY, every
+    quantity is finite, and lo', hi' and the products ``_rank_two`` forms lie in
+    [2^-960, 2^960].  The factor's diagonal is then finite too, so
+    ``is_positive_definite`` would have returned True.
+    """
+    lo, hi = bounds
+    if not (0.0 < lo <= hi < _HUGE):
+        return None
+    n = s.size
+    g_n = _gamma_k(n)
+    # upper bounds on ||s||, ||y||, ||h^||: fl(v'v) is within gamma_n*v'v + n*eta
+    # of v'v, and the square root adds one rounding
+    up = 1.0 + 2.0 * g_n
+    neta = n * _ETA
+    ns = math.sqrt((float(s @ s) + neta) * up) * (1.0 + 2.0 * _U)
+    ny = math.sqrt((float(y @ y) + neta) * up) * (1.0 + 2.0 * _U)
+    nh = math.sqrt((float(hy @ hy) + neta) * up) * (1.0 + 2.0 * _U)
+    e_h = g_n * math.sqrt(n) * hi * ny + n * math.sqrt(n) * _ETA
+    e_q = g_n * ny * nh + ny * e_h + n * _ETA
+    e_t = g_n * ns * ny + n * _ETA
+    q, t = max(y_h_y, 0.0), abs(s_t_y)
+    aa = alpha * alpha
+    e_d = alpha * e_q + aa * e_t * (2.0 * t + e_t)
+    e_g = _G6 * gamma / (1.0 - _G6) + e_d * (1.0 + _G6) / gamma
+    g_up = gamma + e_g
+    g_lo = max(1.0, gamma - e_g)
+    d1 = 2.0 * e_g / (g_lo * g_up)
+    d2 = d1 * (g_up + g_lo) / (g_lo * g_up)
+    z = 4.0 * (1.0 + alpha) * _ETA
+    dc_hh = alpha * d2 + _G2 * c_hh + z
+    dc_hs = aa * e_t / (g_lo * g_lo) + aa * (t + e_t) * d2 + _G4 * abs(c_hs) + z
+    dc_ss = alpha * d1 + aa * e_q / (g_lo * g_lo) + aa * (q + e_q) * d2 + _G5 * c_ss + z
+    hh, hs, ss = nh * nh, nh * ns, ns * ns
+    e_coef = (
+        dc_hh * hh
+        + (c_hh + dc_hh) * e_h * (2.0 * nh + e_h)
+        + 2.0 * dc_hs * hs
+        + 2.0 * (abs(c_hs) + dc_hs) * e_h * ns
+        + dc_ss * ss
+    )
+    terms = math.sqrt(n) * hi + c_hh * hh + 2.0 * abs(c_hs) * hs + c_ss * ss
+    e_round = _G5 * terms + n * (c_hh + 2.0 * abs(c_hs) + c_ss + 3.0) * _ETA
+    eps = 2.0 * (e_coef + e_round)
+    lo_new = lo / g_up * (1.0 - 4.0 * _U) - eps
+    hi_new = (hi + alpha * ss) * (1.0 + 4.0 * _U) + eps
+    g_chol = _gamma_k(n + 1)
+    threshold = _CHOLESKY_SAFETY * n * g_chol / (1.0 - g_chol)
+    in_range = hi_new < _HUGE and hh < _HUGE and ss < _HUGE and terms < _HUGE
+    if in_range and lo_new > _TINY and lo_new > threshold * hi_new:
+        return lo_new, hi_new
+    return None
 
 
 def soft_qn_alpha_bound(h, s, y, bounds: EigenBounds, lam_min: float, lam_max: float) -> float:

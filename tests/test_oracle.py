@@ -129,12 +129,42 @@ def test_minimizer_matches_closed_form_n2():
     assert result.objective_value <= penalty_objective(spec, np.linalg.inv(spec.h_prev)) + 1e-12
 
 
+_STIFF = _spec(np.eye(2), np.array([10.0, 0.0]), np.array([0.1, 0.3]), 1e8)
+
+
 def test_minimizer_raises_when_tol_is_below_the_rounding_floor():
-    # alpha*ss' has entries of 1e10, so the residual cannot be resolved to 1e-9
+    # alpha*ss' has entries of 1e10, so the residual cannot be resolved to 1e-10
     # (it is 5e-6 at the closed form); the loop must give up instead of cycling
-    spec = _spec(np.eye(2), np.array([10.0, 0.0]), np.array([0.1, 0.3]), 1e8)
     with pytest.raises(NoConvergenceError, match="collapsed"):
-        minimize_penalty_objective(spec)
+        minimize_penalty_objective(_STIFF, tol=1e-20)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # alpha*||s||^2 = 2.0e5 and 1.3e4: two of the seed-8 stiff draws below
+        _spec(
+            np.array([[7.5983488050516295, 0.9802170036748361], [0.9802170036748361, 2.136728023199394]]),
+            np.array([5.508476990609921, -8.85863516276167]),
+            np.array([1.6820411127691062, 1.0794808141493613]),
+            1881.3515705599116,
+        ),
+        _spec(
+            np.array([[4.771182279596895, 1.2152498404922998], [1.2152498404922998, 1.2791848177641556]]),
+            np.array([6.8698940286993375, 7.224953778385487]),
+            np.array([8.022519534785935, -8.730974926274943]),
+            127.6710112842187,
+        ),
+    ],
+    ids=["alpha_ss_2e5", "alpha_ss_1e4"],
+)
+def test_minimizer_converges_on_stiff_specs_with_its_relative_tolerance(spec):
+    # an absolute tolerance of 1e-9 lies below these residuals' rounding floors
+    # (the Newton step collapsed at 5.2e-7 and 1.3e-9); relative to the size of
+    # the gradient's terms it is reached, and H agrees with the closed form
+    result = minimize_penalty_objective(spec)
+    h_new, _ = soft_qn_update(spec.h_prev, spec.s, spec.y, spec.alpha)
+    assert np.linalg.norm(result.h_star - h_new) <= 1e-5 * (1.0 + np.linalg.norm(spec.h_prev))
 
 
 def test_minimizer_converges_or_collapses_on_stiff_specs():

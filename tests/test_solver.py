@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softqn.experiments import fixture_dataset_path
 from softqn.noise import GaussianNoise, MinibatchSampling, NoisyOracle, SphereNoise, UniformNoise
@@ -170,6 +172,11 @@ def test_stochastic_bfgs_skips_exactly_when_the_kernel_raises(scale):
 _QN_METHODS = [SoftQn(ConstantAlpha(2.0)), SpBfgs(ConstantBeta(1.0)), StochasticBfgs()]
 
 
+def _matrix(h):
+    """The matrix of a method's H (SoftQn keeps it in a record with its spectrum bounds)."""
+    return getattr(h, "matrix", h)
+
+
 @pytest.mark.parametrize("method", _QN_METHODS, ids=lambda m: type(m).__name__)
 def test_symmetric_h0_stays_exactly_symmetric_through_absorb(method):
     # the kernels do not symmetrize: an exactly symmetric start must stay so
@@ -179,23 +186,23 @@ def test_symmetric_h0_stays_exactly_symmetric_through_absorb(method):
     h0 = a @ a.T / n + np.eye(n)
     assert np.array_equal(h0, h0.T)
     h = method.initial_h(n, h0)
-    npt.assert_array_equal(h, h0)
-    assert not np.shares_memory(h, h0)
+    npt.assert_array_equal(_matrix(h), h0)
+    assert not np.shares_memory(_matrix(h), h0)
     curvature = a @ a.T + np.eye(n)
     for _ in range(3):
         s = rng.standard_normal(n)
         h, applied = method.absorb(h, s, curvature @ s)
         assert applied
-        assert np.array_equal(h, h.T)
+        assert np.array_equal(_matrix(h), _matrix(h).T)
 
 
 @pytest.mark.parametrize("method", _QN_METHODS, ids=lambda m: type(m).__name__)
 def test_asymmetric_h0_comes_back_symmetrized(method):
     h0 = np.array([[2.0, 0.3], [0.1, 1.0]])
     h = method.initial_h(2, h0)
-    npt.assert_array_equal(h, [[2.0, 0.2], [0.2, 1.0]])
+    npt.assert_array_equal(_matrix(h), [[2.0, 0.2], [0.2, 1.0]])
     npt.assert_array_equal(h0, [[2.0, 0.3], [0.1, 1.0]])
-    npt.assert_array_equal(method.initial_h(2, None), np.eye(2))
+    npt.assert_array_equal(_matrix(method.initial_h(2, None)), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -534,3 +541,103 @@ def test_toy_walk_visits_reference_points():
     d_early = np.linalg.norm(pts - np.array([0.827, -0.230]), axis=1).min()
     assert d_early <= 0.05
     assert np.linalg.norm(rec.final_x - np.array([0.7, -0.7])) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# SoftQn's certified spectrum bounds change no bit of a run
+
+
+def _soft_qn_trials():
+    """(oracle factory, method, step, budget, h0) for a QP, DIXMAANA and the toy walk."""
+    qp = gen_random_qp(20, 3)
+    dixmaana = cutest_like("DIXMAANA")
+    e_f = 1e-4 * abs(dixmaana.phi(dixmaana.x0))
+    e_g = 1e-4 * float(np.linalg.norm(dixmaana.grad(dixmaana.x0)))
+    toy = toy_2d()
+    return {
+        # alpha = 1e-2 exhausts the identity's bound and refreshes it from eigvalsh
+        "qp": (
+            lambda: NoisyOracle(qp, grad_noise=GaussianNoise(1.0), seed=5),
+            SoftQn(ConstantAlpha(1e-2)),
+            DiminishingStep(1.0),
+            Budget(iterations=400),
+            None,
+        ),
+        "dixmaana": (
+            lambda: NoisyOracle(dixmaana, fun_noise=UniformNoise(e_f), grad_noise=SphereNoise(e_g), seed=6),
+            SoftQn(ConstantAlpha(1e6)),
+            NoisyArmijo(eps_tol=e_f),
+            Budget(fun_evals=300),
+            None,
+        ),
+        "toy": (
+            lambda: NoisyOracle(toy, seed=7),
+            SoftQn(ConstantAlpha(8e5)),
+            FixedStep(0.01),
+            Budget(iterations=500),
+            np.linalg.inv(saddle_free_abs(toy.hess(toy.x0))),
+        ),
+    }
+
+
+def _int64_view(value):
+    return np.asarray(value, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("case", ["qp", "dixmaana", "toy"])
+def test_soft_qn_records_are_bitwise_the_same_without_the_certificate(case, monkeypatch):
+    from softqn import solver, updates
+
+    oracle, method, step, budget, h0 = _soft_qn_trials()[case]
+    counts = {"guards": 0, "refreshes": 0}
+    guard, refresh = updates.is_positive_definite, solver._eigvalsh_bounds
+
+    def counted_guard(a):
+        counts["guards"] += 1
+        return guard(a)
+
+    def counted_refresh(h):
+        counts["refreshes"] += 1
+        return refresh(h)
+
+    monkeypatch.setattr(updates, "is_positive_definite", counted_guard)
+    monkeypatch.setattr(solver, "_eigvalsh_bounds", counted_refresh)
+    on = run(oracle(), method, step, budget, h0=h0, keep_iterates=True)
+    on_counts = dict(counts)
+    counts.update(guards=0, refreshes=0)
+    monkeypatch.setattr(updates, "_carry_bounds", lambda *args: None)
+    off = run(oracle(), method, step, budget, h0=h0, keep_iterates=True)
+
+    assert on.iterations == off.iterations > 0
+    assert counts["guards"] == off.iterations  # the guard ran on every update
+    for field in dataclasses.fields(on):
+        a, b = getattr(on, field.name), getattr(off, field.name)
+        if field.name == "iterates":
+            a, b = np.array(a), np.array(b)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            npt.assert_array_equal(_int64_view(a), _int64_view(b), err_msg=field.name)
+        else:
+            assert a == b or (a != a and b != b), field.name
+    if case == "qp":
+        assert on_counts["guards"] < off.iterations // 10
+        assert on_counts["refreshes"] >= 1
+    if case == "dixmaana":  # the bound runs out at once and is never refreshed
+        assert on_counts["guards"] == off.iterations
+        assert on_counts["refreshes"] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 20),
+    seed=st.integers(0, 2**32 - 1),
+    log_alpha=st.floats(-8.0, 300.0),
+    noisy=st.booleans(),
+)
+def test_soft_qn_run_stays_finite_or_diverges_for_any_alpha(n, seed, log_alpha, noisy):
+    problem = gen_random_qp(n, seed)
+    oracle = NoisyOracle(problem, grad_noise=GaussianNoise(1.0) if noisy else None, seed=seed)
+    rec = run(oracle, SoftQn(ConstantAlpha(10.0**log_alpha)), DiminishingStep(0.5), Budget(iterations=30))
+    stop = rec.iterations + 1
+    assert np.isfinite(rec.grad_norms[:stop]).all() and np.isfinite(rec.suboptimality[:stop]).all()
+    assert rec.diverged or (np.isfinite(rec.grad_norms).all() and np.isfinite(rec.suboptimality).all())

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, given, settings, target
 from hypothesis import strategies as st
 
+from softqn import updates
 from softqn.updates import (
     ConstantAlpha,
     ConstantBeta,
@@ -490,6 +491,106 @@ def _rank_two_inputs(draw):
 def test_rank_two_is_bitwise_the_outer_product_form_over_the_double_range(args):
     with np.errstate(all="ignore"):
         _assert_same_bits(_rank_two(*args), _rank_two_reference(*args))
+
+
+# ---------------------------------------------------------------------------
+# certified spectrum bounds carried through the soft update
+
+
+def _demmel(n):
+    """n*gamma_(n+1)/(1 - gamma_(n+1)): Cholesky succeeds above this scaled lambda_min."""
+    g = (n + 1) * 2.0**-53 / (1.0 - (n + 1) * 2.0**-53)
+    return n * g / (1.0 - g)
+
+
+def _exact_spectrum(a):
+    """Eigenvalues of the float matrix a in 40-digit arithmetic, as mpf values.
+
+    Float eigvalsh would not do: its own error, about n*u*||a||, is as large as
+    the rounding bound under test, so a certificate without that bound passes it.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return sorted(mpmath.eigsy(mpmath.matrix(a.tolist()), eigvals_only=True))
+
+
+@st.composite
+def _certificate_inputs(draw):
+    """H with lambda_min near the certificate's threshold, s'y near 0 in half the
+    draws, and alpha, ||s||, ||y|| and the scale of H log-uniform."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hi = 10.0 ** draw(st.floats(-30.0, 30.0))
+    if draw(st.booleans()):  # a multiple of the identity: lo/gamma is tight
+        lam = np.full(n, hi)
+    else:
+        ratio = min(1.0, _demmel(n) * 10.0 ** draw(st.floats(-0.5, 2.5)))
+        lam = hi * np.concatenate([[ratio, 1.0], 10.0 ** rng.uniform(np.log10(ratio), 0.0, n)])[:n]
+    h = np.diag(lam)
+    if draw(st.booleans()):  # rotate by a Householder reflection
+        v = rng.standard_normal(n)
+        q = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
+        h = q @ h @ q
+        h = 0.5 * (h + h.T)
+    w = _exact_spectrum(h)
+    if not w[0] > 0:
+        return None
+    bounds = (math.nextafter(float(w[0] * (1 - 1e-30)), -math.inf), math.nextafter(float(w[-1] * (1 + 1e-30)), math.inf))
+    s = rng.standard_normal(n) * 10.0 ** draw(st.floats(-20.0, 20.0))
+    direction = draw(st.sampled_from(["random", "orthogonal", "lowest"]))
+    if direction == "lowest":  # along the eigenvector of lambda_min, where lo/gamma is reached
+        y = np.linalg.eigh(h)[1][:, 0]
+    else:
+        y = rng.standard_normal(n)
+    if direction == "orthogonal" and n > 1:  # s'y cancels down to a tiny remainder
+        y = y - (s @ y) / (s @ s) * s + 10.0 ** draw(st.floats(-20.0, 0.0)) * s / np.linalg.norm(s)
+    y = y / np.linalg.norm(y) * 10.0 ** draw(st.floats(-20.0, 20.0))
+    if draw(st.integers(0, 7)) == 0:
+        s = np.zeros(n)
+    alpha = 10.0 ** draw(st.floats(-12.0, 16.0))
+    return h, s, y, alpha, bounds
+
+
+@settings(max_examples=400, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+@given(_certificate_inputs())
+def test_carried_bounds_skip_the_guard_only_where_cholesky_cannot_fail(args):
+    if args is None:
+        return
+    h, s, y, alpha, bounds = args
+    try:
+        h_new, scratch = soft_qn_update(h, s, y, alpha, bounds)
+    except UpdateConsistencyError:
+        return  # the guard ran and failed: nothing was certified
+    if scratch.bounds is None:
+        return  # the guard ran
+    lo, hi = scratch.bounds
+    assert np.isfinite(h_new).all()
+    np.linalg.cholesky(h_new)
+    w = _exact_spectrum(h_new)
+    assert lo <= w[0] and w[-1] <= hi, (lo, float(w[0]), float(w[-1]), hi)
+    # Demmel's condition, which is what makes skipping the guard sound; the
+    # search is steered towards certificates that only just meet it
+    margin = w[0] / (_demmel(h.shape[0]) * float(np.diag(h_new).max()))
+    target(-math.log10(float(margin)))
+    assert margin > 1, (float(w[0]), lo, hi)
+
+
+def test_carried_bounds_skip_the_guard_and_match_the_plain_update(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 30
+    h = np.eye(n)
+    calls = []
+    monkeypatch.setattr(updates, "is_positive_definite", lambda a: calls.append(1) or True)
+    for _ in range(5):
+        s, y = rng.standard_normal(n), rng.standard_normal(n)
+        h_new, scratch = soft_qn_update(h, s, y, 0.1, (1.0, 1.0))
+        assert scratch.bounds is not None
+        _assert_same_bits(h_new, soft_qn_update(h, s, y, 0.1)[0])
+    assert len(calls) == 5  # only the five plain updates ran the guard
+    # no bounds, or bounds that prove nothing, leave the guard on
+    for bounds in [None, (1e-300, 1.0)]:
+        assert soft_qn_update(h, s, y, 0.1, bounds)[1].bounds is None
+    assert len(calls) == 7
 
 
 def test_kernels_leave_inputs_alone_and_return_fresh_memory():
