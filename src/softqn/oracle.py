@@ -143,7 +143,7 @@ def _newton_matrix(spec: PenaltyObjectiveSpec, b_inv: np.ndarray, basis: np.ndar
 
 
 def minimize_penalty_objective(
-    spec: PenaltyObjectiveSpec, tol: float = 3e-12, max_iter: int = 1_000_000
+    spec: PenaltyObjectiveSpec, tol: float = 1e-9, max_iter: int = 1_000_000
 ) -> OracleResult:
     """Minimize U over symmetric PD matrices B by damped Newton steps.
 
@@ -153,14 +153,19 @@ def minimize_penalty_objective(
     the stationarity residual still falls, so a trial is also accepted when the
     residual falls; from the first step accepted that way on, the residual
     alone judges trials.  Each phase thus strictly lowers one quantity and
-    cannot cycle on rounding noise.  Stops once the residual is at most
-    ``tol`` times the size of the gradient's terms,
-    ||H|| + ||B^{-1}|| + alpha*(||s||^2 + ||w||^2) with w = B^{-1}y (Frobenius
-    norms at the current B): the residual's rounding floor grows with those
-    terms, so an absolute tolerance is out of reach on stiff specs (large
-    alpha*||s||^2).  Raises NoConvergenceError when halving no longer moves B
-    (the residual cannot be lowered, e.g. ``tol`` lies below its rounding
-    floor) or after ``max_iter`` Newton steps.
+    cannot cycle on rounding noise.
+
+    Converges once the residual is at most ``tol`` times the size of the
+    gradient's terms, ||H|| + ||B^{-1}|| + alpha*(||s||^2 + ||w||^2) with
+    w = B^{-1}y (Frobenius norms at the current B): the residual's rounding
+    floor grows with those terms, so an absolute tolerance is out of reach on
+    stiff specs (large alpha*||s||^2).  Newton steps go on past that point
+    while each at least halves the residual, because the tolerance says little
+    about the error of B^{-1} when the terms cancel; so the result sits at the
+    rounding floor whenever that lies below the tolerance.  Raises
+    NoConvergenceError when halving no longer moves B (the residual cannot be
+    lowered, e.g. ``tol`` lies below its rounding floor) or after ``max_iter``
+    Newton steps, unless the residual already meets the tolerance.
     """
     n = spec.h_prev.shape[0]
     basis = _symmetric_basis(n)
@@ -177,33 +182,37 @@ def minimize_penalty_objective(
     l = cholesky(b, lower=True)
     grad, scale = _gradient_and_scale(spec, l)
     residual = float(np.linalg.norm(grad, "fro"))
+    previous = np.inf
     u_is_flat = False
     iterations = 0
-    while residual > tol * scale:
+    while residual > tol * scale or residual <= 0.5 * previous:
         if iterations == max_iter:
-            raise NoConvergenceError(f"no convergence within {max_iter} Newton steps")
-        iterations += 1
-        g = basis.T @ grad.ravel()
-        hess = _newton_matrix(spec, cho_solve((l, True), np.eye(n)), basis)
-        coef = np.linalg.solve(hess, -g)
-        step = (basis @ coef).reshape(n, n)
-        armijo_slope = 1e-4 * float(g @ coef)
-        t = 1.0
-        while True:
-            trial = b + t * step
-            if np.array_equal(trial, b):
-                raise NoConvergenceError(
-                    f"Newton step collapsed at residual {residual:.3e} > tol*scale "
-                    f"{tol:.1e}*{scale:.3e}"
-                )
-            trial_value = objective(trial)
-            if not u_is_flat and trial_value < value + t * armijo_slope:
+            trial, failure = None, f"no convergence within {max_iter} Newton steps"
+        else:
+            iterations += 1
+            g = basis.T @ grad.ravel()
+            hess = _newton_matrix(spec, cho_solve((l, True), np.eye(n)), basis)
+            coef = np.linalg.solve(hess, -g)
+            step = (basis @ coef).reshape(n, n)
+            armijo_slope = 1e-4 * float(g @ coef)
+            t = 1.0
+            while True:
+                trial = b + t * step
+                if np.array_equal(trial, b):
+                    trial, failure = None, f"Newton step collapsed at residual {residual:.3e}"
+                    break
+                trial_value = objective(trial)
+                if not u_is_flat and trial_value < value + t * armijo_slope:
+                    break
+                if trial_value < np.inf and stationarity_residual(spec, trial) < residual:
+                    u_is_flat = True
+                    break
+                t *= 0.5
+        if trial is None:  # B cannot move: done if the tolerance is met
+            if residual <= tol * scale:
                 break
-            if trial_value < np.inf and stationarity_residual(spec, trial) < residual:
-                u_is_flat = True
-                break
-            t *= 0.5
-        b, value = trial, trial_value
+            raise NoConvergenceError(f"{failure} (tol*scale = {tol:.1e}*{scale:.3e})")
+        b, value, previous = trial, trial_value, residual
         l = cholesky(b, lower=True)
         grad, scale = _gradient_and_scale(spec, l)
         residual = float(np.linalg.norm(grad, "fro"))

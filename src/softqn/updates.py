@@ -233,8 +233,8 @@ def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss
 
     Rounding.  u = 2^-53, gamma_k = k*u/(1 - k*u), eta = 2^-1074 (one product
     that underflows adds at most eta/2); ||s||, ||y||, ||h^|| are upper bounds
-    from one dot product each, and ||H||_F <= sqrt(n)*hi.  H' here is the exact update
-    of the stored H, s, y and alpha; eps bounds ||fl(H') - H'||_2:
+    from one dot product each, and ||H||_F <= sqrt(n)*hi.  H' here is the exact
+    update of the stored H, s, y and alpha; eps bounds ||fl(H') - H'||_2:
 
     - h^ = fl(Hy): |h^ - Hy| <= gamma_n*|H||y| + n*eta entrywise, so
       e_h = gamma_n*sqrt(n)*hi*||y|| + n^1.5*eta bounds ||h^ - Hy||.
@@ -260,7 +260,8 @@ def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss
         |c_ss^ - c_ss| <= alpha*d1 + alpha^2*e_q/g_lo^2 + alpha^2*(q+ + e_q)*d2 + gamma_5*c_ss^ + z
     - H' - M, where M is the exact rank-two form of the computed h^ and
       coefficients: each term c*ab' moves by |c^ - c|*||a||*||b|| through its
-      coefficient and by |c|*||a b' - a^ b^'|| through h^, so with C_x = |c_x^| + |c_x^ - c_x|,
+      coefficient and by |c|*||a b' - a^ b^'|| through h^, so with
+      dc_x = c_x^ - c_x bounded above and C_x = |c_x^| + |dc_x|,
         ||M - H'|| <= |dc_hh|*||h^||^2 + C_hh*e_h*(2||h^|| + e_h)
                       + 2|dc_hs|*||h^||*||s|| + 2*C_hs*e_h*||s|| + |dc_ss|*||s||^2.
     - fl(H') - M: every entry of ``_rank_two``'s result has at most five

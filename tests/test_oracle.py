@@ -142,6 +142,7 @@ def test_minimizer_raises_when_tol_is_below_the_rounding_floor():
 @pytest.mark.parametrize(
     "spec",
     [
+        _STIFF,
         # alpha*||s||^2 = 2.0e5 and 1.3e4: two of the seed-8 stiff draws below
         _spec(
             np.array([[7.5983488050516295, 0.9802170036748361], [0.9802170036748361, 2.136728023199394]]),
@@ -156,12 +157,12 @@ def test_minimizer_raises_when_tol_is_below_the_rounding_floor():
             127.6710112842187,
         ),
     ],
-    ids=["alpha_ss_2e5", "alpha_ss_1e4"],
+    ids=["alpha_ss_1e10", "alpha_ss_2e5", "alpha_ss_1e4"],
 )
 def test_minimizer_converges_on_stiff_specs_with_its_relative_tolerance(spec):
     # an absolute tolerance of 1e-9 lies below these residuals' rounding floors
-    # (the Newton step collapsed at 5.2e-7 and 1.3e-9); relative to the size of
-    # the gradient's terms it is reached, and H agrees with the closed form
+    # (the Newton step collapsed at 5e-6, 5.2e-7 and 1.3e-9); relative to the
+    # size of the gradient's terms it is reached, and H agrees with the closed form
     result = minimize_penalty_objective(spec)
     h_new, _ = soft_qn_update(spec.h_prev, spec.s, spec.y, spec.alpha)
     assert np.linalg.norm(result.h_star - h_new) <= 1e-5 * (1.0 + np.linalg.norm(spec.h_prev))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softqn import solver, updates
 from softqn.experiments import fixture_dataset_path
 from softqn.noise import GaussianNoise, MinibatchSampling, NoisyOracle, SphereNoise, UniformNoise
 from softqn.problems import Problem, cutest_like, gen_random_qp, load_libsvm, logistic_problem, toy_2d
@@ -586,8 +587,6 @@ def _int64_view(value):
 
 @pytest.mark.parametrize("case", ["qp", "dixmaana", "toy"])
 def test_soft_qn_records_are_bitwise_the_same_without_the_certificate(case, monkeypatch):
-    from softqn import solver, updates
-
     oracle, method, step, budget, h0 = _soft_qn_trials()[case]
     counts = {"guards": 0, "refreshes": 0}
     guard, refresh = updates.is_positive_definite, solver._eigvalsh_bounds

@@ -516,8 +516,8 @@ def _exact_spectrum(a):
 
 @st.composite
 def _certificate_inputs(draw):
-    """H with lambda_min near the certificate's threshold, s'y near 0 in half the
-    draws, and alpha, ||s||, ||y|| and the scale of H log-uniform."""
+    """H with lambda_min near the certificate's threshold, s'y near 0 in a third of
+    the draws, and alpha, ||s||, ||y|| and the scale of H log-uniform."""
     n = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     hi = 10.0 ** draw(st.floats(-30.0, 30.0))
@@ -535,7 +535,9 @@ def _certificate_inputs(draw):
     w = _exact_spectrum(h)
     if not w[0] > 0:
         return None
-    bounds = (math.nextafter(float(w[0] * (1 - 1e-30)), -math.inf), math.nextafter(float(w[-1] * (1 + 1e-30)), math.inf))
+    # the exact spectrum, rounded outwards past the 40-digit arithmetic's error
+    lo = math.nextafter(float(w[0] * (1 - 1e-30)), -math.inf)
+    bounds = (lo, math.nextafter(float(w[-1] * (1 + 1e-30)), math.inf))
     s = rng.standard_normal(n) * 10.0 ** draw(st.floats(-20.0, 20.0))
     direction = draw(st.sampled_from(["random", "orthogonal", "lowest"]))
     if direction == "lowest":  # along the eigenvector of lambda_min, where lo/gamma is reached
