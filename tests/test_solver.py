@@ -640,3 +640,20 @@ def test_soft_qn_run_stays_finite_or_diverges_for_any_alpha(n, seed, log_alpha, 
     stop = rec.iterations + 1
     assert np.isfinite(rec.grad_norms[:stop]).all() and np.isfinite(rec.suboptimality[:stop]).all()
     assert rec.diverged or (np.isfinite(rec.grad_norms).all() and np.isfinite(rec.suboptimality).all())
+
+
+def test_eigvalsh_refresh_encloses_the_exact_spectrum():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(21)
+    for n in [1, 2, 5, 8]:
+        for cond in [1.0, 1e4, 1e12, 1e17]:
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            h = (q * np.geomspace(1.0, 1.0 / cond, n)) @ q.T * 10.0 ** rng.uniform(-50, 50)
+            h = 0.5 * (h + h.T)
+            bounds = solver._eigvalsh_bounds(h)
+            with mpmath.workdps(40):
+                w = sorted(mpmath.eigsy(mpmath.matrix(h.tolist()), eigvals_only=True))
+            if bounds is None:  # eigvalsh cannot certify a positive lower bound
+                assert cond >= 1e12
+                continue
+            assert bounds[0] <= w[0] and w[-1] <= bounds[1]
