@@ -21,6 +21,7 @@ from .updates import (
     bfgs_admissible,
     biased_direction,
     bfgs_update,
+    is_positive_definite,
     soft_qn_update,
     sp_bfgs_admissible,
     sp_bfgs_update,
@@ -53,10 +54,10 @@ DIVERGENCE_NORM = 1e12
 #
 # A method is stateless, so one instance serves any number of trials; run()
 # keeps the inverse-Hessian approximation H and hands it in.  Each method says
-# whether its direction needs the exact Hessian, builds its starting H (None
-# when it keeps none), turns (H, g, Hessian) into a direction, and absorbs a
-# pair (s, y) into H as absorb(h, s, y) -> (h_new, applied), where applied is
-# False when the method skipped the pair.
+# whether its direction needs the exact Hessian, builds its starting H (an
+# ``_H`` record for the quasi-Newton methods, None for the others), turns
+# (H, g, Hessian) into a direction, and absorbs a pair (s, y) into H as
+# absorb(h, s, y) -> (h_new, applied); a skipped pair gives (h, False).
 
 
 class _Method:
@@ -64,37 +65,49 @@ class _Method:
 
     uses_hessian: ClassVar[bool] = False
 
-    def initial_h(self, n: int, h0: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    def initial_h(self, n: int, h0: Optional[np.ndarray]) -> None:
         return None
 
     def absorb(self, h, s, y):
         return h, True
 
 
-class _QuasiNewton(_Method):
-    """H starts at h0 (default: the identity) symmetrized once, and the direction is -H g."""
+class _H(NamedTuple):
+    """A quasi-Newton method's H: the matrix, a certified interval (lo, hi) on
+    its spectrum or None when unknown, and how many updates in a row that
+    interval has certified.  Only SoftQn carries an interval."""
 
-    def initial_h(self, n: int, h0: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        h0 = np.eye(n) if h0 is None else np.asarray(h0, dtype=float)
-        return 0.5 * (h0 + h0.T)
+    matrix: np.ndarray
+    bounds: Optional[Tuple[float, float]] = None
+    certified: int = 0
+
+
+class _QuasiNewton(_Method):
+    """H starts at h0 (default: the identity) symmetrized once, and the direction is -H g.
+
+    A given h0 must be n x n and symmetrize to a positive definite matrix, or
+    ``initial_h`` raises ValueError; that also rejects non-finite entries.
+    """
+
+    def initial_h(self, n: int, h0: Optional[np.ndarray]) -> _H:
+        if h0 is None:
+            return _H(np.eye(n))
+        h0 = np.asarray(h0, dtype=float)
+        if h0.shape != (n, n):
+            raise ValueError(f"h0 must be {n}x{n}, got shape {h0.shape}")
+        h = 0.5 * (h0 + h0.T)
+        if not is_positive_definite(h):
+            raise ValueError("h0 must symmetrize to a finite positive definite matrix")
+        return _H(h)
 
     def direction(self, h, g, hess):
-        return biased_direction(h, g)
+        return biased_direction(h.matrix, g)
 
 
 # A refresh costs one eigvalsh, 1.3 to 5.5 Cholesky factorizations at n = 10 to
 # 1000 (one BLAS thread, 2-vCPU Xeon), so it is paid only for a bound that has
 # already saved more guards than that.
 _REFRESH_AFTER = 8
-
-
-class _CertifiedH(NamedTuple):
-    """SoftQn's H: the matrix, a certified interval (lo, hi) on its spectrum or
-    None when unknown, and how many updates in a row that interval has certified."""
-
-    matrix: np.ndarray
-    bounds: Optional[Tuple[float, float]]
-    certified: int = 0
 
 
 def _eigvalsh_bounds(h: np.ndarray) -> Optional[Tuple[float, float]]:
@@ -114,37 +127,29 @@ def _eigvalsh_bounds(h: np.ndarray) -> Optional[Tuple[float, float]]:
 class SoftQn(_QuasiNewton):
     """Penalized-secant quasi-Newton; updates on every pair.
 
-    H is a ``_CertifiedH``: next to the matrix it carries a certified interval
-    on the spectrum, exactly [1, 1] for the default identity start and from one
-    eigvalsh for any other h0.  ``soft_qn_update`` moves the interval through
-    each update and skips its O(n^3) Cholesky guard while the interval proves
-    the guard would pass.  Once it proves nothing, the guard runs on every
-    update; the interval is refreshed from eigvalsh of the guarded H' only if
-    the old one had certified at least ``_REFRESH_AFTER`` updates, and stays
-    unknown otherwise.  H' and every decision are those of the plain update.
-    ``direction`` and ``absorb`` also take a plain matrix, which carries no
-    interval (``absorb`` then returns a plain matrix).
+    Its H record carries a certified interval on the spectrum, exactly [1, 1]
+    for the default identity start and from one eigvalsh for any other h0.
+    ``soft_qn_update`` moves the interval through each update and skips its
+    O(n^3) Cholesky guard while the interval proves the guard would pass.  Once
+    it proves nothing, the guard runs on every update; the interval is
+    refreshed from eigvalsh of the guarded H' only if the old one had certified
+    at least ``_REFRESH_AFTER`` updates, and stays unknown otherwise.  H' and
+    every decision are those of the plain update.
     """
 
     policy: ConstantAlpha = ConstantAlpha(1.0)
 
-    def initial_h(self, n: int, h0: Optional[np.ndarray]) -> _CertifiedH:
+    def initial_h(self, n: int, h0: Optional[np.ndarray]) -> _H:
         h = super().initial_h(n, h0)
-        return _CertifiedH(h, (1.0, 1.0) if h0 is None else _eigvalsh_bounds(h))
-
-    def direction(self, h, g, hess):
-        return biased_direction(getattr(h, "matrix", h), g)
+        return h._replace(bounds=(1.0, 1.0) if h0 is None else _eigvalsh_bounds(h.matrix))
 
     def absorb(self, h, s, y):
-        if not isinstance(h, _CertifiedH):
-            h_new, _ = soft_qn_update(h, s, y, self.policy.value(h, s, y))
-            return h_new, True
         h_new, scratch = soft_qn_update(h.matrix, s, y, self.policy.value(h.matrix, s, y), h.bounds)
         if scratch.bounds is not None:
-            return _CertifiedH(h_new, scratch.bounds, h.certified + 1), True
+            return _H(h_new, scratch.bounds, h.certified + 1), True
         if h.certified >= _REFRESH_AFTER:
-            return _CertifiedH(h_new, _eigvalsh_bounds(h_new)), True
-        return _CertifiedH(h_new, None), True
+            return _H(h_new, _eigvalsh_bounds(h_new)), True
+        return _H(h_new), True
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,7 @@ class SpBfgs(_QuasiNewton):
         beta = self.policy.value(s, y)
         if not sp_bfgs_admissible(s, y, beta):
             return h, False
-        return sp_bfgs_update(h, s, y, beta), True
+        return _H(sp_bfgs_update(h.matrix, s, y, beta)), True
 
 
 @dataclass(frozen=True)
@@ -169,7 +174,7 @@ class StochasticBfgs(_QuasiNewton):
     def absorb(self, h, s, y):
         if not bfgs_admissible(s, y):
             return h, False
-        return bfgs_update(h, s, y), True
+        return _H(bfgs_update(h.matrix, s, y)), True
 
 
 @dataclass(frozen=True)
@@ -217,11 +222,7 @@ def _solve_or_pinv(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def compute_direction(method, h, g: np.ndarray, hess: Optional[np.ndarray] = None):
     """Descent direction of the given method from H, the gradient and the exact Hessian."""
-    try:
-        direction = method.direction
-    except AttributeError:
-        raise TypeError(f"unknown direction method {method!r}") from None
-    return direction(h, g, hess)
+    return method.direction(h, g, hess)
 
 
 # --------------------------------------------------------------------------
@@ -239,10 +240,14 @@ class LineSearchResult(NamedTuple):
 
 # A step policy owns step(oracle, x, p, g, k, eval_cap, f_x) -> LineSearchResult
 # for iteration k (counted from 1); eval_cap and f_x are as in line_search_noisy.
+# evaluates_f says whether it evaluates f at all, so whether a budget of f
+# evaluations alone can ever run out under it.
 
 
 @dataclass(frozen=True)
 class FixedStep:
+    evaluates_f: ClassVar[bool] = False
+
     eta: float
 
     def step(self, oracle, x, p, g, k, eval_cap, f_x) -> LineSearchResult:
@@ -252,6 +257,8 @@ class FixedStep:
 @dataclass(frozen=True)
 class DiminishingStep:
     """eta_k = scale/k with k counted from 1."""
+
+    evaluates_f: ClassVar[bool] = False
 
     scale: float = 1.0
 
@@ -268,6 +275,8 @@ class NoisyArmijo:
     halvings.  The last trial is accepted if it improves on f(x) + 2*eps_tol,
     otherwise the step is rejected (returns 0).
     """
+
+    evaluates_f: ClassVar[bool] = True
 
     eta0: float = 1.0
     c: float = 1e-4
@@ -402,10 +411,16 @@ def run(
     Divergence (non-finite iterate, noisy gradient, exact gradient norm or
     recorded phi, an iterate norm above 1e12, or an UpdateConsistencyError) stops
     the run and freezes the per-iteration traces at their last finite values.
+    A budget of f evaluations alone under a step policy that evaluates no f, or
+    a bad ``h0``, raises ValueError before any evaluation.
     """
+    if budget.iterations is None and not step.evaluates_f:
+        raise ValueError(
+            f"a fun_evals-only budget never runs out under {type(step).__name__}, which evaluates no f"
+        )
+    h = method.initial_h(oracle.dim, h0)
     x = np.array(oracle.x0, dtype=float, copy=True)
     g = oracle.g(x)
-    h = method.initial_h(oracle.dim, h0)
     k = 0
 
     phi_star = oracle.problem.phi_star

@@ -1,9 +1,10 @@
 """The names the demos and the README's python blocks import from softqn exist,
-and the package root exports exactly those it is asked for."""
+the package root exports exactly those it is asked for, and every demo runs."""
 
 import ast
 import importlib
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,13 @@ def test_package_root_exports_what_demos_and_readme_import():
         if module == "softqn" and name is not None
     }
     assert sorted(softqn.__all__) == sorted(used)
+
+
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[path.name for path in DEMOS])
+def test_demo_runs_to_completion(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

@@ -93,7 +93,8 @@ def test_direction_saddle_free_newton():
 
 
 def test_direction_soft_qn_identity():
-    d = compute_direction(SoftQn(ConstantAlpha(1.0)), np.eye(2), np.array([1.0, 1.0]))
+    method = SoftQn(ConstantAlpha(1.0))
+    d = compute_direction(method, method.initial_h(2, None), np.array([1.0, 1.0]))
     npt.assert_array_equal(d, [-1.0, -1.0])
 
 
@@ -102,11 +103,6 @@ def test_direction_newton_singular_hessian_falls_back():
     with pytest.warns(UserWarning, match="pseudo-inverse"):
         d = compute_direction(ExactNewton(), None, g, hess=np.zeros((2, 2)))
     npt.assert_array_equal(d, [0.0, 0.0])
-
-
-def test_direction_unknown_method():
-    with pytest.raises(TypeError):
-        compute_direction(object(), None, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -124,15 +120,16 @@ def _ulp_neighbourhood(x, ulps=6):
 
 
 def _absorb_matches_kernel(method, kernel, error, s, y):
-    h = np.eye(len(s))
+    h = method.initial_h(len(s), None)
     h_new, applied = method.absorb(h, s, y)
     try:
-        expected = kernel(h, s, y)
+        expected = kernel(h.matrix, s, y)
     except error:
         assert not applied and h_new is h
         return False
     assert applied
-    npt.assert_array_equal(h_new, expected)
+    assert isinstance(h_new, solver._H) and h_new.bounds is None
+    npt.assert_array_equal(h_new.matrix, expected)
     return True
 
 
@@ -173,11 +170,6 @@ def test_stochastic_bfgs_skips_exactly_when_the_kernel_raises(scale):
 _QN_METHODS = [SoftQn(ConstantAlpha(2.0)), SpBfgs(ConstantBeta(1.0)), StochasticBfgs()]
 
 
-def _matrix(h):
-    """The matrix of a method's H (SoftQn keeps it in a record with its spectrum bounds)."""
-    return getattr(h, "matrix", h)
-
-
 @pytest.mark.parametrize("method", _QN_METHODS, ids=lambda m: type(m).__name__)
 def test_symmetric_h0_stays_exactly_symmetric_through_absorb(method):
     # the kernels do not symmetrize: an exactly symmetric start must stay so
@@ -187,23 +179,43 @@ def test_symmetric_h0_stays_exactly_symmetric_through_absorb(method):
     h0 = a @ a.T / n + np.eye(n)
     assert np.array_equal(h0, h0.T)
     h = method.initial_h(n, h0)
-    npt.assert_array_equal(_matrix(h), h0)
-    assert not np.shares_memory(_matrix(h), h0)
+    npt.assert_array_equal(h.matrix, h0)
+    assert not np.shares_memory(h.matrix, h0)
     curvature = a @ a.T + np.eye(n)
     for _ in range(3):
         s = rng.standard_normal(n)
         h, applied = method.absorb(h, s, curvature @ s)
-        assert applied
-        assert np.array_equal(_matrix(h), _matrix(h).T)
+        assert applied and isinstance(h, solver._H)
+        assert np.array_equal(h.matrix, h.matrix.T)
 
 
 @pytest.mark.parametrize("method", _QN_METHODS, ids=lambda m: type(m).__name__)
 def test_asymmetric_h0_comes_back_symmetrized(method):
     h0 = np.array([[2.0, 0.3], [0.1, 1.0]])
     h = method.initial_h(2, h0)
-    npt.assert_array_equal(_matrix(h), [[2.0, 0.2], [0.2, 1.0]])
+    npt.assert_array_equal(h.matrix, [[2.0, 0.2], [0.2, 1.0]])
     npt.assert_array_equal(h0, [[2.0, 0.3], [0.1, 1.0]])
-    npt.assert_array_equal(_matrix(method.initial_h(2, None)), np.eye(2))
+    npt.assert_array_equal(method.initial_h(2, None).matrix, np.eye(2))
+
+
+_BAD_H0 = {
+    "nan": lambda n: np.full((n, n), np.nan),
+    "inf": lambda n: np.diag(np.full(n, np.inf)),
+    "minus_identity": lambda n: -np.eye(n),
+    "zeros": lambda n: np.zeros((n, n)),
+    "one_d": lambda n: np.ones(n),
+    "too_large": lambda n: np.eye(n + 1),
+}
+
+
+@pytest.mark.parametrize("start", sorted(_BAD_H0))
+@pytest.mark.parametrize("method", _QN_METHODS, ids=lambda m: type(m).__name__)
+def test_bad_h0_raises_before_any_evaluation(method, start):
+    n = 4
+    oracle = NoisyOracle(gen_random_qp(n, 1), seed=0)
+    with pytest.raises(ValueError, match="h0"):
+        run(oracle, method, FixedStep(0.1), Budget(iterations=5), h0=_BAD_H0[start](n))
+    assert oracle.fun_evals == 0 and oracle.grad_evals == 0
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +492,7 @@ def test_failed_update_marks_trial_diverged():
     p = gen_random_qp(5, 3)
     method = SoftQn(ConstantAlpha(1e300))
     with pytest.raises(UpdateConsistencyError):
-        method.absorb(np.eye(5), np.ones(5), p.grad(np.ones(5)) - p.grad(np.zeros(5)))
+        method.absorb(method.initial_h(5, None), np.ones(5), p.grad(np.ones(5)) - p.grad(np.zeros(5)))
     rec = run(NoisyOracle(p, grad_noise=GaussianNoise(1.0), seed=0), method, FixedStep(0.1), Budget(iterations=10))
     assert rec.diverged
     assert rec.iterations == 1  # the first pair is the one that fails
@@ -518,6 +530,16 @@ def test_diminishing_step_indexes_from_one():
     # first step is scale/1 times -g(x0)
     expected = p.x0 - 0.5 * p.grad(p.x0)
     npt.assert_allclose(rec.iterates[1], expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("step", [FixedStep(0.1), DiminishingStep(1.0)], ids=lambda s: type(s).__name__)
+def test_fun_evals_only_budget_needs_a_step_policy_that_evaluates_f(step):
+    # neither policy evaluates f, so fun_evals would never grow and the run never end
+    oracle = NoisyOracle(gen_random_qp(4, 1), seed=0)
+    with pytest.raises(ValueError, match="fun_evals"):
+        run(oracle, Sgd(), step, Budget(fun_evals=10))
+    assert oracle.fun_evals == 0 and oracle.grad_evals == 0
+    assert run(oracle, Sgd(), step, Budget(iterations=3, fun_evals=10)).iterations == 3
 
 
 def test_budget_requires_some_limit():
@@ -637,6 +659,26 @@ def test_soft_qn_run_stays_finite_or_diverges_for_any_alpha(n, seed, log_alpha, 
     problem = gen_random_qp(n, seed)
     oracle = NoisyOracle(problem, grad_noise=GaussianNoise(1.0) if noisy else None, seed=seed)
     rec = run(oracle, SoftQn(ConstantAlpha(10.0**log_alpha)), DiminishingStep(0.5), Budget(iterations=30))
+    stop = rec.iterations + 1
+    assert np.isfinite(rec.grad_norms[:stop]).all() and np.isfinite(rec.suboptimality[:stop]).all()
+    assert rec.diverged or (np.isfinite(rec.grad_norms).all() and np.isfinite(rec.suboptimality).all())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 20),
+    seed=st.integers(0, 2**32 - 1),
+    arm=st.sampled_from(["spbfgs", "bfgs", "sgd"]),
+    log_beta=st.floats(-300.0, 300.0),
+    log_step=st.floats(-8.0, 8.0),
+    log_noise=st.floats(-8.0, 8.0),
+    fixed=st.booleans(),
+)
+def test_other_arms_run_stays_finite_or_diverges(n, seed, arm, log_beta, log_step, log_noise, fixed):
+    method = {"spbfgs": SpBfgs(ConstantBeta(10.0**log_beta)), "bfgs": StochasticBfgs(), "sgd": Sgd()}[arm]
+    step = FixedStep(10.0**log_step) if fixed else DiminishingStep(10.0**log_step)
+    oracle = NoisyOracle(gen_random_qp(n, seed), grad_noise=GaussianNoise(10.0**log_noise), seed=seed)
+    rec = run(oracle, method, step, Budget(iterations=30))
     stop = rec.iterations + 1
     assert np.isfinite(rec.grad_norms[:stop]).all() and np.isfinite(rec.suboptimality[:stop]).all()
     assert rec.diverged or (np.isfinite(rec.grad_norms).all() and np.isfinite(rec.suboptimality).all())
