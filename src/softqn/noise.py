@@ -160,6 +160,16 @@ class NoisyOracle:
     def true_grad(self, x) -> np.ndarray:
         return self._eval("grad", x).copy()
 
+    @property
+    def batched_grad_norms(self):
+        """The problem's ``grad_norms`` when the noisy gradient shares no evaluation
+        with the exact one (minibatch sampling), else None.  Under the other noise
+        models the noisy channel evaluates the exact gradient at each new iterate
+        anyway, so a batch would only add work."""
+        if isinstance(self.grad_noise, MinibatchSampling):
+            return self.problem.grad_norms
+        return None
+
     def hess(self, x) -> np.ndarray:
         if self.problem.hess is None:
             raise ValueError(f"problem {self.problem.name!r} has no Hessian")

@@ -61,11 +61,16 @@ DIVERGENCE_NORM = 1e12
 
 
 class _Method:
-    """Defaults: no exact Hessian, no H, so no pair to apply and none to skip."""
+    """Defaults: no exact Hessian, no H, so no pair to apply and none to skip.
+
+    Such a method takes no h0: ``initial_h`` raises ValueError for any h0 but None.
+    """
 
     uses_hessian: ClassVar[bool] = False
 
     def initial_h(self, n: int, h0: Optional[np.ndarray]) -> None:
+        if h0 is not None:
+            raise ValueError(f"{type(self).__name__} keeps no H, so it takes no h0")
         return None
 
     def absorb(self, h, s, y):
@@ -349,6 +354,56 @@ def _no_phi(x) -> float:
     return np.nan
 
 
+# Iterates per call of a batched exact channel in run().  The queue holds that
+# many copies of an iterate, and the logistic kernel a block of 1024 feature rows
+# times that many margins (0.5 MB).  Chunks of 64 and of all 100 iterates of a
+# 49,990 x 22 trial took the same time (see problems._ROW_BLOCK).  perfbench's
+# logreg_big read peak_rss_mb 75.4 MB at this chunk, against 77.7 MB with one
+# full gradient per iterate (one run each, workload seed 99).
+_EXACT_CHUNK = 64
+
+
+class _ExactNorms:
+    """The exact gradient norm at each recorded iterate, in order, in ``values``.
+
+    Where the oracle offers a batched exact channel, the iterates are queued and
+    evaluated ``_EXACT_CHUNK`` at a time and at ``flush``; otherwise each one is
+    evaluated when it is added.  ``add`` and ``flush`` return False once a norm
+    is not finite; ``values`` then ends before that iterate, and ``last`` is the
+    iterate of its last entry.  The start point's norm is recorded as it is.
+    """
+
+    def __init__(self, oracle, x0):
+        self._oracle = oracle
+        self._batched = oracle.batched_grad_norms
+        self._queue = []
+        self.values = [float(np.linalg.norm(oracle.true_grad(x0)))]
+        self.last = x0
+
+    def add(self, x) -> bool:
+        if self._batched is not None:
+            self._queue.append(x.copy())
+            return len(self._queue) < _EXACT_CHUNK or self.flush()
+        gn = float(np.linalg.norm(self._oracle.true_grad(x)))
+        if not np.isfinite(gn):
+            return False
+        self.values.append(gn)
+        self.last = x
+        return True
+
+    def flush(self) -> bool:
+        if not self._queue:
+            return True
+        norms = self._batched(np.array(self._queue))
+        finite = np.isfinite(norms)
+        stop = len(norms) if finite.all() else int(np.argmin(finite))
+        self.values.extend(norms[:stop].tolist())
+        if stop:
+            self.last = self._queue[stop - 1]
+        self._queue.clear()
+        return stop == len(norms)
+
+
 @dataclass(frozen=True)
 class Budget:
     """Stop after a fixed number of iterations, counted f evaluations, or both."""
@@ -411,8 +466,20 @@ def run(
     Divergence (non-finite iterate, noisy gradient, exact gradient norm or
     recorded phi, an iterate norm above 1e12, or an UpdateConsistencyError) stops
     the run and freezes the per-iteration traces at their last finite values.
-    A budget of f evaluations alone under a step policy that evaluates no f, or
-    a bad ``h0``, raises ValueError before any evaluation.
+
+    Where the oracle's noisy gradient shares no evaluation with the exact one
+    and the problem offers ``grad_norms`` (minibatch logistic regression), the
+    norms after the start are evaluated in chunks of ``_EXACT_CHUNK`` iterates
+    and once more at the end, so they agree with the per-iterate ones to
+    rounding and the trajectory is unchanged.  A non-finite norm found that way
+    ends the trial as above: the traces, ``iterations`` and ``final_x`` stop at
+    the iterate before it, but ``fun_evals``, ``grad_evals``,
+    ``step_rejections`` and ``skipped_updates`` include the work done up to the
+    evaluation that found it.
+
+    A budget of f evaluations alone under a step policy that evaluates no f, an
+    ``h0`` for a method that keeps no H, or a bad ``h0``, raises ValueError
+    before any evaluation.
     """
     if budget.iterations is None and not step.evaluates_f:
         raise ValueError(
@@ -426,7 +493,7 @@ def run(
     phi_star = oracle.problem.phi_star
     # phi only feeds phi - phi*, so a problem without phi* never pays for it
     exact_phi = oracle.true_phi if phi_star is not None else _no_phi
-    grad_norms = [float(np.linalg.norm(oracle.true_grad(x)))]
+    norms = _ExactNorms(oracle, x)
     phis = [exact_phi(x)]
     eval_counts = [oracle.fun_evals]
     iterates = [x.copy()] if keep_iterates else None
@@ -451,13 +518,11 @@ def run(
             break
 
         phi_new = exact_phi(x_new)
-        gn_new = float(np.linalg.norm(oracle.true_grad(x_new)))
-        if not (np.isfinite(gn_new) and (phi_star is None or np.isfinite(phi_new))):
+        if (phi_star is not None and not np.isfinite(phi_new)) or not norms.add(x_new):
             diverged = True
             break
         k += 1
         eval_counts.append(oracle.fun_evals)
-        grad_norms.append(gn_new)
         phis.append(phi_new)
         if keep_iterates:
             iterates.append(x_new.copy())
@@ -477,6 +542,16 @@ def run(
             break
         skipped += not applied
         g = g_new
+
+    if not norms.flush():
+        diverged = True
+    grad_norms = norms.values
+    if len(grad_norms) < k + 1:  # a queued iterate's norm was not finite
+        k = len(grad_norms) - 1
+        x = norms.last
+        del eval_counts[k + 1 :], phis[k + 1 :]
+        if keep_iterates:
+            del iterates[k + 1 :]
 
     # pad per-iteration traces on early stops so trials stay comparable
     if budget.iterations is not None and len(grad_norms) < budget.iterations + 1:

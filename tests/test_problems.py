@@ -687,6 +687,49 @@ def test_logistic_gradient_does_not_depend_on_the_feature_layout():
         npt.assert_allclose(g_c, g, rtol=0, atol=8 * np.finfo(float).eps * np.max(np.abs(g)))
 
 
+def _assert_batched_norms_match(problem, vs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batched = problem.grad_norms(vs)
+        one_by_one = [np.linalg.norm(problem.grad(v)) for v in vs]
+    assert batched.shape == (len(vs),)
+    npt.assert_allclose(batched, one_by_one, rtol=1e-13, atol=0)
+
+
+def test_batched_grad_norms_match_per_iterate_norms():
+    rng = np.random.default_rng(19)
+    for normalize in (True, False):
+        data = load_libsvm(fixture_dataset_path(), normalize=normalize)
+        p = logistic_problem(data, rho=0.1)
+        scale = 0.5 if normalize else 0.05  # unnormalized features are larger
+        _assert_batched_norms_match(p, scale * rng.standard_normal((7, p.dim)))
+        _assert_batched_norms_match(p, scale * rng.standard_normal((1, p.dim)))  # k = 1
+
+
+def test_batched_grad_norms_across_row_blocks():
+    # a row count that is not a multiple of the row block, so the last block is short
+    rng = np.random.default_rng(23)
+    rows = 2 * problems._ROW_BLOCK + 37
+    data = problems.LogisticDataset(
+        features=np.asfortranarray(rng.standard_normal((rows, 5)) / math.sqrt(rows)),
+        labels=np.where(rng.random(rows) < 0.5, -1.0, 1.0),
+    )
+    p = logistic_problem(data, rho=0.01)
+    _assert_batched_norms_match(p, rng.standard_normal((9, p.dim)))
+
+
+def test_batched_grad_norms_beyond_exp_overflow():
+    # margins beyond +-709: exp overflows, the derivative goes to 0 or its limit, with no warning
+    data = problems.LogisticDataset(
+        features=np.asfortranarray([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), labels=np.array([1.0, -1.0, 1.0])
+    )
+    p = logistic_problem(data, rho=0.1)
+    vs = [[0.0, s, -s] for s in (710.0, 1e5, 1e150)] + [[0.0, -s, s] for s in (710.0, 1e5, 1e150)]
+    _assert_batched_norms_match(p, np.array(vs))
+    # every margin far positive: only the regularizer term 2*rho*w is left
+    assert p.grad_norms(np.array([[0.0, 800.0, -800.0]]))[0] == np.linalg.norm([160.0, 160.0])
+
+
 def test_minibatch_validates_batch_size():
     data = load_libsvm(fixture_dataset_path())
     rng = np.random.default_rng(0)

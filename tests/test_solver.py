@@ -218,6 +218,16 @@ def test_bad_h0_raises_before_any_evaluation(method, start):
     assert oracle.fun_evals == 0 and oracle.grad_evals == 0
 
 
+@pytest.mark.parametrize("h0", [np.full((7, 7), np.nan), "junk", np.eye(4)], ids=["nan", "junk", "identity"])
+@pytest.mark.parametrize("method", [Sgd(), ExactNewton(), SaddleFreeNewton()], ids=lambda m: type(m).__name__)
+def test_method_without_h_rejects_any_h0_before_any_evaluation(method, h0):
+    oracle = NoisyOracle(gen_random_qp(4, 1), seed=0)
+    with pytest.raises(ValueError, match="h0"):
+        run(oracle, method, FixedStep(0.1), Budget(iterations=3), h0=h0)
+    assert oracle.fun_evals == 0 and oracle.grad_evals == 0
+    assert run(oracle, method, FixedStep(0.1), Budget(iterations=3)).iterations == 3
+
+
 # ---------------------------------------------------------------------------
 # noisy line search
 
@@ -444,6 +454,95 @@ def test_phi_is_not_evaluated_without_phi_star(method):
     assert rec.suboptimality.shape == ref.suboptimality.shape
     assert np.isnan(rec.suboptimality).all()
     assert rec.phi_star is None
+
+
+# ---------------------------------------------------------------------------
+# batched exact channel: the norms of a minibatch trial in chunks of iterates
+
+
+def _counted(fn, calls):
+    def counted(*args):
+        calls.append(len(args[0]))
+        return fn(*args)
+
+    return counted
+
+
+@pytest.mark.parametrize("phi_star", [None, 0.0], ids=["no_phi_star", "phi_star"])
+@pytest.mark.parametrize("method", _METHODS, ids=_METHOD_IDS)
+def test_batched_and_per_iterate_exact_channels_agree(method, phi_star):
+    problem = logistic_problem(load_libsvm(fixture_dataset_path()), rho=0.1)
+    calls = []
+    batched = dataclasses.replace(problem, phi_star=phi_star, grad_norms=_counted(problem.grad_norms, calls))
+    per_iterate = dataclasses.replace(batched, grad_norms=None)
+    # two full chunks and a partial one
+    budget = Budget(iterations=2 * solver._EXACT_CHUNK + 20)
+    records = []
+    for p in (batched, per_iterate):
+        oracle = _CountingOracle(p, grad_noise=MinibatchSampling(20), seed=3)
+        records.append(run(oracle, method, FixedStep(0.1), budget, keep_iterates=True))
+        assert oracle.phi_calls == (0 if phi_star is None else budget.iterations + 1)
+    assert calls == [solver._EXACT_CHUNK, solver._EXACT_CHUNK, 20]
+    on, off = records
+    assert not on.diverged and on.iterations == budget.iterations
+    for field in dataclasses.fields(on):
+        a, b = getattr(on, field.name), getattr(off, field.name)
+        if field.name == "grad_norms":
+            npt.assert_allclose(a, b, rtol=1e-13, atol=0)
+            assert a[0] == b[0]  # the start is evaluated as before
+        elif field.name == "suboptimality":
+            npt.assert_array_equal(a, b)
+        elif isinstance(a, (np.ndarray, list)):
+            assert np.shape(a) == np.shape(b), field.name
+            npt.assert_array_equal(_int64_view(a), _int64_view(b), err_msg=field.name)
+        else:
+            assert a == b, field.name
+
+
+def _bowl_with_batched_norms(nan_at):
+    """A minibatch bowl whose batched norm is NaN at iterate ``nan_at`` and exact elsewhere."""
+    seen = [0]  # iterates evaluated so far; the start is not batched
+
+    def grad_norms(xs):
+        index = seen[0] + 1 + np.arange(len(xs))
+        seen[0] += len(xs)
+        return np.where(index == nan_at, np.nan, np.linalg.norm(xs, axis=1))
+
+    return Problem(
+        name="bowl",
+        dim=3,
+        x0=np.ones(3),
+        phi=lambda x: 0.5 * float(x @ x),
+        grad=lambda x: np.asarray(x, dtype=float).copy(),
+        phi_star=0.0,
+        batch_grad=lambda x, batch, rng: x + 0.1 * rng.standard_normal(x.shape),
+        grad_norms=grad_norms,
+    )
+
+
+@pytest.mark.parametrize("nan_at", [1, 10, solver._EXACT_CHUNK + 1, solver._EXACT_CHUNK + 7, 2 * solver._EXACT_CHUNK + 3])
+def test_non_finite_batched_norm_ends_the_trial_before_that_iterate(nan_at):
+    budget = Budget(iterations=2 * solver._EXACT_CHUNK + 10)
+
+    def trial(problem):
+        oracle = NoisyOracle(problem, grad_noise=MinibatchSampling(1), seed=2)
+        return run(oracle, Sgd(), FixedStep(0.01), budget, keep_iterates=True)
+
+    ref = trial(_bowl_with_batched_norms(nan_at=-1))
+    rec = trial(_bowl_with_batched_norms(nan_at))
+    assert not ref.diverged and rec.diverged
+    assert rec.iterations == nan_at - 1
+    npt.assert_array_equal(rec.final_x, ref.iterates[nan_at - 1])
+    npt.assert_array_equal(np.array(rec.iterates), np.array(ref.iterates[:nan_at]))
+    npt.assert_array_equal(rec.eval_counts, ref.eval_counts[:nan_at])
+    for trace in ("grad_norms", "suboptimality"):
+        a, b = getattr(rec, trace), getattr(ref, trace)
+        assert len(a) == budget.iterations + 1, trace
+        npt.assert_array_equal(a[:nan_at], b[:nan_at], err_msg=trace)
+        npt.assert_array_equal(a[nan_at:], b[nan_at - 1], err_msg=trace)
+    # the counters include the steps taken until the chunk holding nan_at was evaluated
+    evaluated = min(-(-nan_at // solver._EXACT_CHUNK) * solver._EXACT_CHUNK, budget.iterations)
+    assert rec.grad_evals == evaluated + (evaluated == budget.iterations)
 
 
 def test_phi_is_evaluated_once_per_recorded_iterate_with_phi_star():
