@@ -699,8 +699,8 @@ def _logistic_grad_norms(features: np.ndarray, labels: np.ndarray, rho: float, v
     The rows of the features are taken ``_ROW_BLOCK`` at a time, and each block
     meets every v in two matrix products, one for the margins and one for the
     gradient terms, so the matrix is read once for all of vs.  The sums run in
-    another order than in ``_logistic_grad``, so the norms agree with its to
-    rounding, not bit for bit."""
+    another order than in ``_logistic_grad``, so the norms agree with those of
+    its gradients to rounding, not bit for bit."""
     n = features.shape[0]
     w = vs[:, 1:]
     g = np.zeros(vs.shape)

@@ -357,9 +357,10 @@ def _no_phi(x) -> float:
 # Iterates per call of a batched exact channel in run().  The queue holds that
 # many copies of an iterate, and the logistic kernel a block of 1024 feature rows
 # times that many margins (0.5 MB).  Chunks of 64 and of all 100 iterates of a
-# 49,990 x 22 trial took the same time (see problems._ROW_BLOCK).  perfbench's
-# logreg_big read peak_rss_mb 75.4 MB at this chunk, against 77.7 MB with one
-# full gradient per iterate (one run each, workload seed 99).
+# 49,990 x 22 trial took the same time (see problems._ROW_BLOCK).  Over 10
+# alternated runs of perfbench's logreg_big, the median peak_rss_mb was 75.8 MB
+# at this chunk against 74.9 MB with one full gradient per iterate; single runs
+# of either read 73 to 78 MB.
 _EXACT_CHUNK = 64
 
 
