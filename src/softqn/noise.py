@@ -72,7 +72,8 @@ class NoisyOracle:
 
     ``fun_noise`` is None (exact values) or a UniformNoise; ``grad_noise`` is
     None (exact gradients) or a GaussianNoise, SphereNoise or
-    MinibatchSampling.  Exact channels still count their calls.
+    MinibatchSampling.  The exact channel (``true_phi``, ``true_grad``,
+    ``batched_grad_norms``) touches no counter.
 
     phi and grad are evaluated once per point across both channels: the oracle
     keeps the last point and value of each, and a call at a bitwise-identical x

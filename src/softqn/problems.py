@@ -430,9 +430,9 @@ def cutest_like(name: str, n: Optional[int] = None) -> Problem:
 class LogisticDataset:
     """Dense feature matrix with +-1 labels.
 
-    ``load_libsvm`` returns the features column-major (Fortran order): the full-data
-    margins and gradient are then matrix-vector products down contiguous columns.
-    Any layout gives the same values up to rounding."""
+    ``load_libsvm`` returns the features row-major (C order): a minibatch gather
+    then copies contiguous rows, and the batched gradient norms read contiguous
+    row blocks.  Any layout gives the same values up to rounding."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -465,7 +465,7 @@ def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
     the same numbers or finds the offending line.  Each block is scattered into a dense row
     block at once, and the row blocks are copied into the matrix at the end, so
     nothing sized to the whole file is kept beside the matrix.  The matrix is
-    column-major (Fortran order); its values do not depend on the layout.
+    row-major (C order); its values do not depend on the layout.
     """
     row_blocks, label_blocks = [], []
     top = 0  # largest index seen
@@ -496,7 +496,7 @@ def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
         raise DatasetFormatError(f"{path}: no data rows")
     labels = np.concatenate(label_blocks)
     try:
-        x = np.zeros((labels.size, top), order="F")
+        x = np.zeros((labels.size, top))
     except (MemoryError, ValueError):
         too_big = True
     if too_big:
@@ -634,14 +634,14 @@ def _dense_rows(counts, idx, vals):
 
 
 def _column_norms(x):
-    """The C-order ``np.linalg.norm(x, axis=0)`` bit for bit, in either layout,
-    without its n x d temporary of squares.
+    """``np.linalg.norm(x, axis=0)`` of the row-major matrix bit for bit, in either
+    layout, without its n x d temporary of squares.
 
     For two or more columns of a C-order matrix that norm adds the squares row after
     row, so carrying the running sums into the first row of each block of rows keeps
-    its order.  Each block is squared into a C-order temporary, so a column-major x
-    is summed in the same order.  A single column is summed pairwise, so it goes
-    through the norm itself; its temporary is one column."""
+    its order.  Each block is squared into a C-order temporary, so a column-major
+    copy of x is summed in the same order.  A single column is summed pairwise, so
+    it goes through the norm itself; its temporary is one column."""
     if x.shape[1] < 2:
         return np.linalg.norm(x, axis=0)
     sumsq = np.zeros(x.shape[1])
@@ -656,28 +656,26 @@ def _margins(features: np.ndarray, labels: np.ndarray, v: np.ndarray) -> np.ndar
     return labels * (v[0] + features @ v[1:])
 
 
-def _loss_derivative(m: np.ndarray, labels: np.ndarray, n_rows: int) -> np.ndarray:
-    """labels * expit(-m) / n_rows, written into the margins' buffer m and returned.
+def _neg_expit(m: np.ndarray) -> np.ndarray:
+    """expit(-m) = 1/(1 + exp(m)), written into the margins' buffer m and returned.
 
-    expit(-m) is scipy's own formula 1/(1 + exp(m)), evaluated with numpy's exp,
-    so no run loads scipy.special.  A margin above about 709 overflows exp to inf
-    and gives 0, expit's limit; the overflow is not warned.  ``labels`` broadcasts
-    against m, so a block of margins with one column per iterate takes
-    ``labels[:, None]``."""
+    This is scipy's own expit formula, evaluated with numpy's exp, so no run loads
+    scipy.special.  A margin above about 709 overflows exp to inf and gives 0,
+    expit's limit; the overflow is not warned."""
     # every pass writes into the margins' buffer: at 50,000 rows the one-expression
     # form, with a fresh temporary per pass, took 3.5 times as long
     with np.errstate(over="ignore"):
         np.exp(m, out=m)
     m += 1.0
     np.divide(1.0, m, out=m)
-    m *= labels
-    m /= n_rows
     return m
 
 
 def _logistic_grad(features: np.ndarray, labels: np.ndarray, rho: float, v: np.ndarray) -> np.ndarray:
     """Mean log-loss gradient over the given rows plus the regularizer gradient."""
-    coef = _loss_derivative(_margins(features, labels, v), labels, features.shape[0])
+    coef = _neg_expit(_margins(features, labels, v))
+    coef *= labels
+    coef /= features.shape[0]
     g = np.empty(v.shape)
     g[0] = -np.sum(coef)
     g[1:] = -(coef @ features) + 2.0 * rho * v[1:]
@@ -685,35 +683,37 @@ def _logistic_grad(features: np.ndarray, labels: np.ndarray, rho: float, v: np.n
 
 
 # Rows of the feature matrix per block in _logistic_grad_norms.  With run()'s
-# chunk of 64 iterates a block's margins are 1024 x 64 doubles (0.5 MB), which
+# chunk of 64 iterates a block's margins are 512 x 64 doubles (256 KB), which
 # stay in cache between the two products.  The 100 iterates of one 49,990 x 22
-# trial took 58, 48, 47 and 46 ms in chunks of 16, 32, 64 and all 100 at 1024
-# rows; 49, 45, 68 and 71 ms at 256, 512, 2048 and 4096 rows in chunks of 64;
-# 134 ms as 100 separate gradients (best of 7, one BLAS thread, 2-vCPU Xeon).
-_ROW_BLOCK = 1024
+# trial, in run()'s chunks of 64 and 36, took at best 30.5, 29.8, 33.5, 33.1,
+# 35.4 and 38.2 ms at 256, 512, 768, 1024, 2048 and 4096 rows, with medians of
+# 36-43, 35-42, 45, 39-47, 39-45 and 44-47 ms over sessions of 15 to 100
+# interleaved runs; 157-167 ms as 100 separate gradients.  In chunks of 37,
+# 1024 rows led 512 by about 1.5 ms (one BLAS thread, 2-vCPU Xeon).
+_ROW_BLOCK = 512
 
 
 def _logistic_grad_norms(features: np.ndarray, labels: np.ndarray, rho: float, vs: np.ndarray) -> np.ndarray:
     """The norms of ``_logistic_grad(features, labels, rho, v)`` for the rows v of vs.
 
-    The rows of the features are taken ``_ROW_BLOCK`` at a time, and each block
-    meets every v in two matrix products, one for the margins and one for the
-    gradient terms, so the matrix is read once for all of vs.  The sums run in
-    another order than in ``_logistic_grad``, so the norms agree with those of
-    its gradients to rounding, not bit for bit."""
-    n = features.shape[0]
-    w = vs[:, 1:]
+    The rows of the features are taken ``_ROW_BLOCK`` at a time.  Each block is
+    copied with its labels folded in, Z = [y | y*X], so a row's margin for every v
+    is one product Z @ vs', intercept included, and the data gradient is
+    -E' @ Z / n, where E holds expit(-margin); the matrix is read once for all of
+    vs.  Folding multiplies by +-1, which is exact.  The sums run in another order
+    than in ``_logistic_grad``, so the norms agree with those of its gradients to
+    rounding, not bit for bit."""
+    n, d = features.shape
+    z = np.empty((min(n, _ROW_BLOCK), d + 1))
     g = np.zeros(vs.shape)
     for start in range(0, n, _ROW_BLOCK):
-        x = features[start : start + _ROW_BLOCK]
         y = labels[start : start + _ROW_BLOCK, None]
-        m = x @ w.T
-        m += vs[:, 0]
-        m *= y
-        coef = _loss_derivative(m, y, n)
-        g[:, 0] -= coef.sum(axis=0)
-        g[:, 1:] -= coef.T @ x
-    g[:, 1:] += 2.0 * rho * w
+        zb = z[: y.shape[0]]
+        zb[:, :1] = y
+        np.multiply(features[start : start + _ROW_BLOCK], y, out=zb[:, 1:])
+        g += _neg_expit(zb @ vs.T).T @ zb
+    g /= -n
+    g[:, 1:] += 2.0 * rho * vs[:, 1:]
     return np.linalg.norm(g, axis=1)
 
 
@@ -735,9 +735,10 @@ def logistic_problem(data: LogisticDataset, rho: float) -> Problem:
     phi(v) = mean_i log(1 + exp(-y_i (v0 + z_i'w))) + rho*|w|^2.  The intercept
     is excluded from the regularizer.  ``batch_grad`` subsamples the data term;
     ``grad_norms`` reads the feature matrix once for a whole array of points.
+    A negative or non-finite ``rho`` raises ValueError.
     """
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
     dim = data.n_features + 1
 
     def phi(v):

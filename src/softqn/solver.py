@@ -355,12 +355,12 @@ def _no_phi(x) -> float:
 
 
 # Iterates per call of a batched exact channel in run().  The queue holds that
-# many copies of an iterate, and the logistic kernel a block of 1024 feature rows
-# times that many margins (0.5 MB).  Chunks of 64 and of all 100 iterates of a
-# 49,990 x 22 trial took the same time (see problems._ROW_BLOCK).  Over 10
-# alternated runs of perfbench's logreg_big, the median peak_rss_mb was 75.8 MB
-# at this chunk against 74.9 MB with one full gradient per iterate; single runs
-# of either read 73 to 78 MB.
+# many copies of an iterate, and the logistic kernel a block of 512 feature rows
+# times that many margins (256 KB).  Chunks of 64 and of all 100 iterates of a
+# 49,990 x 22 trial took about the same time, 30.6 and 31.6 ms at 512 rows (best
+# of 15 interleaved runs).  Over 10 alternated runs of perfbench's logreg_big,
+# the median peak_rss_mb was 75.8 MB at this chunk against 74.9 MB with one full
+# gradient per iterate; single runs of either read 73 to 78 MB.
 _EXACT_CHUNK = 64
 
 

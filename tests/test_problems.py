@@ -501,7 +501,7 @@ def test_libsvm_whole_file_agrees_with_the_token_scan(tmp_path, monkeypatch, blo
     assert loaded > 200
 
 
-def test_libsvm_features_are_column_major_and_bitwise_the_row_major_reference(tmp_path, monkeypatch):
+def test_libsvm_features_are_row_major_and_bitwise_the_reference(tmp_path, monkeypatch):
     # several row blocks, each long enough that numpy would sum a contiguous column
     # pairwise, which shows in the norms' last bits
     monkeypatch.setattr(problems, "_BLOCK_LINES", 64)
@@ -511,7 +511,7 @@ def test_libsvm_features_are_column_major_and_bitwise_the_row_major_reference(tm
     for normalize in (False, True):
         got = load_libsvm(f, normalize=normalize).features
         want, _ = _reference_load(f, normalize=normalize)
-        assert got.flags.f_contiguous and want.flags.c_contiguous
+        assert got.flags.c_contiguous and want.flags.c_contiguous
         assert got.shape == want.shape == (300, 22)
         npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -659,7 +659,7 @@ def test_logistic_runs_never_load_scipy_special():
 
 def test_logistic_gradient_is_finite_at_margins_beyond_exp_overflow():
     data = problems.LogisticDataset(
-        features=np.asfortranarray([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), labels=np.array([1.0, -1.0, 1.0])
+        features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), labels=np.array([1.0, -1.0, 1.0])
     )
     p = logistic_problem(data, rho=0.1)
     for scale in (710.0, 1e5, 1e300):
@@ -673,37 +673,57 @@ def test_logistic_gradient_is_finite_at_margins_beyond_exp_overflow():
     npt.assert_array_equal(p.grad(np.array([0.0, 800.0, -800.0])), [0.0, 160.0, -160.0])
 
 
+def _column_major(data):
+    return problems.LogisticDataset(features=np.asfortranarray(data.features), labels=data.labels)
+
+
 def test_logistic_gradient_does_not_depend_on_the_feature_layout():
     data = load_libsvm(fixture_dataset_path())
-    assert data.features.flags.f_contiguous
-    row_major = problems.LogisticDataset(features=np.ascontiguousarray(data.features), labels=data.labels)
+    assert data.features.flags.c_contiguous
+    col_major = _column_major(data)
     rng = np.random.default_rng(17)
     for _ in range(5):
         v = 0.5 * rng.standard_normal(data.n_features + 1)
         g = logistic_problem(data, 0.1).grad(v)
-        g_c = logistic_problem(row_major, 0.1).grad(v)
+        g_f = logistic_problem(col_major, 0.1).grad(v)
         # a different summation order in the matrix-vector products: a few ulp of
         # the terms' size
-        npt.assert_allclose(g_c, g, rtol=0, atol=8 * np.finfo(float).eps * np.max(np.abs(g)))
+        npt.assert_allclose(g_f, g, rtol=0, atol=8 * np.finfo(float).eps * np.max(np.abs(g)))
 
 
-def _assert_batched_norms_match(problem, vs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        batched = problem.grad_norms(vs)
-        one_by_one = [np.linalg.norm(problem.grad(v)) for v in vs]
-    assert batched.shape == (len(vs),)
-    npt.assert_allclose(batched, one_by_one, rtol=1e-13, atol=0)
+def test_minibatch_gradient_is_bitwise_the_same_in_either_layout():
+    # the row gather gives the same C-order batch from either layout, so minibatch
+    # trajectories do not depend on the layout of the loaded matrix
+    data = load_libsvm(fixture_dataset_path())
+    col_major = _column_major(data)
+    rng, rng_f = np.random.default_rng(29), np.random.default_rng(29)
+    v = 0.5 * np.random.default_rng(31).standard_normal(data.n_features + 1)
+    for batch in (1, 37, data.n_samples):
+        g = minibatch_gradient(data, 0.1, v, batch, rng)
+        g_f = minibatch_gradient(col_major, 0.1, v, batch, rng_f)
+        npt.assert_array_equal(g_f.view(np.int64), g.view(np.int64))
+
+
+def _assert_batched_norms_match(data, rho, vs):
+    # the loader's row-major features and a column-major copy
+    for d in (data, _column_major(data)):
+        problem = logistic_problem(d, rho)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched = problem.grad_norms(vs)
+            one_by_one = [np.linalg.norm(problem.grad(v)) for v in vs]
+        assert batched.shape == (len(vs),)
+        npt.assert_allclose(batched, one_by_one, rtol=1e-13, atol=0)
 
 
 def test_batched_grad_norms_match_per_iterate_norms():
     rng = np.random.default_rng(19)
     for normalize in (True, False):
         data = load_libsvm(fixture_dataset_path(), normalize=normalize)
-        p = logistic_problem(data, rho=0.1)
+        dim = data.n_features + 1
         scale = 0.5 if normalize else 0.05  # unnormalized features are larger
-        _assert_batched_norms_match(p, scale * rng.standard_normal((7, p.dim)))
-        _assert_batched_norms_match(p, scale * rng.standard_normal((1, p.dim)))  # k = 1
+        _assert_batched_norms_match(data, 0.1, scale * rng.standard_normal((7, dim)))
+        _assert_batched_norms_match(data, 0.1, scale * rng.standard_normal((1, dim)))  # k = 1
 
 
 def test_batched_grad_norms_across_row_blocks():
@@ -711,23 +731,29 @@ def test_batched_grad_norms_across_row_blocks():
     rng = np.random.default_rng(23)
     rows = 2 * problems._ROW_BLOCK + 37
     data = problems.LogisticDataset(
-        features=np.asfortranarray(rng.standard_normal((rows, 5)) / math.sqrt(rows)),
+        features=rng.standard_normal((rows, 5)) / math.sqrt(rows),
         labels=np.where(rng.random(rows) < 0.5, -1.0, 1.0),
     )
-    p = logistic_problem(data, rho=0.01)
-    _assert_batched_norms_match(p, rng.standard_normal((9, p.dim)))
+    _assert_batched_norms_match(data, 0.01, rng.standard_normal((9, data.n_features + 1)))
 
 
 def test_batched_grad_norms_beyond_exp_overflow():
     # margins beyond +-709: exp overflows, the derivative goes to 0 or its limit, with no warning
     data = problems.LogisticDataset(
-        features=np.asfortranarray([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), labels=np.array([1.0, -1.0, 1.0])
+        features=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]), labels=np.array([1.0, -1.0, 1.0])
     )
     p = logistic_problem(data, rho=0.1)
     vs = [[0.0, s, -s] for s in (710.0, 1e5, 1e150)] + [[0.0, -s, s] for s in (710.0, 1e5, 1e150)]
-    _assert_batched_norms_match(p, np.array(vs))
+    _assert_batched_norms_match(data, 0.1, np.array(vs))
     # every margin far positive: only the regularizer term 2*rho*w is left
     assert p.grad_norms(np.array([[0.0, 800.0, -800.0]]))[0] == np.linalg.norm([160.0, 160.0])
+
+
+def test_logistic_problem_rejects_negative_and_non_finite_rho():
+    data = load_libsvm(fixture_dataset_path())
+    for rho in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rho"):
+            logistic_problem(data, rho)
 
 
 def test_minibatch_validates_batch_size():
