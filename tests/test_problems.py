@@ -705,7 +705,7 @@ def test_minibatch_gradient_is_bitwise_the_same_in_either_layout():
 
 
 def _assert_batched_norms_match(data, rho, vs):
-    # the loader's row-major features and a column-major copy
+    # the features as given (row-major, as the loader returns them) and a column-major copy
     for d in (data, _column_major(data)):
         problem = logistic_problem(d, rho)
         with warnings.catch_warnings():
