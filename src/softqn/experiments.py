@@ -117,6 +117,8 @@ def run_qp(params, out_dir):
     between SGD at those two scales, behind SGD at step_scale.
     """
     p = _params(QP_DEFAULTS, params)
+    noise = GaussianNoise(p["noise_scale"])
+    step = DiminishingStep(p["step_scale"])
     methods = {
         "newton": lambda: ExactNewton(),
         "softqn": lambda: SoftQn(ConstantAlpha(p["alpha"])),
@@ -124,9 +126,8 @@ def run_qp(params, out_dir):
         "bfgs": lambda: StochasticBfgs(),
         "sgd": lambda: Sgd(),
     }
-    _check_methods(p["methods"], methods)
+    methods = _select_methods(p["methods"], methods)
     budget = Budget(iterations=int(p["iterations"]))
-    step = DiminishingStep(p["step_scale"])
     problems = {}
 
     def trial_problem(t):
@@ -136,12 +137,8 @@ def run_qp(params, out_dir):
 
     def trial_fn(m, t):
         problem = trial_problem(t)
-        oracle = NoisyOracle(
-            problem,
-            grad_noise=GaussianNoise(p["noise_scale"]),
-            seed=derive_seed(p["seed"], t),
-        )
-        return run(oracle, methods[m](), step, budget)
+        oracle = NoisyOracle(problem, grad_noise=noise, seed=derive_seed(p["seed"], t))
+        return run(oracle, methods[m], step, budget)
 
     records = monte_carlo(trial_fn, p["methods"], int(p["trials"]))
 
@@ -164,6 +161,7 @@ def run_cutest(params, out_dir):
     problem = cutest_like(p["problem"])
     e_f = p["noise_rel"] * abs(problem.phi(problem.x0))
     e_g = p["noise_rel"] * float(np.linalg.norm(problem.grad(problem.x0)))
+    fun_noise, grad_noise = UniformNoise(e_f), SphereNoise(e_g)
     step = NoisyArmijo(
         eta0=p["eta0"],
         c=p["armijo_c"],
@@ -175,22 +173,18 @@ def run_cutest(params, out_dir):
         "softqn": lambda: SoftQn(ConstantAlpha(p["alpha"])),
         "spbfgs": lambda: SpBfgs(StepNormBeta(p["beta_scale"] / e_g, p["beta_floor"])),
     }
-    _check_methods(p["methods"], methods)
     if "spbfgs" in p["methods"] and e_g == 0.0:
         raise ValueError(
             "spbfgs needs gradient noise: its beta scales with 1/e_g, and "
             f"noise_rel = {p['noise_rel']} gives e_g = 0 on {problem.name}"
         )
+    methods = _select_methods(p["methods"], methods)
     budget = Budget(fun_evals=int(p["budget"]))
 
     def trial_fn(m, t):
-        oracle = NoisyOracle(
-            problem,
-            fun_noise=UniformNoise(e_f),
-            grad_noise=SphereNoise(e_g),
-            seed=derive_seed(p["seed"], t),
-        )
-        return run(oracle, methods[m](), step, budget)
+        seed = derive_seed(p["seed"], t)
+        oracle = NoisyOracle(problem, fun_noise=fun_noise, grad_noise=grad_noise, seed=seed)
+        return run(oracle, methods[m], step, budget)
 
     records = monte_carlo(trial_fn, p["methods"], int(p["trials"]))
 
@@ -205,30 +199,24 @@ def run_cutest(params, out_dir):
 def run_logreg(params, out_dir):
     """Regularized logistic regression with minibatch gradients and a fixed step."""
     p = _params(LOGREG_DEFAULTS, params)
-    path = p["dataset"] or fixture_dataset_path()
-    data = load_libsvm(path)
-    problem = logistic_problem(data, p["rho"])
-    batch = int(p["batch"])
-    if batch <= 0:
-        batch = max(1, round(data.n_samples * 1000 / 49990))
-    batch = min(batch, data.n_samples)
+    step = FixedStep(p["eta"])
     methods = {
         "softqn": lambda: SoftQn(ConstantAlpha(p["alpha"])),
         "spbfgs": lambda: SpBfgs(StepNormBeta(p["beta_coeff"], p["beta_floor"])),
         "bfgs": lambda: StochasticBfgs(),
         "sgd": lambda: Sgd(),
     }
-    _check_methods(p["methods"], methods)
+    methods = _select_methods(p["methods"], methods)
+    path = p["dataset"] or fixture_dataset_path()
+    data = load_libsvm(path)
+    problem = logistic_problem(data, p["rho"])
+    batch = int(p["batch"]) or max(1, round(data.n_samples * 1000 / 49990))
+    sampling = MinibatchSampling(min(batch, data.n_samples))
     budget = Budget(iterations=int(p["iterations"]))
-    step = FixedStep(p["eta"])
 
     def trial_fn(m, t):
-        oracle = NoisyOracle(
-            problem,
-            grad_noise=MinibatchSampling(batch),
-            seed=derive_seed(p["seed"], m, t),
-        )
-        return run(oracle, methods[m](), step, budget)
+        oracle = NoisyOracle(problem, grad_noise=sampling, seed=derive_seed(p["seed"], m, t))
+        return run(oracle, methods[m], step, budget)
 
     records = monte_carlo(trial_fn, p["methods"], int(p["trials"]))
     metric = MetricSpec("log10_grad_norm", "iteration", metric_log10_grad, band="mean3sd")
@@ -247,10 +235,10 @@ def run_toy(params, out_dir):
         "softqn": lambda: (SoftQn(ConstantAlpha(p["alpha"])), h0),
         "saddle_free_newton": lambda: (SaddleFreeNewton(), None),
     }
-    _check_methods(p["methods"], methods)
+    methods = _select_methods(p["methods"], methods)
 
     def trial_fn(m, t):
-        method, start_h = methods[m]()
+        method, start_h = methods[m]
         oracle = NoisyOracle(problem, seed=derive_seed(p["seed"], m, t))
         return run(oracle, method, step, budget, h0=start_h, keep_iterates=True)
 
@@ -267,20 +255,28 @@ def run_toy(params, out_dir):
 
 def _params(defaults, params):
     """The defaults overridden by ``params``.  Before any work, raises ValueError on a
-    seed outside [0, 2**64), a count below 1 or a non-finite float."""
+    seed outside [0, 2**64), a count below 1, a negative batch (0 keeps the preset
+    fraction) or a non-finite float."""
     p = {**defaults, **params}
     if not 0 <= p["seed"] < 2**64:
         raise ValueError(f"seed {p['seed']} out of unsigned 64-bit range")
     for key in ("trials", "iterations", "budget"):
         if p.get(key, 1) < 1:
             raise ValueError(f"{key} must be >= 1, got {p[key]}")
+    if p.get("batch", 0) < 0:
+        raise ValueError(f"batch must be >= 0, got {p['batch']}")
     for key, value in p.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"bad value for '{key}': '{value}'")
     return p
 
 
-def _check_methods(requested, available):
+def _select_methods(requested, available):
+    """The requested methods, each built once from its factory in ``available``.
+
+    Raises ValueError for an empty or unknown selection, and for whatever a
+    factory refuses, before any trial runs.
+    """
     if not requested:
         raise ValueError(f"no method selected; available: {', '.join(available)}")
     unknown = [m for m in requested if m not in available]
@@ -288,3 +284,4 @@ def _check_methods(requested, available):
         raise ValueError(
             f"unknown method(s) {', '.join(unknown)}; available: {', '.join(available)}"
         )
+    return {m: available[m]() for m in requested}

@@ -5,7 +5,9 @@ while counting every call; the exact value, gradient and Hessian stay queryable
 through a separate channel that does not touch the counters.  Each oracle owns
 three independent RNG streams (function noise, gradient noise, minibatch
 sampling) seeded from a single integer, so the j-th draw of a stream depends
-only on (seed, j) and runs replay identically.
+only on (seed, j) and runs replay identically.  A noise scale must be
+nonnegative and finite and a minibatch at least one row, or the noise model
+raises ValueError where it is made.
 """
 
 import hashlib
@@ -39,11 +41,20 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def _check_scale(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is nonnegative and finite; zero means no noise."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class UniformNoise:
     """Additive scalar noise uniform on [-half_width, half_width] (function values)."""
 
     half_width: float
+
+    def __post_init__(self):
+        _check_scale("half_width", self.half_width)
 
 
 @dataclass(frozen=True)
@@ -52,6 +63,9 @@ class GaussianNoise:
 
     cov_scale: float
 
+    def __post_init__(self):
+        _check_scale("cov_scale", self.cov_scale)
+
 
 @dataclass(frozen=True)
 class SphereNoise:
@@ -59,12 +73,19 @@ class SphereNoise:
 
     radius: float
 
+    def __post_init__(self):
+        _check_scale("radius", self.radius)
+
 
 @dataclass(frozen=True)
 class MinibatchSampling:
-    """Replace the gradient with a minibatch estimate of the given size."""
+    """Replace the gradient with a minibatch estimate of the given size, at least 1."""
 
     batch: int
+
+    def __post_init__(self):
+        if not self.batch >= 1:
+            raise ValueError(f"batch must be >= 1, got {self.batch}")
 
 
 class NoisyOracle:
@@ -164,9 +185,10 @@ class NoisyOracle:
     @property
     def batched_grad_norms(self):
         """The problem's ``grad_norms`` when the noisy gradient shares no evaluation
-        with the exact one (minibatch sampling), else None.  Under the other noise
-        models the noisy channel evaluates the exact gradient at each new iterate
-        anyway, so a batch would only add work."""
+        with the exact one (minibatch sampling), else None.  ``run`` then gets the
+        norms of all of a trial's iterates from it in one call.  Under the other
+        noise models the noisy channel evaluates the exact gradient at each new
+        iterate anyway, so a batch would only add work."""
         if isinstance(self.grad_noise, MinibatchSampling):
             return self.problem.grad_norms
         return None

@@ -107,15 +107,10 @@ def _gradient_and_scale(spec: PenaltyObjectiveSpec, l: np.ndarray):
     return 0.5 * (g + g.T), scale
 
 
-def _gradient(spec: PenaltyObjectiveSpec, b: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Matrix gradient of U at B, which doubles as the stationarity residual matrix."""
-    return _gradient_and_scale(spec, l)[0]
-
-
 def stationarity_residual(spec: PenaltyObjectiveSpec, b: np.ndarray) -> float:
     """Frobenius norm of the first-order optimality residual of U at B."""
     l = _chol_or_domain_error(b)
-    return float(np.linalg.norm(_gradient(spec, b, l), "fro"))
+    return float(np.linalg.norm(_gradient_and_scale(spec, l)[0], "fro"))
 
 
 def _symmetric_basis(n: int) -> np.ndarray:

@@ -48,7 +48,9 @@ class Problem:
     are set when the optimum is known analytically; ``batch_grad(x, batch, rng)``
     is present for data-fitting problems whose gradient can be subsampled, and
     ``grad_norms(xs)``, the norms of ``grad`` at the k rows of a k x dim array,
-    where one call for all of them costs less than k calls of ``grad``.
+    where one call for all of them costs less than k calls of ``grad``.  Under
+    minibatch sampling ``run`` passes it all of a trial's iterates in one call,
+    so its working memory must not grow with k beyond the k norms.
     """
 
     name: str
@@ -682,15 +684,18 @@ def _logistic_grad(features: np.ndarray, labels: np.ndarray, rho: float, v: np.n
     return g
 
 
-# Rows of the feature matrix per block in _logistic_grad_norms.  With run()'s
-# chunk of 64 iterates a block's margins are 512 x 64 doubles (256 KB), which
-# stay in cache between the two products.  The 100 iterates of one 49,990 x 22
-# trial, in run()'s chunks of 64 and 36, took at best 30.5, 29.8, 33.5, 33.1,
-# 35.4 and 38.2 ms at 256, 512, 768, 1024, 2048 and 4096 rows, with medians of
-# 36-43, 35-42, 45, 39-47, 39-45 and 44-47 ms over sessions of 15 to 100
-# interleaved runs; 157-167 ms as 100 separate gradients.  In chunks of 37,
-# 1024 rows led 512 by about 1.5 ms (one BLAS thread, 2-vCPU Xeon).
+# Tiles of _logistic_grad_norms: feature rows per block, and points per product.
+# A tile's margins are 512 x 64 doubles (256 KB), which stay in cache between
+# the two products, and the working memory stays that size for any number of
+# points.  The 101 points of one 49,990 x 22 trial took best 27.1 ms (median
+# 32.4) at 64 points per product, 30.0 (36.1) at 32 and 32.1 (40.4) with all
+# 101 in one product, over 40 interleaved runs; 157-167 ms as 100 separate
+# gradients.  The row block was chosen over 100 points in calls of 64 and
+# 36: best 30.5, 29.8, 33.5, 33.1, 35.4 and 38.2 ms at 256, 512, 768, 1024,
+# 2048 and 4096 rows, with medians of 36-43, 35-42, 45, 39-47, 39-45 and 44-47
+# ms over sessions of 15 to 100 interleaved runs (one BLAS thread, 2-vCPU Xeon).
 _ROW_BLOCK = 512
+_POINT_BLOCK = 64
 
 
 def _logistic_grad_norms(features: np.ndarray, labels: np.ndarray, rho: float, vs: np.ndarray) -> np.ndarray:
@@ -700,8 +705,9 @@ def _logistic_grad_norms(features: np.ndarray, labels: np.ndarray, rho: float, v
     copied with its labels folded in, Z = [y | y*X], so a row's margin for every v
     is one product Z @ vs', intercept included, and the data gradient is
     -E' @ Z / n, where E holds expit(-margin); the matrix is read once for all of
-    vs.  Folding multiplies by +-1, which is exact.  The sums run in another order
-    than in ``_logistic_grad``, so the norms agree with those of its gradients to
+    vs, which meets each block ``_POINT_BLOCK`` rows at a time.  Folding
+    multiplies by +-1, which is exact.  The sums run in another order than in
+    ``_logistic_grad``, so the norms agree with those of its gradients to
     rounding, not bit for bit."""
     n, d = features.shape
     z = np.empty((min(n, _ROW_BLOCK), d + 1))
@@ -711,7 +717,8 @@ def _logistic_grad_norms(features: np.ndarray, labels: np.ndarray, rho: float, v
         zb = z[: y.shape[0]]
         zb[:, :1] = y
         np.multiply(features[start : start + _ROW_BLOCK], y, out=zb[:, 1:])
-        g += _neg_expit(zb @ vs.T).T @ zb
+        for j in range(0, len(vs), _POINT_BLOCK):
+            g[j : j + _POINT_BLOCK] += _neg_expit(zb @ vs[j : j + _POINT_BLOCK].T).T @ zb
     g /= -n
     g[:, 1:] += 2.0 * rho * vs[:, 1:]
     return np.linalg.norm(g, axis=1)

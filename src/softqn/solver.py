@@ -18,6 +18,7 @@ from .updates import (
     ConstantAlpha,
     ConstantBeta,
     UpdateConsistencyError,
+    _check_positive,
     bfgs_admissible,
     biased_direction,
     bfgs_update,
@@ -251,9 +252,14 @@ class LineSearchResult(NamedTuple):
 
 @dataclass(frozen=True)
 class FixedStep:
+    """The same step eta, positive and finite (or ValueError), at every iteration."""
+
     evaluates_f: ClassVar[bool] = False
 
     eta: float
+
+    def __post_init__(self):
+        _check_positive("eta", self.eta)
 
     def step(self, oracle, x, p, g, k, eval_cap, f_x) -> LineSearchResult:
         return LineSearchResult(self.eta, True, 0, 0, False)
@@ -261,11 +267,14 @@ class FixedStep:
 
 @dataclass(frozen=True)
 class DiminishingStep:
-    """eta_k = scale/k with k counted from 1."""
+    """eta_k = scale/k with k counted from 1; scale is positive and finite, or ValueError."""
 
     evaluates_f: ClassVar[bool] = False
 
     scale: float = 1.0
+
+    def __post_init__(self):
+        _check_positive("scale", self.scale)
 
     def step(self, oracle, x, p, g, k, eval_cap, f_x) -> LineSearchResult:
         return LineSearchResult(self.scale / k, True, 0, 0, False)
@@ -354,57 +363,6 @@ def _no_phi(x) -> float:
     return np.nan
 
 
-# Iterates per call of a batched exact channel in run().  The queue holds that
-# many copies of an iterate, and the logistic kernel a block of 512 feature rows
-# times that many margins (256 KB).  Chunks of 64 and of all 100 iterates of a
-# 49,990 x 22 trial took about the same time, 30.6 and 31.6 ms at 512 rows (best
-# of 15 interleaved runs).  Over 10 alternated runs of perfbench's logreg_big,
-# the median peak_rss_mb was 75.8 MB at this chunk against 74.9 MB with one full
-# gradient per iterate; single runs of either read 73 to 78 MB.
-_EXACT_CHUNK = 64
-
-
-class _ExactNorms:
-    """The exact gradient norm at each recorded iterate, in order, in ``values``.
-
-    Where the oracle offers a batched exact channel, the iterates are queued and
-    evaluated ``_EXACT_CHUNK`` at a time and at ``flush``; otherwise each one is
-    evaluated when it is added.  ``add`` and ``flush`` return False once a norm
-    is not finite; ``values`` then ends before that iterate, and ``last`` is the
-    iterate of its last entry.  The start point's norm is recorded as it is.
-    """
-
-    def __init__(self, oracle, x0):
-        self._oracle = oracle
-        self._batched = oracle.batched_grad_norms
-        self._queue = []
-        self.values = [float(np.linalg.norm(oracle.true_grad(x0)))]
-        self.last = x0
-
-    def add(self, x) -> bool:
-        if self._batched is not None:
-            self._queue.append(x.copy())
-            return len(self._queue) < _EXACT_CHUNK or self.flush()
-        gn = float(np.linalg.norm(self._oracle.true_grad(x)))
-        if not np.isfinite(gn):
-            return False
-        self.values.append(gn)
-        self.last = x
-        return True
-
-    def flush(self) -> bool:
-        if not self._queue:
-            return True
-        norms = self._batched(np.array(self._queue))
-        finite = np.isfinite(norms)
-        stop = len(norms) if finite.all() else int(np.argmin(finite))
-        self.values.extend(norms[:stop].tolist())
-        if stop:
-            self.last = self._queue[stop - 1]
-        self._queue.clear()
-        return stop == len(norms)
-
-
 @dataclass(frozen=True)
 class Budget:
     """Stop after a fixed number of iterations, counted f evaluations, or both."""
@@ -470,13 +428,13 @@ def run(
 
     Where the oracle's noisy gradient shares no evaluation with the exact one
     and the problem offers ``grad_norms`` (minibatch logistic regression), the
-    norms after the start are evaluated in chunks of ``_EXACT_CHUNK`` iterates
-    and once more at the end, so they agree with the per-iterate ones to
-    rounding and the trajectory is unchanged.  A non-finite norm found that way
-    ends the trial as above: the traces, ``iterations`` and ``final_x`` stop at
-    the iterate before it, but ``fun_evals``, ``grad_evals``,
-    ``step_rejections`` and ``skipped_updates`` include the work done up to the
-    evaluation that found it.
+    iterates are kept and their norms, start included, come from one
+    ``grad_norms`` call after the loop; they agree with the per-iterate ones to
+    rounding and the trajectory is unchanged.  A non-finite norm after the
+    start found that way ends the trial as above: the traces, ``iterations``
+    and ``final_x`` stop at the iterate before it, but ``fun_evals``,
+    ``grad_evals``, ``step_rejections`` and ``skipped_updates`` count the whole
+    trial.
 
     A budget of f evaluations alone under a step policy that evaluates no f, an
     ``h0`` for a method that keeps no H, or a bad ``h0``, raises ValueError
@@ -494,10 +452,12 @@ def run(
     phi_star = oracle.problem.phi_star
     # phi only feeds phi - phi*, so a problem without phi* never pays for it
     exact_phi = oracle.true_phi if phi_star is not None else _no_phi
-    norms = _ExactNorms(oracle, x)
+    # a batched exact channel gets every norm, start included, in one call after the loop
+    batched = oracle.batched_grad_norms
+    grad_norms = [float(np.linalg.norm(oracle.true_grad(x)))] if batched is None else None
     phis = [exact_phi(x)]
     eval_counts = [oracle.fun_evals]
-    iterates = [x.copy()] if keep_iterates else None
+    iterates = [x.copy()] if keep_iterates or batched is not None else None
     rejections = 0
     skipped = 0
     diverged = False
@@ -519,13 +479,19 @@ def run(
             break
 
         phi_new = exact_phi(x_new)
-        if (phi_star is not None and not np.isfinite(phi_new)) or not norms.add(x_new):
+        if phi_star is not None and not np.isfinite(phi_new):
             diverged = True
             break
+        if batched is None:
+            gn = float(np.linalg.norm(oracle.true_grad(x_new)))
+            if not np.isfinite(gn):
+                diverged = True
+                break
+            grad_norms.append(gn)
         k += 1
         eval_counts.append(oracle.fun_evals)
         phis.append(phi_new)
-        if keep_iterates:
+        if iterates is not None:
             iterates.append(x_new.copy())
 
         x_prev, x = x, x_new
@@ -544,15 +510,15 @@ def run(
         skipped += not applied
         g = g_new
 
-    if not norms.flush():
-        diverged = True
-    grad_norms = norms.values
-    if len(grad_norms) < k + 1:  # a queued iterate's norm was not finite
-        k = len(grad_norms) - 1
-        x = norms.last
-        del eval_counts[k + 1 :], phis[k + 1 :]
-        if keep_iterates:
-            del iterates[k + 1 :]
+    if batched is not None:
+        values = batched(np.array(iterates))
+        grad_norms = values.tolist()
+        bad = np.flatnonzero(~np.isfinite(values[1:]))
+        if bad.size:  # the trial ends at the iterate before the first non-finite norm
+            k = int(bad[0])
+            x = iterates[k]
+            diverged = True
+            del grad_norms[k + 1 :], eval_counts[k + 1 :], phis[k + 1 :], iterates[k + 1 :]
 
     # pad per-iteration traces on early stops so trials stay comparable
     if budget.iterations is not None and len(grad_norms) < budget.iterations + 1:
@@ -574,5 +540,5 @@ def run(
         skipped_updates=skipped,
         diverged=diverged,
         phi_star=phi_star,
-        iterates=iterates,
+        iterates=iterates if keep_iterates else None,
     )

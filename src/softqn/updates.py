@@ -435,11 +435,20 @@ def biased_direction(h, g):
     return -(h @ g)
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ConstantAlpha:
-    """Fixed penalty weight for soft QN."""
+    """Fixed penalty weight for soft QN; positive and finite, or ValueError."""
 
     alpha: float
+
+    def __post_init__(self):
+        _check_positive("alpha", self.alpha)
 
     def value(self, h, s, y) -> float:
         return self.alpha
@@ -447,9 +456,12 @@ class ConstantAlpha:
 
 @dataclass(frozen=True)
 class ConstantBeta:
-    """Fixed penalty weight for SP-BFGS."""
+    """Fixed penalty weight for SP-BFGS; positive and finite, or ValueError."""
 
     beta: float
+
+    def __post_init__(self):
+        _check_positive("beta", self.beta)
 
     def value(self, s, y) -> float:
         return self.beta
@@ -457,10 +469,18 @@ class ConstantBeta:
 
 @dataclass(frozen=True)
 class StepNormBeta:
-    """beta = coeff*|s| + floor; shrinks the penalty with the step length."""
+    """beta = coeff*|s| + floor; shrinks the penalty with the step length.
+
+    ``coeff`` must be nonnegative and ``floor`` positive, both finite, or ValueError.
+    """
 
     coeff: float
     floor: float = 1e-10
+
+    def __post_init__(self):
+        if not 0 <= self.coeff < math.inf:
+            raise ValueError(f"coeff must be nonnegative and finite, got {self.coeff}")
+        _check_positive("floor", self.floor)
 
     def value(self, s, y) -> float:
         return self.coeff * float(np.linalg.norm(s)) + self.floor
@@ -471,11 +491,17 @@ class CurvatureRelaxedBeta:
     """Fixed beta while s'y >= 0, relaxed to relax/(-s'y) on negative curvature.
 
     With 0 < relax < 1 the relaxed beta always satisfies s'y > -1/beta, so the
-    SP-BFGS update stays applicable on every pair.
+    SP-BFGS update stays applicable on every pair.  A beta that is not positive
+    and finite, or a relax outside (0, 1), raises ValueError.
     """
 
     beta: float
     relax: float = 0.9
+
+    def __post_init__(self):
+        _check_positive("beta", self.beta)
+        if not 0 < self.relax < 1:
+            raise ValueError(f"relax must lie in (0, 1), got {self.relax}")
 
     def value(self, s, y) -> float:
         s_t_y = float(s @ y)

@@ -131,6 +131,30 @@ def test_counts_below_one_are_config_errors(tmp_path, capsys, section, key, valu
 
 
 @pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("qp", "noise_scale", -1.0, "cov_scale must be nonnegative and finite, got -1.0"),
+        ("qp", "step_scale", -1.0, "scale must be positive and finite, got -1.0"),
+        ("qp", "relax", 1.0, "relax must lie in (0, 1), got 1.0"),
+        ("cutest", "noise_rel", -1e-4, "half_width must be nonnegative and finite, got -"),
+        ("cutest", "alpha", 0.0, "alpha must be positive and finite, got 0.0"),
+        ("logreg", "eta", -0.1, "eta must be positive and finite, got -0.1"),
+        ("logreg", "beta_coeff", -1.0, "coeff must be nonnegative and finite, got -1.0"),
+        ("logreg", "batch", -1, "batch must be >= 0, got -1"),
+    ],
+)
+def test_bad_scales_and_penalties_are_config_errors(tmp_path, capsys, section, key, value, message):
+    # each noise model, step and penalty policy refuses a bad value where it is made,
+    # so the run stops before any trial and writes nothing
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([section, "--config", str(cfg), "--trials", "1", "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "runner, params, message",
     [
         (run_cutest, {"budget": 0}, "budget must be >= 1, got 0"),

@@ -8,7 +8,7 @@ from softqn.checks import random_spd
 from softqn.oracle import (
     NoConvergenceError,
     PenaltyObjectiveSpec,
-    _gradient,
+    _gradient_and_scale,
     _newton_matrix,
     _symmetric_basis,
     minimize_penalty_objective,
@@ -239,7 +239,7 @@ def test_gradient_matches_finite_differences():
         basis = _symmetric_basis(n)
         hess_d = _newton_matrix(spec, b_inv, basis) @ d[np.triu_indices(n)]
         grad_p, grad_m = (
-            _gradient(spec, b_t, np.linalg.cholesky(b_t)) for b_t in (b + eps * d, b - eps * d)
+            _gradient_and_scale(spec, np.linalg.cholesky(b_t))[0] for b_t in (b + eps * d, b - eps * d)
         )
         fd_hess_d = basis.T @ ((grad_p - grad_m) / (2 * eps)).ravel()
         npt.assert_allclose(hess_d, fd_hess_d, rtol=1e-5, atol=1e-8 * np.abs(hess_d).max())

@@ -723,7 +723,10 @@ def test_batched_grad_norms_match_per_iterate_norms():
         dim = data.n_features + 1
         scale = 0.5 if normalize else 0.05  # unnormalized features are larger
         _assert_batched_norms_match(data, 0.1, scale * rng.standard_normal((7, dim)))
-        _assert_batched_norms_match(data, 0.1, scale * rng.standard_normal((1, dim)))  # k = 1
+        # one point, and the edges of the point tiles
+        tile = problems._POINT_BLOCK
+        for k in (1, tile, tile + 1, 2 * tile + 1):
+            _assert_batched_norms_match(data, 0.1, scale * rng.standard_normal((k, dim)))
 
 
 def test_batched_grad_norms_across_row_blocks():

@@ -34,6 +34,7 @@ from softqn.updates import (
     CurvatureError,
     CurvatureRelaxedBeta,
     PdThresholdError,
+    StepNormBeta,
     UpdateConsistencyError,
     bfgs_update,
     sp_bfgs_update,
@@ -457,7 +458,7 @@ def test_phi_is_not_evaluated_without_phi_star(method):
 
 
 # ---------------------------------------------------------------------------
-# batched exact channel: the norms of a minibatch trial in chunks of iterates
+# batched exact channel: the norms of a minibatch trial in one call
 
 
 def _counted(fn, calls):
@@ -475,21 +476,19 @@ def test_batched_and_per_iterate_exact_channels_agree(method, phi_star):
     calls = []
     batched = dataclasses.replace(problem, phi_star=phi_star, grad_norms=_counted(problem.grad_norms, calls))
     per_iterate = dataclasses.replace(batched, grad_norms=None)
-    # two full chunks and a partial one
-    budget = Budget(iterations=2 * solver._EXACT_CHUNK + 20)
+    budget = Budget(iterations=148)
     records = []
     for p in (batched, per_iterate):
         oracle = _CountingOracle(p, grad_noise=MinibatchSampling(20), seed=3)
         records.append(run(oracle, method, FixedStep(0.1), budget, keep_iterates=True))
         assert oracle.phi_calls == (0 if phi_star is None else budget.iterations + 1)
-    assert calls == [solver._EXACT_CHUNK, solver._EXACT_CHUNK, 20]
+    assert calls == [budget.iterations + 1]  # one call, start included
     on, off = records
     assert not on.diverged and on.iterations == budget.iterations
     for field in dataclasses.fields(on):
         a, b = getattr(on, field.name), getattr(off, field.name)
         if field.name == "grad_norms":
             npt.assert_allclose(a, b, rtol=1e-13, atol=0)
-            assert a[0] == b[0]  # the start is evaluated as before
         elif isinstance(a, (np.ndarray, list)):
             assert np.shape(a) == np.shape(b), field.name
             npt.assert_array_equal(_int64_view(a), _int64_view(b), err_msg=field.name)
@@ -499,12 +498,9 @@ def test_batched_and_per_iterate_exact_channels_agree(method, phi_star):
 
 def _bowl_with_batched_norms(nan_at):
     """A minibatch bowl whose batched norm is NaN at iterate ``nan_at`` and exact elsewhere."""
-    seen = [0]  # iterates evaluated so far; the start is not batched
 
     def grad_norms(xs):
-        index = seen[0] + 1 + np.arange(len(xs))
-        seen[0] += len(xs)
-        return np.where(index == nan_at, np.nan, np.linalg.norm(xs, axis=1))
+        return np.where(np.arange(len(xs)) == nan_at, np.nan, np.linalg.norm(xs, axis=1))
 
     return Problem(
         name="bowl",
@@ -518,9 +514,9 @@ def _bowl_with_batched_norms(nan_at):
     )
 
 
-@pytest.mark.parametrize("nan_at", [1, 10, solver._EXACT_CHUNK + 1, solver._EXACT_CHUNK + 7, 2 * solver._EXACT_CHUNK + 3])
+@pytest.mark.parametrize("nan_at", [1, 10, 65, 71, 131])
 def test_non_finite_batched_norm_ends_the_trial_before_that_iterate(nan_at):
-    budget = Budget(iterations=2 * solver._EXACT_CHUNK + 10)
+    budget = Budget(iterations=138)
 
     def trial(problem):
         oracle = NoisyOracle(problem, grad_noise=MinibatchSampling(1), seed=2)
@@ -538,9 +534,10 @@ def test_non_finite_batched_norm_ends_the_trial_before_that_iterate(nan_at):
         assert len(a) == budget.iterations + 1, trace
         npt.assert_array_equal(a[:nan_at], b[:nan_at], err_msg=trace)
         npt.assert_array_equal(a[nan_at:], b[nan_at - 1], err_msg=trace)
-    # the counters include the steps taken until the chunk holding nan_at was evaluated
-    evaluated = min(-(-nan_at // solver._EXACT_CHUNK) * solver._EXACT_CHUNK, budget.iterations)
-    assert rec.grad_evals == evaluated + (evaluated == budget.iterations)
+    # the norms are evaluated after the loop, so the counters count the whole trial
+    counters = ("fun_evals", "grad_evals", "step_rejections", "skipped_updates")
+    whole_trial = [0, budget.iterations + 1, 0, 0]
+    assert [getattr(rec, c) for c in counters] == [getattr(ref, c) for c in counters] == whole_trial
 
 
 def test_phi_is_evaluated_once_per_recorded_iterate_with_phi_star():
@@ -642,6 +639,41 @@ def test_fun_evals_only_budget_needs_a_step_policy_that_evaluates_f(step):
 def test_budget_requires_some_limit():
     with pytest.raises(ValueError):
         Budget()
+
+
+_NOT_FINITE = [np.nan, np.inf, -np.inf]
+# (model or policy, keyword arguments it refuses, keyword arguments it takes at the edge)
+_VALUE_RULES = [
+    (UniformNoise, [{"half_width": v} for v in (-1e-300, -1.0, *_NOT_FINITE)], [{"half_width": 0.0}]),
+    (GaussianNoise, [{"cov_scale": v} for v in (-1e-300, -1.0, *_NOT_FINITE)], [{"cov_scale": 0.0}]),
+    (SphereNoise, [{"radius": v} for v in (-1e-300, -1.0, *_NOT_FINITE)], [{"radius": 0.0}]),
+    (MinibatchSampling, [{"batch": 0}, {"batch": -1}], [{"batch": 1}]),
+    (FixedStep, [{"eta": v} for v in (0.0, -0.1, *_NOT_FINITE)], [{"eta": 5e-324}]),
+    (DiminishingStep, [{"scale": v} for v in (0.0, -1.0, *_NOT_FINITE)], [{"scale": 1e300}]),
+    (ConstantAlpha, [{"alpha": v} for v in (0.0, -1.0, *_NOT_FINITE)], [{"alpha": 5e-324}]),
+    (ConstantBeta, [{"beta": v} for v in (0.0, -1.0, *_NOT_FINITE)], [{"beta": 1e300}]),
+    (
+        StepNormBeta,
+        [{"coeff": v} for v in (-1.0, *_NOT_FINITE)]
+        + [{"coeff": 0.1, "floor": v} for v in (0.0, -1e-10, np.nan)],
+        [{"coeff": 0.0}],
+    ),
+    (
+        CurvatureRelaxedBeta,
+        [{"beta": v} for v in (0.0, -1e-2, np.inf)]
+        + [{"beta": 1e-2, "relax": v} for v in (0.0, 1.0, 1.5, np.nan)],
+        [{"beta": 1e-2, "relax": 1e-300}, {"beta": 1e-2, "relax": 1 - 2**-53}],
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, refused, taken", _VALUE_RULES, ids=[c.__name__ for c, _, _ in _VALUE_RULES])
+def test_noise_models_and_policies_reject_bad_values_where_they_are_made(cls, refused, taken):
+    for kwargs in refused:
+        with pytest.raises(ValueError, match="must"):
+            cls(**kwargs)
+    for kwargs in taken:
+        cls(**kwargs)
 
 
 def test_toy_walk_visits_reference_points():
