@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
 
 __all__ = [
     "NoConvergenceError",
@@ -68,10 +67,12 @@ class OracleResult(NamedTuple):
 def _chol_or_domain_error(b: np.ndarray) -> np.ndarray:
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("B must be square")
+    if not np.isfinite(b).all():  # numpy's Cholesky would return a NaN factor
+        raise ValueError("B must be finite")
     if not np.allclose(b, b.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(b).max())):
         raise ValueError("B must be symmetric")
     try:
-        return cholesky(b, lower=True)
+        return np.linalg.cholesky(b)
     except np.linalg.LinAlgError as exc:
         raise ValueError("B must be positive definite") from exc
 
@@ -81,30 +82,29 @@ def penalty_objective(spec: PenaltyObjectiveSpec, b: np.ndarray) -> float:
     l = _chol_or_domain_error(b)
     h = spec.h_prev
     logdet_b = 2.0 * float(np.sum(np.log(np.diag(l))))
-    lh = cholesky(h, lower=True)
-    logdet_h = 2.0 * float(np.sum(np.log(np.diag(lh))))
-    w = cho_solve((l, True), spec.y)
-    secant_pen = float(spec.s @ b @ spec.s) - 2.0 * float(spec.s @ spec.y) + float(spec.y @ w)
+    logdet_h = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(h)))))
+    z = np.linalg.solve(l, spec.y)  # y'B^{-1}y = z'z
+    secant_pen = float(spec.s @ b @ spec.s) - 2.0 * float(spec.s @ spec.y) + float(z @ z)
     return float(np.sum(b * h)) - logdet_b - logdet_h + spec.alpha * secant_pen
 
 
 def _gradient_and_scale(spec: PenaltyObjectiveSpec, l: np.ndarray):
-    """Matrix gradient of U at B = l l', and the sum of its terms' Frobenius norms,
-    ||H|| + ||B^{-1}|| + alpha*(||s||^2 + ||w||^2) with w = B^{-1}y.
+    """Matrix gradient of U at B = l l', the sum of its terms' Frobenius norms,
+    ||H|| + ||B^{-1}|| + alpha*(||s||^2 + ||w||^2) with w = B^{-1}y, and B^{-1}.
 
     The residual cannot be resolved below a few ulps of that sum, so the
     minimizer's tolerance is relative to it.
     """
-    n = l.shape[0]
-    b_inv = cho_solve((l, True), np.eye(n))
-    w = cho_solve((l, True), spec.y)
+    l_inv = np.linalg.inv(l)
+    b_inv = l_inv.T @ l_inv
+    w = b_inv @ spec.y
     g = spec.h_prev - b_inv + spec.alpha * (np.outer(spec.s, spec.s) - np.outer(w, w))
     scale = (
         float(np.linalg.norm(spec.h_prev))
         + float(np.linalg.norm(b_inv))
         + spec.alpha * (float(spec.s @ spec.s) + float(w @ w))
     )
-    return 0.5 * (g + g.T), scale
+    return 0.5 * (g + g.T), scale, b_inv
 
 
 def stationarity_residual(spec: PenaltyObjectiveSpec, b: np.ndarray) -> float:
@@ -171,11 +171,10 @@ def minimize_penalty_objective(
         except ValueError:  # B is not PD
             return np.inf
 
-    b = cho_solve((cholesky(spec.h_prev, lower=True), True), np.eye(n))
+    b = np.linalg.inv(spec.h_prev)
     b = 0.5 * (b + b.T)
     value = objective(b)
-    l = cholesky(b, lower=True)
-    grad, scale = _gradient_and_scale(spec, l)
+    grad, scale, b_inv = _gradient_and_scale(spec, np.linalg.cholesky(b))
     residual = float(np.linalg.norm(grad, "fro"))
     previous = np.inf
     u_is_flat = False
@@ -186,7 +185,7 @@ def minimize_penalty_objective(
         else:
             iterations += 1
             g = basis.T @ grad.ravel()
-            hess = _newton_matrix(spec, cho_solve((l, True), np.eye(n)), basis)
+            hess = _newton_matrix(spec, b_inv, basis)
             coef = np.linalg.solve(hess, -g)
             step = (basis @ coef).reshape(n, n)
             armijo_slope = 1e-4 * float(g @ coef)
@@ -208,14 +207,12 @@ def minimize_penalty_objective(
                 break
             raise NoConvergenceError(f"{failure} (tol*scale = {tol:.1e}*{scale:.3e})")
         b, value, previous = trial, trial_value, residual
-        l = cholesky(b, lower=True)
-        grad, scale = _gradient_and_scale(spec, l)
+        grad, scale, b_inv = _gradient_and_scale(spec, np.linalg.cholesky(b))
         residual = float(np.linalg.norm(grad, "fro"))
 
-    h_star = cho_solve((l, True), np.eye(n))
     return OracleResult(
         b_star=b,
-        h_star=0.5 * (h_star + h_star.T),
+        h_star=0.5 * (b_inv + b_inv.T),
         objective_value=value,
         stationarity_residual=residual,
         iterations=iterations,

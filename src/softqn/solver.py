@@ -280,6 +280,12 @@ class DiminishingStep:
         return LineSearchResult(self.scale / k, True, 0, 0, False)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (numpy's included) >= ``least``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoisyArmijo:
     """Backtracking line search with a noise allowance in both tests.
@@ -287,7 +293,9 @@ class NoisyArmijo:
     From eta0, the step is multiplied by tau while the noisy value at the trial
     point exceeds f(x) + eta*c*p'g + 2*eps_tol, for at most max_backtracks
     halvings.  The last trial is accepted if it improves on f(x) + 2*eps_tol,
-    otherwise the step is rejected (returns 0).
+    otherwise the step is rejected (returns 0).  Unless eta0 is positive and
+    finite, tau and c lie in (0, 1), max_backtracks is an integer >= 0 and
+    eps_tol is nonnegative and finite, ValueError is raised where it is made.
     """
 
     evaluates_f: ClassVar[bool] = True
@@ -297,6 +305,15 @@ class NoisyArmijo:
     tau: float = 0.5
     max_backtracks: int = 45
     eps_tol: float = 0.0
+
+    def __post_init__(self):
+        _check_positive("eta0", self.eta0)
+        for name, value in (("tau", self.tau), ("c", self.c)):
+            if not 0 < value < 1:
+                raise ValueError(f"{name} must lie in (0, 1), got {value}")
+        _check_count("max_backtracks", self.max_backtracks, 0)
+        if not 0 <= self.eps_tol < np.inf:
+            raise ValueError(f"eps_tol must be nonnegative and finite, got {self.eps_tol}")
 
     def step(self, oracle, x, p, g, k, eval_cap, f_x) -> LineSearchResult:
         return line_search_noisy(oracle, x, p, g, self, eval_cap=eval_cap, f_x=f_x)
@@ -365,7 +382,7 @@ def _no_phi(x) -> float:
 
 @dataclass(frozen=True)
 class Budget:
-    """Stop after a fixed number of iterations, counted f evaluations, or both."""
+    """Stop after a fixed number of iterations, counted f evaluations, or both (integers >= 1)."""
 
     iterations: Optional[int] = None
     fun_evals: Optional[int] = None
@@ -373,6 +390,9 @@ class Budget:
     def __post_init__(self):
         if self.iterations is None and self.fun_evals is None:
             raise ValueError("budget needs iterations and/or fun_evals")
+        for name, count in (("iterations", self.iterations), ("fun_evals", self.fun_evals)):
+            if count is not None:
+                _check_count(name, count, 1)
 
     def exhausted(self, iterations: int, fun_evals: int) -> bool:
         if self.iterations is not None and iterations >= self.iterations:

@@ -1,5 +1,6 @@
 """End-to-end tests for the ``softqn-bench`` command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -138,6 +139,7 @@ def test_counts_below_one_are_config_errors(tmp_path, capsys, section, key, valu
         ("qp", "relax", 1.0, "relax must lie in (0, 1), got 1.0"),
         ("cutest", "noise_rel", -1e-4, "half_width must be nonnegative and finite, got -"),
         ("cutest", "alpha", 0.0, "alpha must be positive and finite, got 0.0"),
+        ("cutest", "tau", 1.0, "tau must lie in (0, 1), got 1.0"),
         ("logreg", "eta", -0.1, "eta must be positive and finite, got -0.1"),
         ("logreg", "beta_coeff", -1.0, "coeff must be nonnegative and finite, got -1.0"),
         ("logreg", "batch", -1, "batch must be >= 0, got -1"),
@@ -271,28 +273,66 @@ def test_proptest_quick_sweep_passes(capsys):
     assert out.count("PASS") == 10
 
 
-def test_cli_import_does_not_load_scipy_optimize():
-    # nothing in softqn needs scipy.optimize, which took about 0.3 s of the CLI's import;
-    # scipy.linalg adds about 6.5 MB to the peak RSS of a fresh import of the package and
-    # only proptest needs it; scipy.special took about 0.22 s and 19 MB of the 0.34 s and
-    # 53 MB of a fresh `import softqn`, and nothing needs it any more.  A fresh
-    # `import softqn.cli` measured 0.44 s and 59.8 MB with both, 0.14 s and 34.2 MB
-    # without (medians of 8)
+_NO_SCIPY_SCRIPT = """
+import contextlib, importlib, io, json, os, pkgutil, sys, tempfile
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy"):
+            raise ImportError(f"{name} is refused")
+
+
+sys.meta_path.insert(0, RefuseScipy())
+report = {}
+try:
+    import scipy  # noqa: F401
+except ImportError:
+    report["scipy refused"] = True
+import softqn
+
+for module in pkgutil.iter_modules(softqn.__path__):
+    if module.name != "__main__":  # it runs the CLI on import
+        importlib.import_module(f"softqn.{module.name}")
+from softqn.cli import main
+
+smallest = {
+    "toy": "iterations = 1",
+    "qp": "trials = 1\\nn = 2\\niterations = 1",
+    "cutest": "trials = 1\\nbudget = 1",
+    "logreg": "trials = 1\\niterations = 1",
+}
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+    report["proptest"] = main(["proptest"])
+    report["PASS lines"] = sum(line.startswith("PASS ") for line in out.getvalue().splitlines())
+    for command, section in smallest.items():
+        cfg = os.path.join(tmp, f"{command}.ini")
+        with open(cfg, "w") as f:
+            f.write(f"[{command}]\\n{section}\\n")
+        report[command] = main([command, "--config", cfg, "--out", os.path.join(tmp, command)])
+report["scipy loaded"] = sorted(name for name in sys.modules if name.startswith("scipy"))
+print(json.dumps(report))
+"""
+
+
+def test_nothing_in_softqn_needs_scipy():
+    # numpy is the only runtime dependency: with every scipy import refused, every
+    # module imports, the property checks pass and each experiment runs at its
+    # smallest size
     env = {**os.environ, "PYTHONPATH": str(Path(softqn.__file__).resolve().parents[1])}
-    for module, absent in [
-        ("softqn.cli", "scipy.optimize"),
-        ("softqn", "scipy.linalg"),
-        ("softqn.experiments", "scipy.linalg"),
-        ("softqn", "scipy.special"),
-        ("softqn.experiments", "scipy.special"),
-        ("softqn.cli", "scipy.special"),
-        ("softqn.cli", "scipy.linalg"),
-    ]:
-        code = f"import sys, {module}; print({absent!r} in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-        )
-        assert proc.stdout.strip() == "False", (module, absent)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT], capture_output=True, text=True, check=True, env=env
+    )
+    assert json.loads(proc.stdout) == {
+        "scipy refused": True,
+        "proptest": 0,
+        "PASS lines": 10,
+        "toy": 0,
+        "qp": 0,
+        "cutest": 0,
+        "logreg": 0,
+        "scipy loaded": [],
+    }
 
 
 def test_console_script_is_installed():

@@ -1,5 +1,7 @@
 """Tests for the brute-force verification oracle of the penalized update problem."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,6 +18,8 @@ from softqn.oracle import (
     stationarity_residual,
 )
 from softqn.updates import soft_qn_update
+
+_NOT_FINITE = [np.inf, -np.inf, np.nan]
 
 
 def _spec(h, s, y, alpha):
@@ -36,6 +40,12 @@ def test_spec_validation():
         _spec(-np.eye(2), np.zeros(2), np.zeros(2), 1.0)
     with pytest.raises(ValueError, match="symmetric positive definite"):
         _spec([[2.0, 1.0], [0.0, 2.0]], np.zeros(2), np.zeros(2), 1.0)
+    # a non-finite entry is refused before the symmetry test, so without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in _NOT_FINITE:
+            with pytest.raises(ValueError, match="symmetric positive definite"):
+                _spec([[1.0, 0.0], [0.0, bad]], np.zeros(2), np.zeros(2), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +70,12 @@ def test_objective_rejects_non_pd_point():
     spec = _spec(np.eye(2), np.zeros(2), np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         penalty_objective(spec, np.diag([1.0, -1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in _NOT_FINITE:
+            for fn in (penalty_objective, stationarity_residual):
+                with pytest.raises(ValueError, match="finite"):
+                    fn(spec, np.array([[1.0, bad], [bad, 1.0]]))
 
 
 def test_closed_form_beats_no_update_point():

@@ -664,6 +664,21 @@ _VALUE_RULES = [
         + [{"beta": 1e-2, "relax": v} for v in (0.0, 1.0, 1.5, np.nan)],
         [{"beta": 1e-2, "relax": 1e-300}, {"beta": 1e-2, "relax": 1 - 2**-53}],
     ),
+    (
+        NoisyArmijo,
+        [{"eta0": v} for v in (0.0, -1.0, *_NOT_FINITE)]
+        + [{"tau": v} for v in (0.0, 1.0, -0.5, 2.0, np.nan)]
+        + [{"c": v} for v in (0.0, 1.0, -1e-4, np.nan)]
+        + [{"max_backtracks": v} for v in (-3, -1, 2.5, np.nan)]
+        + [{"eps_tol": v} for v in (-1e-300, -1.0, *_NOT_FINITE)],
+        [{}, {"eta0": 5e-324, "tau": 1 - 2**-53, "c": 5e-324, "max_backtracks": 0, "eps_tol": 0.0}]
+        + [{"max_backtracks": np.int64(3), "eps_tol": 1e300}],
+    ),
+    (
+        Budget,
+        [{"iterations": v} for v in (-1, 0, 2.5)] + [{"fun_evals": v} for v in (-1, 0, 2.5)],
+        [{"iterations": 1}, {"fun_evals": np.int64(1)}, {"iterations": 3, "fun_evals": 10}],
+    ),
 ]
 
 
