@@ -28,6 +28,7 @@ from .solver import (
     SoftQn,
     SpBfgs,
     StochasticBfgs,
+    _check_count,
     run,
     saddle_free_abs,
 )
@@ -253,18 +254,20 @@ def run_toy(params, out_dir):
     return records, written
 
 
+# the least value of each count parameter; a batch of 0 keeps the preset fraction
+_COUNTS = {"trials": 1, "iterations": 1, "budget": 1, "n": 1, "max_backtracks": 0, "batch": 0}
+
+
 def _params(defaults, params):
     """The defaults overridden by ``params``.  Before any work, raises ValueError on a
-    seed outside [0, 2**64), a count below 1, a negative batch (0 keeps the preset
-    fraction) or a non-finite float."""
+    seed outside [0, 2**64), a count that is not an integer at least its least
+    value in ``_COUNTS`` or a non-finite float."""
     p = {**defaults, **params}
     if not 0 <= p["seed"] < 2**64:
         raise ValueError(f"seed {p['seed']} out of unsigned 64-bit range")
-    for key in ("trials", "iterations", "budget"):
-        if p.get(key, 1) < 1:
-            raise ValueError(f"{key} must be >= 1, got {p[key]}")
-    if p.get("batch", 0) < 0:
-        raise ValueError(f"batch must be >= 0, got {p['batch']}")
+    for key, least in _COUNTS.items():
+        if key in p:
+            _check_count(key, p[key], least)
     for key, value in p.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"bad value for '{key}': '{value}'")

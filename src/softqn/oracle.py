@@ -48,8 +48,10 @@ class PenaltyObjectiveSpec:
             raise ValueError("h_prev must be square")
         if self.s.shape != (n,) or self.y.shape != (n,):
             raise ValueError("s and y must match the dimension of h_prev")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:  # a NaN alpha or pair would end the minimizer at once
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not (np.isfinite(self.s).all() and np.isfinite(self.y).all()):
+            raise ValueError("s and y must be finite")
         try:
             _chol_or_domain_error(self.h_prev)
         except ValueError as exc:

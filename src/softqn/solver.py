@@ -282,8 +282,10 @@ class DiminishingStep:
 
 def _check_count(name: str, value, least: int) -> None:
     """Raise ValueError unless ``value`` is an integer (numpy's included) >= ``least``."""
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

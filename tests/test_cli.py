@@ -178,6 +178,30 @@ def test_runners_refuse_what_the_cli_refuses(tmp_path, runner, params, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [1.5, 2.5, -0.5])
+@pytest.mark.parametrize(
+    "runner, key",
+    [
+        (run_qp, "trials"),
+        (run_qp, "iterations"),
+        (run_qp, "n"),
+        (run_cutest, "budget"),
+        (run_cutest, "max_backtracks"),
+        (run_logreg, "batch"),
+        (run_toy, "iterations"),
+    ],
+    ids=["qp_trials", "qp_iterations", "qp_n", "cutest_budget", "cutest_max_backtracks",
+         "logreg_batch", "toy_iterations"],
+)
+def test_runners_refuse_fractional_counts(tmp_path, runner, key, value):
+    # a fractional count was once truncated: trials = 1.5 ran 1 trial
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as exc:
+        runner({key: value}, str(out))
+    assert str(exc.value) == f"{key} must be an integer, got {value!r}"
+    assert not out.exists()
+
+
 def test_failed_update_ends_only_its_trial(tmp_path, capsys):
     # at this alpha the soft QN update of the second trial fails its positive-definiteness
     # check; that trial is marked diverged and the run still writes its CSVs

@@ -48,6 +48,19 @@ def test_spec_validation():
                 _spec([[1.0, 0.0], [0.0, bad]], np.zeros(2), np.zeros(2), 1.0)
 
 
+def test_spec_refuses_a_non_finite_alpha_or_pair():
+    # a NaN alpha once gave H* = h_prev after 0 iterations with a NaN residual
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in _NOT_FINITE:
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                _spec(np.eye(2), np.ones(2), np.ones(2), bad)
+            with pytest.raises(ValueError, match="s and y must be finite"):
+                _spec(np.eye(2), [1.0, bad], np.ones(2), 1.0)
+            with pytest.raises(ValueError, match="s and y must be finite"):
+                _spec(np.eye(2), np.ones(2), [bad, 1.0], 1.0)
+
+
 # ---------------------------------------------------------------------------
 # objective value
 

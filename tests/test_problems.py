@@ -1,5 +1,6 @@
 """Tests for problem generators, the LIBSVM reader, and logistic objectives."""
 
+import io
 import math
 import os
 import subprocess
@@ -516,25 +517,91 @@ def test_libsvm_features_are_row_major_and_bitwise_the_reference(tmp_path, monke
         npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_libsvm_load_peak_memory_stays_near_the_matrix(tmp_path):
-    # ijcnn1-like rows: a one-hot feature among ten and twelve continuous ones
+def _placement_lines():
+    """200 LIBSVM lines whose largest index, 12, first appears at row 150 (after
+    index 11 at row 120), so the matrix is widened in a later block at 7 and at
+    64 lines; a row before and a row after the last widening repeat an index."""
+    lines, _, _ = _block_file(np.random.default_rng(21), 200, 8)
+    lines[100] = "+1 3:1.5 5:2 3:-4\n"
+    lines[120] = lines[120].rstrip("\n") + " 11:0.75\n"
+    lines[150] = "-1 12:1 2:3 12:0.5 11:-2\n"
+    return lines
+
+
+_PLACEMENT_CASES = {
+    "widened_later": "".join(_placement_lines()),
+    "crlf": "".join(_placement_lines()).replace("\n", "\r\n"),
+    "lone_cr": "".join(_placement_lines()).replace("\n", "\r"),
+    "blank_and_comment": "".join(
+        line + ("\n   \n# note\n" if i % 37 == 0 else "") for i, line in enumerate(_placement_lines())
+    ),
+    "no_final_newline": "".join(_placement_lines()).rstrip("\n"),
+}
+
+
+@pytest.mark.parametrize("block_lines", [7, 64])
+@pytest.mark.parametrize("case", sorted(_PLACEMENT_CASES))
+def test_libsvm_blocks_placed_in_the_matrix_are_bitwise_the_reference(tmp_path, monkeypatch, case, block_lines):
+    monkeypatch.setattr(problems, "_BLOCK_LINES", block_lines)
+    f = tmp_path / "placed.libsvm"
+    f.write_bytes(_PLACEMENT_CASES[case].encode())
+    for normalize in (False, True):
+        got = load_libsvm(f, normalize=normalize)
+        features, labels = _reference_load(f, normalize=normalize)
+        assert features.shape == (200, 12)
+        assert got.features.shape == features.shape and got.features.flags.c_contiguous
+        assert got.labels.shape == labels.shape
+        npt.assert_array_equal(got.features.view(np.int64), features.view(np.int64))
+        npt.assert_array_equal(got.labels.view(np.int64), labels.view(np.int64))
+
+
+def test_libsvm_line_bound_counts_each_break_once_unless_a_chunk_splits_it():
+    # the bound is the line breaks plus one, for a last line without one
+    for text, breaks in [(b"", 0), (b"a", 0), (b"a\n", 1), (b"a\r\nb\rc\n\nd", 4), (b"\r\r\n\n", 3)]:
+        assert problems._line_bound(io.BytesIO(text)) == breaks + 1
+    split = b"x" * ((1 << 16) - 1) + b"\r\n+1 1:2\n"  # the pair straddles the first chunk's end
+    assert problems._line_bound(io.BytesIO(split)) == 3 + 1
+
+
+def _ijcnn1_like_file(path, rows):
+    """rows ijcnn1-like lines: a one-hot feature among ten and twelve continuous ones."""
     rng = np.random.default_rng(8)
-    rows = 20_000
     hot = rng.integers(1, 11, size=rows)
     dense = rng.standard_normal((rows, 12))
-    f = tmp_path / "big.libsvm"
-    with open(f, "w") as fh:
+    with open(path, "w") as fh:
         for r in range(rows):
             entries = " ".join(f"{11 + j}:{v:.6f}" for j, v in enumerate(dense[r]))
             fh.write(f"{'+1' if r % 3 else '-1'} {hot[r]}:1 {entries}\n")
+
+
+def _load_peak(path):
     tracemalloc.start()
     try:
-        data = load_libsvm(f)
+        data = load_libsvm(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert data.features.shape == (rows, 22)
+    return data, peak
+
+
+def test_libsvm_load_peak_memory_stays_near_the_matrix(tmp_path):
+    f = tmp_path / "big.libsvm"
+    _ijcnn1_like_file(f, 20_000)
+    data, peak = _load_peak(f)
+    assert data.features.shape == (20_000, 22)
     assert peak <= 2.5 * data.features.nbytes
+
+
+def test_libsvm_load_with_small_blocks_peaks_little_above_the_matrix(tmp_path, monkeypatch):
+    # each block is written straight into the matrix, so beside it the load keeps
+    # only the labels and one block's text and numbers (2.1 times the matrix when
+    # the row blocks were copied in at the end)
+    monkeypatch.setattr(problems, "_BLOCK_LINES", 256)
+    f = tmp_path / "big.libsvm"
+    _ijcnn1_like_file(f, 20_000)
+    data, peak = _load_peak(f)
+    assert data.features.shape == (20_000, 22)
+    assert peak <= 1.25 * data.features.nbytes
 
 
 def test_column_norms_are_bitwise_numpys(monkeypatch):
