@@ -7,6 +7,7 @@ Hessian where a Newton baseline needs it), the standard start point, and the
 optimal value when it is known analytically.
 """
 
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -468,26 +469,30 @@ def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
     line breaks first, and the matrix is allocated zeroed with one row per break
     and one more, so rows never filled cost no memory.  Each block is scattered
     straight into its rows of the matrix, which is widened, by one copy of the
-    rows read so far, only when a block's largest index exceeds its width.  The features returned
-    are the rows read, a C-order view of that matrix; their values do not depend
-    on the layout.  Beside the matrix the load keeps only the labels and one
-    block's text and numbers: its tracemalloc peak was 1.52 times the matrix on
-    a 49,990 x 22 file (2.09 when the row blocks were copied in at the end), and
-    1.13 times with 256-line blocks on 20,000 rows of 22 features.
+    rows read so far, only when a block's largest index exceeds its width.  The
+    features returned are the rows read, a C-order view of that matrix; their
+    values do not depend on the layout.  Beside the matrix the load keeps only
+    the labels and one block's text and numbers: its tracemalloc peak was 1.52
+    times the matrix on a 49,990 x 22 file (2.09 when the row blocks were copied
+    in at the end), and 1.13 times with 256-line blocks on 20,000 rows of 22
+    features.
     """
-    # an undecodable byte becomes a lone surrogate, which _scan_block reports with its line
     try:
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot open: {exc.strerror}") from exc
     with fh:
-        bound = _line_bound(fh.buffer)
-        fh.seek(0)
+        # a pipe is read into memory, so that its lines can be counted and then parsed
+        data = fh if fh.seekable() else io.BytesIO(fh.read())
+        bound = _line_bound(data)
+        data.seek(0)
+        # an undecodable byte becomes a lone surrogate, which _scan_block reports with its line
+        text = io.TextIOWrapper(data, encoding="utf-8", errors="surrogateescape")
         labels = np.empty(bound)
         x = np.zeros((bound, 0))  # None once the matrix cannot be allocated
         n = top = 0  # rows read, largest index seen
         lineno = 1
-        while block := list(islice(fh, _BLOCK_LINES)):
+        while block := list(islice(text, _BLOCK_LINES)):
             raw, counts, idx, vals = _parse_block(block) or _scan_block(block, path, lineno)
             lineno += len(block)
             labels[n : n + raw.size] = np.where(raw > 0, 1.0, -1.0)
@@ -616,12 +621,12 @@ def _finite(text):
     return value
 
 
-def _line_bound(raw):
-    """An upper bound on the lines of the binary stream ``raw``, read to its end:
+def _line_bound(data):
+    """An upper bound on the lines of the binary stream ``data``, read to its end:
     its ``\\n`` and lone ``\\r`` plus one.  A ``\\r\\n`` counts once, or twice
     when a chunk boundary splits it."""
     lines = 1
-    while chunk := raw.read(1 << 16):
+    while chunk := data.read(1 << 16):
         lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
     return lines
 
@@ -648,7 +653,7 @@ def _scatter(rows, counts, idx, vals):
         _, last_rev = np.unique(flat[::-1], return_index=True)
         keep = flat.size - 1 - last_rev
         flat, vals = flat[keep], vals[keep]
-    rows.reshape(-1)[flat] = vals
+    rows.ravel()[flat] = vals
 
 
 def _column_norms(x):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -553,6 +554,25 @@ def test_libsvm_blocks_placed_in_the_matrix_are_bitwise_the_reference(tmp_path, 
         assert got.labels.shape == labels.shape
         npt.assert_array_equal(got.features.view(np.int64), features.view(np.int64))
         npt.assert_array_equal(got.labels.view(np.int64), labels.view(np.int64))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_libsvm_reads_a_pipe_as_it_reads_a_file(tmp_path):
+    # a pipe cannot be rewound after its lines are counted, so it is read into memory
+    text = "".join(_placement_lines())
+    f = tmp_path / "file.libsvm"
+    f.write_text(text)
+    pipe = tmp_path / "pipe.libsvm"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(text,))
+    writer.start()
+    try:
+        got = load_libsvm(pipe)
+    finally:
+        writer.join(timeout=10)
+    want = load_libsvm(f)
+    npt.assert_array_equal(got.features.view(np.int64), want.features.view(np.int64))
+    npt.assert_array_equal(got.labels.view(np.int64), want.labels.view(np.int64))
 
 
 def test_libsvm_line_bound_counts_each_break_once_unless_a_chunk_splits_it():
