@@ -466,16 +466,16 @@ def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
     converted with one ``np.fromstring`` call; any other block (comments, blank
     lines, tabs, nan, a malformed token) is scanned token by token, which gives
     the same numbers or finds the offending line.  One binary pass counts the
-    line breaks first, and the matrix is allocated zeroed with one row per break
-    and one more, so rows never filled cost no memory.  Each block is scattered
-    straight into its rows of the matrix, which is widened, by one copy of the
-    rows read so far, only when a block's largest index exceeds its width.  The
-    features returned are the rows read, a C-order view of that matrix; their
-    values do not depend on the layout.  Beside the matrix the load keeps only
-    the labels and one block's text and numbers: its tracemalloc peak was 1.52
-    times the matrix on a 49,990 x 22 file (2.09 when the row blocks were copied
-    in at the end), and 1.13 times with 256-line blocks on 20,000 rows of 22
-    features.
+    line breaks first (a pipe, which cannot be rewound, is read into memory for
+    it), and the matrix is allocated zeroed with one row per break and one more,
+    so rows never filled cost no memory.  Each block is scattered straight into
+    its rows of the matrix, which is widened, by one copy of the rows read so
+    far, only when a block's largest index exceeds its width.  The features
+    returned are the rows read, a C-order view of that matrix; their values do
+    not depend on the layout.  Beside the matrix the load keeps only the labels
+    and one block's text and numbers: its tracemalloc peak was 1.52 times the
+    matrix on a 49,990 x 22 file (2.09 when the row blocks were copied in at the
+    end), and 1.13 times with 256-line blocks on 20,000 rows of 22 features.
     """
     try:
         fh = open(path, "rb")
