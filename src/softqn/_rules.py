@@ -1,0 +1,29 @@
+"""The four rules of a scalar parameter, checked where the value is made.  Each
+raises ValueError "<name> must ..., got <value>" on a value that breaks it."""
+
+import math
+
+import numpy as np
+
+
+def positive(name, value):
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def nonnegative(name, value):
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+
+
+def open_unit(name, value):
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+
+
+def count(name, value, least):
+    """An integer (numpy's included) of at least ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")

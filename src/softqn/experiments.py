@@ -13,6 +13,7 @@ from importlib import resources
 
 import numpy as np
 
+from ._rules import count
 from .bench import MetricSpec, align_trace, emit_csv, metric_log10_grad, metric_normalized_subopt, monte_carlo
 from .bench import write_csv
 from .noise import GaussianNoise, MinibatchSampling, NoisyOracle, SphereNoise, UniformNoise, derive_seed
@@ -28,7 +29,6 @@ from .solver import (
     SoftQn,
     SpBfgs,
     StochasticBfgs,
-    _check_count,
     run,
     saddle_free_abs,
 )
@@ -118,6 +118,7 @@ def run_qp(params, out_dir):
     between SGD at those two scales, behind SGD at step_scale.
     """
     p = _params(QP_DEFAULTS, params)
+    budget = Budget(iterations=p["iterations"])
     noise = GaussianNoise(p["noise_scale"])
     step = DiminishingStep(p["step_scale"])
     methods = {
@@ -128,20 +129,13 @@ def run_qp(params, out_dir):
         "sgd": lambda: Sgd(),
     }
     methods = _select_methods(p["methods"], methods)
-    budget = Budget(iterations=int(p["iterations"]))
-    problems = {}
-
-    def trial_problem(t):
-        if t not in problems:
-            problems[t] = gen_random_qp(int(p["n"]), derive_seed(p["seed"], "qp-problem", t))
-        return problems[t]
+    problems = [gen_random_qp(p["n"], derive_seed(p["seed"], "qp-problem", t)) for t in range(p["trials"])]
 
     def trial_fn(m, t):
-        problem = trial_problem(t)
-        oracle = NoisyOracle(problem, grad_noise=noise, seed=derive_seed(p["seed"], t))
+        oracle = NoisyOracle(problems[t], grad_noise=noise, seed=derive_seed(p["seed"], t))
         return run(oracle, methods[m], step, budget)
 
-    records = monte_carlo(trial_fn, p["methods"], int(p["trials"]))
+    records = monte_carlo(trial_fn, p["methods"], p["trials"])
 
     def subopt_series(record):
         return metric_normalized_subopt(record, record.suboptimality[0] + record.phi_star)
@@ -159,6 +153,7 @@ def run_cutest(params, out_dir):
     methods of a trial replay the same noise streams.
     """
     p = _params(CUTEST_DEFAULTS, params)
+    budget = Budget(fun_evals=p["budget"])
     problem = cutest_like(p["problem"])
     e_f = p["noise_rel"] * abs(problem.phi(problem.x0))
     e_g = p["noise_rel"] * float(np.linalg.norm(problem.grad(problem.x0)))
@@ -167,7 +162,7 @@ def run_cutest(params, out_dir):
         eta0=p["eta0"],
         c=p["armijo_c"],
         tau=p["tau"],
-        max_backtracks=int(p["max_backtracks"]),
+        max_backtracks=p["max_backtracks"],
         eps_tol=e_f,
     )
     methods = {
@@ -180,18 +175,16 @@ def run_cutest(params, out_dir):
             f"noise_rel = {p['noise_rel']} gives e_g = 0 on {problem.name}"
         )
     methods = _select_methods(p["methods"], methods)
-    budget = Budget(fun_evals=int(p["budget"]))
 
     def trial_fn(m, t):
         seed = derive_seed(p["seed"], t)
         oracle = NoisyOracle(problem, fun_noise=fun_noise, grad_noise=grad_noise, seed=seed)
         return run(oracle, methods[m], step, budget)
 
-    records = monte_carlo(trial_fn, p["methods"], int(p["trials"]))
+    records = monte_carlo(trial_fn, p["methods"], p["trials"])
 
-    grid_max = int(p["budget"])
     metric = MetricSpec(
-        "suboptimality", "fun_eval", lambda r: align_trace(r, grid_max).values, band="quartiles"
+        "suboptimality", "fun_eval", lambda r: align_trace(r, p["budget"]).values, band="quartiles"
     )
     written = emit_csv(out_dir, f"cutest_{problem.name.lower()}", problem.name, records, metric, summary=True)
     return records, written
@@ -200,6 +193,7 @@ def run_cutest(params, out_dir):
 def run_logreg(params, out_dir):
     """Regularized logistic regression with minibatch gradients and a fixed step."""
     p = _params(LOGREG_DEFAULTS, params)
+    budget = Budget(iterations=p["iterations"])
     step = FixedStep(p["eta"])
     methods = {
         "softqn": lambda: SoftQn(ConstantAlpha(p["alpha"])),
@@ -211,15 +205,14 @@ def run_logreg(params, out_dir):
     path = p["dataset"] or fixture_dataset_path()
     data = load_libsvm(path)
     problem = logistic_problem(data, p["rho"])
-    batch = int(p["batch"]) or max(1, round(data.n_samples * 1000 / 49990))
+    batch = p["batch"] or max(1, round(data.n_samples * 1000 / 49990))
     sampling = MinibatchSampling(min(batch, data.n_samples))
-    budget = Budget(iterations=int(p["iterations"]))
 
     def trial_fn(m, t):
         oracle = NoisyOracle(problem, grad_noise=sampling, seed=derive_seed(p["seed"], m, t))
         return run(oracle, methods[m], step, budget)
 
-    records = monte_carlo(trial_fn, p["methods"], int(p["trials"]))
+    records = monte_carlo(trial_fn, p["methods"], p["trials"])
     metric = MetricSpec("log10_grad_norm", "iteration", metric_log10_grad, band="mean3sd")
     written = emit_csv(out_dir, "logreg", os.path.basename(path), records, metric, summary=True)
     return records, written
@@ -229,7 +222,7 @@ def run_toy(params, out_dir):
     """Deterministic walk on the 2-D saddle landscape; writes iterate paths."""
     p = _params(TOY_DEFAULTS, params)
     problem = toy_2d()
-    budget = Budget(iterations=int(p["iterations"]))
+    budget = Budget(iterations=p["iterations"])
     step = FixedStep(p["eta"])
     h0 = np.linalg.inv(saddle_free_abs(problem.hess(problem.x0)))
     methods = {
@@ -254,20 +247,20 @@ def run_toy(params, out_dir):
     return records, written
 
 
-# the least value of each count parameter; a batch of 0 keeps the preset fraction
-_COUNTS = {"trials": 1, "iterations": 1, "budget": 1, "n": 1, "max_backtracks": 0, "batch": 0}
+# counts no object checks first (Budget names budget fun_evals); batch 0 keeps the preset
+_COUNTS = {"trials": 1, "budget": 1, "batch": 0}
 
 
 def _params(defaults, params):
-    """The defaults overridden by ``params``.  Before any work, raises ValueError on a
-    seed outside [0, 2**64), a count that is not an integer at least its least
-    value in ``_COUNTS`` or a non-finite float."""
+    """The defaults overridden by ``params``.  Raises ValueError on a seed outside
+    [0, 2**64), a count in ``_COUNTS`` below its least value or not an integer, or
+    a non-finite float; the objects a runner builds before any work check the rest."""
     p = {**defaults, **params}
     if not 0 <= p["seed"] < 2**64:
         raise ValueError(f"seed {p['seed']} out of unsigned 64-bit range")
     for key, least in _COUNTS.items():
         if key in p:
-            _check_count(key, p[key], least)
+            count(key, p[key], least)
     for key, value in p.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"bad value for '{key}': '{value}'")

@@ -6,14 +6,15 @@ through a separate channel that does not touch the counters.  Each oracle owns
 three independent RNG streams (function noise, gradient noise, minibatch
 sampling) seeded from a single integer, so the j-th draw of a stream depends
 only on (seed, j) and runs replay identically.  A noise scale must be
-nonnegative and finite and a minibatch at least one row, or the noise model
-raises ValueError where it is made.
+nonnegative and finite and a batch an integer >= 1, or ValueError.
 """
 
 import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._rules import count, nonnegative
 
 __all__ = [
     "UniformNoise",
@@ -41,12 +42,6 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _check_scale(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is nonnegative and finite; zero means no noise."""
-    if not 0 <= value < np.inf:
-        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-
-
 @dataclass(frozen=True)
 class UniformNoise:
     """Additive scalar noise uniform on [-half_width, half_width] (function values)."""
@@ -54,7 +49,7 @@ class UniformNoise:
     half_width: float
 
     def __post_init__(self):
-        _check_scale("half_width", self.half_width)
+        nonnegative("half_width", self.half_width)
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,7 @@ class GaussianNoise:
     cov_scale: float
 
     def __post_init__(self):
-        _check_scale("cov_scale", self.cov_scale)
+        nonnegative("cov_scale", self.cov_scale)
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ class SphereNoise:
     radius: float
 
     def __post_init__(self):
-        _check_scale("radius", self.radius)
+        nonnegative("radius", self.radius)
 
 
 @dataclass(frozen=True)
@@ -84,8 +79,7 @@ class MinibatchSampling:
     batch: int
 
     def __post_init__(self):
-        if not self.batch >= 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
+        count("batch", self.batch, 1)
 
 
 class NoisyOracle:

@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._rules import positive
+
 __all__ = [
     "NoConvergenceError",
     "PenaltyObjectiveSpec",
@@ -48,8 +50,7 @@ class PenaltyObjectiveSpec:
             raise ValueError("h_prev must be square")
         if self.s.shape != (n,) or self.y.shape != (n,):
             raise ValueError("s and y must match the dimension of h_prev")
-        if not 0 < self.alpha < np.inf:  # a NaN alpha or pair would end the minimizer at once
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        positive("alpha", self.alpha)  # a NaN alpha or pair would end the minimizer at once
         if not (np.isfinite(self.s).all() and np.isfinite(self.y).all()):
             raise ValueError("s and y must be finite")
         try:

@@ -17,6 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._rules import count, nonnegative
+
 __all__ = [
     "Problem",
     "UnknownProblemError",
@@ -78,8 +80,7 @@ def gen_random_qp(n: int, seed: int) -> Problem:
     the condition number is exactly 100.  b = -A*ones places the optimum at the
     all-ones vector, away from the all-zeros start.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 to pin both spectrum endpoints")
+    count("n", n, 2)  # both ends of the spectrum are pinned
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.concatenate([[0.01, 1.0], rng.uniform(0.01, 1.0, n - 2)])
@@ -322,6 +323,8 @@ def _morebv(n):
 
 
 def _nondquar(n):
+    count("n", n, 2)
+
     def phi(x):
         w = x[:-2] + x[1:-1] + x[-1]
         return float((x[0] - x[1]) ** 2 + (x[-2] + x[-1]) ** 2 + np.sum(w ** 4))
@@ -411,7 +414,7 @@ PROBLEM_DIMS = {name: dim for name, (_, dim) in _PROBLEMS.items()}
 
 
 def cutest_like(name: str, n: Optional[int] = None) -> Problem:
-    """Analytic test problem by name at its standard dimension (or a custom n)."""
+    """Analytic test problem by name at its standard dimension (or a custom n >= 1)."""
     key = name.upper()
     if key not in _PROBLEMS:
         raise UnknownProblemError(
@@ -419,6 +422,7 @@ def cutest_like(name: str, n: Optional[int] = None) -> Problem:
         )
     build, dim = _PROBLEMS[key]
     n = dim if n is None else n
+    count("n", n, 1)
     x0, phi, grad, phi_star, x_star = build(n)
     return Problem(
         name=key, dim=n, x0=x0, phi=phi, grad=grad, phi_star=phi_star, x_star=x_star
@@ -754,11 +758,10 @@ def minibatch_gradient(
     data: LogisticDataset, rho: float, v: np.ndarray, batch: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Mean log-loss gradient over a uniform without-replacement sample, plus the
-    full regularizer gradient (the intercept is not regularized)."""
-    n = data.n_samples
-    if not 1 <= batch <= n:
-        raise ValueError(f"batch size {batch} outside [1, {n}]")
-    idx = rng.choice(n, size=batch, replace=False)
+    full regularizer gradient (the intercept is not regularized).  A batch that is
+    not an integer from 1 to the number of rows raises ValueError."""
+    count("batch", batch, 1)
+    idx = rng.choice(data.n_samples, size=batch, replace=False)  # ValueError above the rows
     return _logistic_grad(data.features[idx], data.labels[idx], rho, v)
 
 
@@ -770,8 +773,7 @@ def logistic_problem(data: LogisticDataset, rho: float) -> Problem:
     ``grad_norms`` reads the feature matrix once for a whole array of points.
     A negative or non-finite ``rho`` raises ValueError.
     """
-    if not (math.isfinite(rho) and rho >= 0):
-        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
+    nonnegative("rho", rho)
     dim = data.n_features + 1
 
     def phi(v):

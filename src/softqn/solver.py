@@ -14,11 +14,11 @@ from typing import ClassVar, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ._rules import count, nonnegative, open_unit, positive
 from .updates import (
     ConstantAlpha,
     ConstantBeta,
     UpdateConsistencyError,
-    _check_positive,
     bfgs_admissible,
     biased_direction,
     bfgs_update,
@@ -259,7 +259,7 @@ class FixedStep:
     eta: float
 
     def __post_init__(self):
-        _check_positive("eta", self.eta)
+        positive("eta", self.eta)
 
     def step(self, oracle, x, p, g, k, eval_cap, f_x) -> LineSearchResult:
         return LineSearchResult(self.eta, True, 0, 0, False)
@@ -274,18 +274,10 @@ class DiminishingStep:
     scale: float = 1.0
 
     def __post_init__(self):
-        _check_positive("scale", self.scale)
+        positive("scale", self.scale)
 
     def step(self, oracle, x, p, g, k, eval_cap, f_x) -> LineSearchResult:
         return LineSearchResult(self.scale / k, True, 0, 0, False)
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Raise ValueError unless ``value`` is an integer (numpy's included) >= ``least``."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -295,9 +287,8 @@ class NoisyArmijo:
     From eta0, the step is multiplied by tau while the noisy value at the trial
     point exceeds f(x) + eta*c*p'g + 2*eps_tol, for at most max_backtracks
     halvings.  The last trial is accepted if it improves on f(x) + 2*eps_tol,
-    otherwise the step is rejected (returns 0).  Unless eta0 is positive and
-    finite, tau and c lie in (0, 1), max_backtracks is an integer >= 0 and
-    eps_tol is nonnegative and finite, ValueError is raised where it is made.
+    otherwise the step is rejected (returns 0).  eta0 > 0, tau and c in (0, 1),
+    an integer max_backtracks >= 0 and eps_tol >= 0, all finite, or ValueError.
     """
 
     evaluates_f: ClassVar[bool] = True
@@ -309,13 +300,11 @@ class NoisyArmijo:
     eps_tol: float = 0.0
 
     def __post_init__(self):
-        _check_positive("eta0", self.eta0)
-        for name, value in (("tau", self.tau), ("c", self.c)):
-            if not 0 < value < 1:
-                raise ValueError(f"{name} must lie in (0, 1), got {value}")
-        _check_count("max_backtracks", self.max_backtracks, 0)
-        if not 0 <= self.eps_tol < np.inf:
-            raise ValueError(f"eps_tol must be nonnegative and finite, got {self.eps_tol}")
+        positive("eta0", self.eta0)
+        open_unit("tau", self.tau)
+        open_unit("c", self.c)
+        count("max_backtracks", self.max_backtracks, 0)
+        nonnegative("eps_tol", self.eps_tol)
 
     def step(self, oracle, x, p, g, k, eval_cap, f_x) -> LineSearchResult:
         return line_search_noisy(oracle, x, p, g, self, eval_cap=eval_cap, f_x=f_x)
@@ -392,9 +381,9 @@ class Budget:
     def __post_init__(self):
         if self.iterations is None and self.fun_evals is None:
             raise ValueError("budget needs iterations and/or fun_evals")
-        for name, count in (("iterations", self.iterations), ("fun_evals", self.fun_evals)):
-            if count is not None:
-                _check_count(name, count, 1)
+        for name, value in (("iterations", self.iterations), ("fun_evals", self.fun_evals)):
+            if value is not None:
+                count(name, value, 1)
 
     def exhausted(self, iterations: int, fun_evals: int) -> bool:
         if self.iterations is not None and iterations >= self.iterations:

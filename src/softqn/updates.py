@@ -15,6 +15,8 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ._rules import nonnegative, open_unit, positive
+
 __all__ = [
     "CurvatureError",
     "PdThresholdError",
@@ -145,8 +147,7 @@ def soft_qn_gamma(alpha: float, y_h_y: float, s_t_y: float) -> float:
     Always >= 1 on the admissible domain (alpha > 0, y'Hy >= 0).  Tiny negative
     y'Hy from rounding (down to -1e-12) is clamped to zero.
     """
-    if alpha <= 0 or not math.isfinite(alpha):
-        raise ValueError("alpha must be positive and finite")
+    positive("alpha", alpha)
     if y_h_y < -1e-12:
         raise ValueError("y'Hy < 0: H is not positive definite")
     y_h_y = max(y_h_y, 0.0)
@@ -397,21 +398,20 @@ def sp_bfgs_admissible(s, y, beta: float) -> bool:
 
     SP-BFGS preserves positive definiteness iff s'y > -1/beta; the margin keeps
     rounding from crossing it.  ``sp_bfgs_update`` raises PdThresholdError on the
-    other pairs, and the solver skips them.
+    other pairs, and the solver skips them.  A beta of +inf admits no pair.
     """
     threshold = -1.0 / beta
-    return float(s @ y) - threshold > 1e-12 * (1.0 + abs(threshold))
+    return threshold < 0.0 and float(s @ y) - threshold > 1e-12 * (1.0 + abs(threshold))
 
 
 def sp_bfgs_update(h, s, y, beta):
-    """Secant-penalized BFGS update.
+    """Secant-penalized BFGS update with a positive, finite beta.
 
     Raises PdThresholdError unless ``sp_bfgs_admissible(s, y, beta)``.  beta -> inf
     recovers BFGS, beta -> 0 leaves H unchanged.  H' is exactly symmetric when H is.
     """
     _check_pair(h, s, y)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    positive("beta", beta)
     s_t_y = float(s @ y)
     if not sp_bfgs_admissible(s, y, beta):
         raise PdThresholdError(
@@ -435,12 +435,6 @@ def biased_direction(h, g):
     return -(h @ g)
 
 
-def _check_positive(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is positive and finite."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 @dataclass(frozen=True)
 class ConstantAlpha:
     """Fixed penalty weight for soft QN; positive and finite, or ValueError."""
@@ -448,7 +442,7 @@ class ConstantAlpha:
     alpha: float
 
     def __post_init__(self):
-        _check_positive("alpha", self.alpha)
+        positive("alpha", self.alpha)
 
     def value(self, h, s, y) -> float:
         return self.alpha
@@ -461,7 +455,7 @@ class ConstantBeta:
     beta: float
 
     def __post_init__(self):
-        _check_positive("beta", self.beta)
+        positive("beta", self.beta)
 
     def value(self, s, y) -> float:
         return self.beta
@@ -469,18 +463,14 @@ class ConstantBeta:
 
 @dataclass(frozen=True)
 class StepNormBeta:
-    """beta = coeff*|s| + floor; shrinks the penalty with the step length.
-
-    ``coeff`` must be nonnegative and ``floor`` positive, both finite, or ValueError.
-    """
+    """beta = coeff*|s| + floor (coeff >= 0, floor > 0): shrinks the penalty with the step length."""
 
     coeff: float
     floor: float = 1e-10
 
     def __post_init__(self):
-        if not 0 <= self.coeff < math.inf:
-            raise ValueError(f"coeff must be nonnegative and finite, got {self.coeff}")
-        _check_positive("floor", self.floor)
+        nonnegative("coeff", self.coeff)
+        positive("floor", self.floor)
 
     def value(self, s, y) -> float:
         return self.coeff * float(np.linalg.norm(s)) + self.floor
@@ -491,17 +481,16 @@ class CurvatureRelaxedBeta:
     """Fixed beta while s'y >= 0, relaxed to relax/(-s'y) on negative curvature.
 
     With 0 < relax < 1 the relaxed beta always satisfies s'y > -1/beta, so the
-    SP-BFGS update stays applicable on every pair.  A beta that is not positive
-    and finite, or a relax outside (0, 1), raises ValueError.
+    SP-BFGS update stays applicable on every pair.  beta must be positive and
+    finite and relax inside (0, 1), or ValueError.
     """
 
     beta: float
     relax: float = 0.9
 
     def __post_init__(self):
-        _check_positive("beta", self.beta)
-        if not 0 < self.relax < 1:
-            raise ValueError(f"relax must lie in (0, 1), got {self.relax}")
+        positive("beta", self.beta)
+        open_unit("relax", self.relax)
 
     def value(self, s, y) -> float:
         s_t_y = float(s @ y)

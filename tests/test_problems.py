@@ -853,3 +853,5 @@ def test_minibatch_validates_batch_size():
         minibatch_gradient(data, 0.1, np.zeros(23), 0, rng)
     with pytest.raises(ValueError):
         minibatch_gradient(data, 0.1, np.zeros(23), data.n_samples + 1, rng)
+    with pytest.raises(ValueError, match="batch must be an integer"):
+        minibatch_gradient(data, 0.1, np.zeros(23), 2.5, rng)

@@ -605,6 +605,15 @@ def test_sp_bfgs_skips_below_pd_threshold():
     assert not rec.diverged
 
 
+def test_sp_bfgs_skips_a_pair_whose_beta_overflows():
+    # beta = coeff*|s| + floor overflows to inf, which sp_bfgs_update refuses
+    method = SpBfgs(StepNormBeta(1e308))
+    h = method.initial_h(2, None)
+    s = np.array([10.0, 0.0])
+    h_new, applied = method.absorb(h, s, s)
+    assert not applied and h_new is h
+
+
 def test_sp_bfgs_relaxed_policy_never_skips():
     p = gen_random_qp(6, 13)
     o = NoisyOracle(p, grad_noise=SphereNoise(2.0), seed=3)
@@ -647,7 +656,7 @@ _VALUE_RULES = [
     (UniformNoise, [{"half_width": v} for v in (-1e-300, -1.0, *_NOT_FINITE)], [{"half_width": 0.0}]),
     (GaussianNoise, [{"cov_scale": v} for v in (-1e-300, -1.0, *_NOT_FINITE)], [{"cov_scale": 0.0}]),
     (SphereNoise, [{"radius": v} for v in (-1e-300, -1.0, *_NOT_FINITE)], [{"radius": 0.0}]),
-    (MinibatchSampling, [{"batch": 0}, {"batch": -1}], [{"batch": 1}]),
+    (MinibatchSampling, [{"batch": 0}, {"batch": -1}, {"batch": 2.5}, {"batch": np.nan}], [{"batch": 1}]),
     (FixedStep, [{"eta": v} for v in (0.0, -0.1, *_NOT_FINITE)], [{"eta": 5e-324}]),
     (DiminishingStep, [{"scale": v} for v in (0.0, -1.0, *_NOT_FINITE)], [{"scale": 1e300}]),
     (ConstantAlpha, [{"alpha": v} for v in (0.0, -1.0, *_NOT_FINITE)], [{"alpha": 5e-324}]),
@@ -678,6 +687,21 @@ _VALUE_RULES = [
         Budget,
         [{"iterations": v} for v in (-1, 0, 2.5)] + [{"fun_evals": v} for v in (-1, 0, 2.5)],
         [{"iterations": 1}, {"fun_evals": np.int64(1)}, {"iterations": 3, "fun_evals": 10}],
+    ),
+    (
+        gen_random_qp,
+        [{"n": v, "seed": 0} for v in (2.5, 1, 0, -2)],
+        [{"n": 2, "seed": 0}, {"n": np.int64(3), "seed": 0}],
+    ),
+    (
+        cutest_like,
+        [{"name": "ARWHEAD", "n": v} for v in (2.5, 0, -1)] + [{"name": "NONDQUAR", "n": 1}],
+        [{"name": "ARWHEAD", "n": 1}, {"name": "NONDQUAR", "n": 2}],
+    ),
+    (
+        sp_bfgs_update,
+        [{"h": np.eye(2), "s": np.ones(2), "y": np.ones(2), "beta": v} for v in (0.0, -1.0, *_NOT_FINITE)],
+        [{"h": np.eye(2), "s": np.ones(2), "y": np.ones(2), "beta": v} for v in (1e-300, 1e300)],
     ),
 ]
 
