@@ -247,7 +247,8 @@ def run_toy(params, out_dir):
     return records, written
 
 
-# counts no object checks first (Budget names budget fun_evals); batch 0 keeps the preset
+# the counts a runner checks itself: no object takes trials, Budget names budget
+# fun_evals, and the sampling needs the data; a batch of 0 keeps the preset fraction
 _COUNTS = {"trials": 1, "budget": 1, "batch": 0}
 
 

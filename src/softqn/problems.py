@@ -471,10 +471,11 @@ def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
     lines, tabs, nan, a malformed token) is scanned token by token, which gives
     the same numbers or finds the offending line.  One binary pass counts the
     line breaks first (a pipe, which cannot be rewound, is read into memory for
-    it), and the matrix is allocated zeroed with one row per break and one more,
-    so rows never filled cost no memory.  Each block is scattered straight into
-    its rows of the matrix, which is widened, by one copy of the rows read so
-    far, only when a block's largest index exceeds its width.  The features
+    it).  Each block is scattered straight into its rows of a zeroed matrix,
+    which is widened, by one copy of the rows read so far, only when a block's
+    largest index exceeds its width, and then has a row for each row read, in
+    the block or on a line left: an ordinary file is allocated once, by its
+    first block, and blank or ``#`` lines already read cost no rows.  The features
     returned are the rows read, a C-order view of that matrix; their values do
     not depend on the layout.  Beside the matrix the load keeps only the labels
     and one block's text and numbers: its tracemalloc peak was 1.52 times the
@@ -504,7 +505,8 @@ def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
                 top = max(top, idx.max())
             # once no matrix can be returned, the rest is only checked for format errors
             if x is not None and top > x.shape[1]:
-                x = _widen(x, n, top)
+                # rows that can still be filled: those read, this block's, one per line left
+                x = _widen(x, n, n + raw.size + bound + 1 - lineno, top)
             if x is not None:
                 _scatter(x[n : n + raw.size], counts, idx, vals)
             n += raw.size
@@ -640,11 +642,11 @@ def _line_bound(data):
     return lines
 
 
-def _widen(x, rows, width):
-    """A zeroed matrix of x's height and ``width`` columns holding the first
-    ``rows`` rows of x; None when it cannot be allocated."""
+def _widen(x, rows, height, width):
+    """A zeroed ``height`` x ``width`` matrix holding the first ``rows`` rows of x;
+    None when it cannot be allocated."""
     try:
-        wide = np.zeros((x.shape[0], width))
+        wide = np.zeros((height, width))
     except (MemoryError, ValueError):
         return None
     wide[:rows, : x.shape[1]] = x[:rows]

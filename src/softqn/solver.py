@@ -433,9 +433,10 @@ def run(
     the value phi only when the problem has a ``phi_star`` (phi feeds nothing
     but phi - phi*); without one, ``suboptimality`` is NaN.  ``eval_counts``
     records the function-evaluation count at every adopted iterate.
-    Divergence (non-finite iterate, noisy gradient, exact gradient norm or
-    recorded phi, an iterate norm above 1e12, or an UpdateConsistencyError) stops
-    the run and freezes the per-iteration traces at their last finite values.
+    Divergence (non-finite iterate, noisy gradient or gradient change y, exact
+    gradient norm or recorded phi, an iterate norm above 1e12, or an
+    UpdateConsistencyError) stops the run and freezes the per-iteration traces
+    at their last finite values.
 
     Where the oracle's noisy gradient shares no evaluation with the exact one
     and the problem offers ``grad_norms`` (minibatch logistic regression), the
@@ -510,11 +511,13 @@ def run(
             break
 
         g_new = oracle.g(x)
-        if not np.isfinite(g_new).all():
+        # g is finite, so y is finite only if g_new is; y can also overflow
+        y = g_new - g
+        if not np.isfinite(y).all():
             diverged = True
             break
         try:
-            h, applied = method.absorb(h, x - x_prev, g_new - g)
+            h, applied = method.absorb(h, x - x_prev, y)
         except UpdateConsistencyError:  # the update failed; the other trials go on
             diverged = True
             break

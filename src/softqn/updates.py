@@ -382,7 +382,8 @@ def bfgs_update(h, s, y):
     """Classical BFGS update of the inverse-Hessian approximation.
 
     Raises CurvatureError unless ``bfgs_admissible(s, y)``, since the update
-    would lose positive definiteness.  H' is exactly symmetric when H is.
+    would lose positive definiteness, and UpdateConsistencyError when a
+    coefficient overflows (s = y = (1e-100, 0)).  H' is exactly symmetric when H is.
     """
     _check_pair(h, s, y)
     s_t_y = float(s @ y)
@@ -390,7 +391,10 @@ def bfgs_update(h, s, y):
         raise CurvatureError(f"s'y = {s_t_y:.3e} is at or below the curvature tolerance")
     rho = 1.0 / s_t_y
     hy = h @ y
-    return _rank_two(h, hy, s, 0.0, rho, rho * rho * float(y @ hy) + rho)
+    c_ss = rho * rho * float(y @ hy) + rho
+    if not math.isfinite(c_ss):  # also when rho is not: then c_ss is inf or nan
+        raise UpdateConsistencyError(f"BFGS coefficients overflow at s'y = {s_t_y:.3e}")
+    return _rank_two(h, hy, s, 0.0, rho, c_ss)
 
 
 def sp_bfgs_admissible(s, y, beta: float) -> bool:

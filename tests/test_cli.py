@@ -368,3 +368,19 @@ def test_console_script_is_installed():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "proptest" in proc.stdout
+
+
+def test_console_script_entry_point_runs_without_an_install():
+    # each callable that [project.scripts] names, run as the installed script would
+    # run it, so a renamed or broken entry point fails without an install
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts
+    env = {**os.environ, "PYTHONPATH": str(Path(softqn.__file__).resolve().parents[1])}
+    for name, target in scripts.items():
+        module, attr = target.split(":")
+        code = f"import sys; from {module} import {attr}; sys.argv = [{name!r}, '--help']; {attr}()"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"usage: {name} ")

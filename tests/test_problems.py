@@ -653,6 +653,18 @@ def test_libsvm_rejects_empty_file(tmp_path):
         load_libsvm(f)
 
 
+@pytest.mark.parametrize("skipped", ["\n", "# comment\n"], ids=["blank", "comment"])
+def test_libsvm_lines_already_skipped_cost_no_rows_of_the_matrix(tmp_path, skipped):
+    # the matrix is widened in the last block, to the one row that can still be
+    # filled: a row per line of the file would ask for 160 GB
+    f = tmp_path / "wide.libsvm"
+    f.write_text(skipped * 20_000 + "+1 1000000:1\n")
+    data = load_libsvm(f)
+    assert data.features.shape == (1, 1_000_000)
+    assert data.features[0, -1] == 1.0 and np.count_nonzero(data.features) == 1
+    assert data.labels.tolist() == [1.0]
+
+
 def test_libsvm_fixture_shape():
     data = load_libsvm(fixture_dataset_path())
     assert data.n_features == 22

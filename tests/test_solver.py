@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softqn import solver, updates
@@ -847,6 +847,41 @@ def test_other_arms_run_stays_finite_or_diverges(n, seed, arm, log_beta, log_ste
     step = FixedStep(10.0**log_step) if fixed else DiminishingStep(10.0**log_step)
     oracle = NoisyOracle(gen_random_qp(n, seed), grad_noise=GaussianNoise(10.0**log_noise), seed=seed)
     rec = run(oracle, method, step, Budget(iterations=30))
+    stop = rec.iterations + 1
+    assert np.isfinite(rec.grad_norms[:stop]).all() and np.isfinite(rec.suboptimality[:stop]).all()
+    assert rec.diverged or (np.isfinite(rec.grad_norms).all() and np.isfinite(rec.suboptimality).all())
+
+
+@pytest.mark.parametrize(
+    "method", [SoftQn(ConstantAlpha(1.0)), SpBfgs(), StochasticBfgs()], ids=lambda m: type(m).__name__
+)
+def test_a_gradient_change_that_overflows_ends_only_its_trial(method):
+    # every noisy gradient is finite, but two draws of radius 1.7e308 in opposite
+    # directions differ by more than the largest double, so y overflows
+    oracle = NoisyOracle(gen_random_qp(4, 1), grad_noise=SphereNoise(1.7e308), seed=0)
+    with np.errstate(over="ignore"):
+        rec = run(oracle, method, FixedStep(1e-300), Budget(iterations=5))
+    assert rec.diverged
+    assert np.isfinite(rec.grad_norms).all() and np.isfinite(rec.suboptimality).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    qp_seed=st.integers(0, 2**32 - 1),
+    noise_seed=st.integers(0, 2**32 - 1),
+    arm=st.sampled_from(["softqn", "spbfgs", "bfgs", "sgd"]),
+    sphere=st.booleans(),
+    noise=st.floats(-300.0, 308.0).map(lambda e: 10.0**e),
+    step=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+)
+@example(n=4, qp_seed=1, noise_seed=0, arm="softqn", sphere=True, noise=1.7e308, step=1e-300)
+def test_any_noise_and_step_scale_ends_finite_or_diverged(n, qp_seed, noise_seed, arm, sphere, noise, step):
+    method = {"softqn": SoftQn(ConstantAlpha(1.0)), "spbfgs": SpBfgs(), "bfgs": StochasticBfgs(), "sgd": Sgd()}[arm]
+    grad_noise = SphereNoise(noise) if sphere else GaussianNoise(noise)
+    oracle = NoisyOracle(gen_random_qp(n, qp_seed), grad_noise=grad_noise, seed=noise_seed)
+    with np.errstate(all="ignore"):
+        rec = run(oracle, method, FixedStep(step), Budget(iterations=20))
     stop = rec.iterations + 1
     assert np.isfinite(rec.grad_norms[:stop]).all() and np.isfinite(rec.suboptimality[:stop]).all()
     assert rec.diverged or (np.isfinite(rec.grad_norms).all() and np.isfinite(rec.suboptimality).all())

@@ -243,6 +243,16 @@ def test_bfgs_curvature_tolerance_is_relative():
         bfgs_update(np.eye(2), s, y)
 
 
+@pytest.mark.parametrize("tiny", [1e-100, 1e-160])
+def test_bfgs_refuses_coefficients_that_overflow(tiny):
+    # s'y passes the relative tolerance, but rho^2*y'Hy (at 1e-100) or rho = 1/s'y
+    # (at 1e-160) overflows, and H' came back all NaN
+    s = np.array([tiny, 0.0])
+    assert bfgs_admissible(s, s)
+    with np.errstate(all="ignore"), pytest.raises(UpdateConsistencyError):
+        bfgs_update(np.eye(2), s, s)
+
+
 # ---------------------------------------------------------------------------
 # SP-BFGS
 
