@@ -1,6 +1,7 @@
 """Digest of the deterministic CSVs, for bit-for-bit comparisons between commits.
 
     python scripts/csv_digest.py [SRC]
+    python scripts/csv_digest.py SRC_A SRC_B
 
 Runs the ``toy`` experiment and ``qp``, ``logreg`` and ``cutest`` at two
 trials each (preset seeds, bundled logistic fixture) into a temporary
@@ -11,11 +12,13 @@ loader reads in several blocks and widens in a later one, and prints those
 CSVs' digests and one combined digest over every line.  SRC is the source
 directory whose ``softqn`` is imported (default: the ``src`` beside this
 script), so one copy of the script can digest two checkouts: equal combined
-digests mean byte-identical CSVs.
+digests mean byte-identical CSVs.  Given two SRCs, it digests each in its own
+process, prints both listings, and exits 1 when a combined digest differs.
 """
 
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -55,7 +58,21 @@ def combined(lines, label):
     return f"{digest}  {label} ({len(lines)} files)"
 
 
+def compare(sources):
+    """Digest each source tree in its own process; 1 when a combined digest differs between them."""
+    combined_lines = []
+    for src in sources:
+        out = subprocess.run([sys.executable, __file__, src], capture_output=True, text=True, check=True).stdout
+        print(f"== {src}\n{out}", end="")
+        combined_lines.append([line for line in out.splitlines() if "  combined" in line])
+    same = all(lines == combined_lines[0] for lines in combined_lines)
+    print("combined digests agree" if same else "combined digests DIFFER")
+    return 0 if same else 1
+
+
 def main(argv):
+    if len(argv) > 2:
+        return compare(argv[1:])
     sys.path.insert(0, argv[1] if len(argv) > 1 else SRC)
     from softqn.experiments import run_cutest, run_logreg, run_qp, run_toy
 
@@ -77,7 +94,8 @@ def main(argv):
     for line in extra:
         print(line)
     print(combined(lines + extra, "combined with the multi-block logreg run"))
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    sys.exit(main(sys.argv))

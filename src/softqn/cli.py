@@ -45,11 +45,11 @@ def build_parser():
 
     def add_common(p, trials=True):
         p.add_argument("--config", metavar="PATH", help="INI config file (section per experiment)")
-        p.add_argument("--seed", type=int, metavar="U64", help="base seed override")
+        p.add_argument("--seed", metavar="U64", help="base seed override")
         if trials:
-            p.add_argument("--trials", type=int, metavar="N", help="number of Monte Carlo trials")
+            p.add_argument("--trials", metavar="N", help="number of Monte Carlo trials")
         p.add_argument("--out", metavar="DIR", default="results", help="output directory (default: results)")
-        p.add_argument("--method", metavar="NAME[,NAME...]", help="comma-separated method subset")
+        p.add_argument("--method", dest="methods", metavar="NAME[,NAME...]", help="comma-separated method subset")
 
     add_common(sub.add_parser("qp", help="random convex QPs with Gaussian gradient noise"))
     cutest = sub.add_parser("cutest", help="analytic smooth test problems with relative noise")
@@ -64,22 +64,12 @@ def build_parser():
 
 
 def _resolve_params(args, defaults):
-    params = {}
-    if args.config:
-        sections = load_config(args.config)
-        section = sections.get(args.command, {})
-        params.update(coerce_params(section, defaults))
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        params["trials"] = args.trials
-    if args.method:
-        params["methods"] = [m.strip() for m in args.method.split(",") if m.strip()]
-    if getattr(args, "dataset", None):
-        params["dataset"] = args.dataset
-    if getattr(args, "problem", None):
-        params["problem"] = args.problem
-    return params
+    """The config section with the non-empty flag strings over it, coerced once
+    against the defaults; a malformed value raises ConfigError."""
+    raw = load_config(args.config).get(args.command, {}) if args.config else {}
+    flags = ("seed", "trials", "methods", "dataset", "problem")
+    raw.update((key, value) for key in flags if (value := getattr(args, key, None)))
+    return coerce_params(raw, defaults)
 
 
 def _run_proptest():

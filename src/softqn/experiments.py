@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._rules import count
+from ._rules import count, nonnegative
 from .bench import MetricSpec, align_trace, emit_csv, metric_log10_grad, metric_normalized_subopt, monte_carlo
 from .bench import write_csv
 from .noise import GaussianNoise, MinibatchSampling, NoisyOracle, SphereNoise, UniformNoise, derive_seed
@@ -195,6 +195,7 @@ def run_logreg(params, out_dir):
     p = _params(LOGREG_DEFAULTS, params)
     budget = Budget(iterations=p["iterations"])
     step = FixedStep(p["eta"])
+    nonnegative("rho", p["rho"])  # logistic_problem checks it too, but only after the load
     methods = {
         "softqn": lambda: SoftQn(ConstantAlpha(p["alpha"])),
         "spbfgs": lambda: SpBfgs(StepNormBeta(p["beta_coeff"], p["beta_floor"])),

@@ -87,8 +87,8 @@ class NoisyOracle:
 
     ``fun_noise`` is None (exact values) or a UniformNoise; ``grad_noise`` is
     None (exact gradients) or a GaussianNoise, SphereNoise or
-    MinibatchSampling.  The exact channel (``true_phi``, ``true_grad``,
-    ``batched_grad_norms``) touches no counter.
+    MinibatchSampling.  The exact channel (``true_phi``, ``true_grad``) touches
+    no counter.
 
     phi and grad are evaluated once per point across both channels: the oracle
     keeps the last point and value of each, and a call at a bitwise-identical x
@@ -175,17 +175,6 @@ class NoisyOracle:
 
     def true_grad(self, x) -> np.ndarray:
         return self._eval("grad", x).copy()
-
-    @property
-    def batched_grad_norms(self):
-        """The problem's ``grad_norms`` when the noisy gradient shares no evaluation
-        with the exact one (minibatch sampling), else None.  ``run`` then gets the
-        norms of all of a trial's iterates from it in one call.  Under the other
-        noise models the noisy channel evaluates the exact gradient at each new
-        iterate anyway, so a batch would only add work."""
-        if isinstance(self.grad_noise, MinibatchSampling):
-            return self.problem.grad_norms
-        return None
 
     def hess(self, x) -> np.ndarray:
         if self.problem.hess is None:

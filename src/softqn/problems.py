@@ -51,9 +51,9 @@ class Problem:
     are set when the optimum is known analytically; ``batch_grad(x, batch, rng)``
     is present for data-fitting problems whose gradient can be subsampled, and
     ``grad_norms(xs)``, the norms of ``grad`` at the k rows of a k x dim array,
-    where one call for all of them costs less than k calls of ``grad``.  Under
-    minibatch sampling ``run`` passes it all of a trial's iterates in one call,
-    so its working memory must not grow with k beyond the k norms.
+    where one call for all of them costs less than k calls of ``grad``.  ``run``
+    passes it all of a trial's iterates in one call, under any noise model, so
+    its working memory must not grow with k beyond the k norms.
     """
 
     name: str
@@ -668,22 +668,15 @@ def _scatter(rows, counts, idx, vals):
 
 
 def _column_norms(x):
-    """``np.linalg.norm(x, axis=0)`` of the row-major matrix bit for bit, in either
-    layout, without its n x d temporary of squares.
+    """``np.linalg.norm(x, axis=0)`` of the C-order matrix x bit for bit, without
+    its n x d temporary of squares.
 
-    For two or more columns of a C-order matrix that norm adds the squares row after
-    row, so carrying the running sums into the first row of each block of rows keeps
-    its order.  Each block is squared into a C-order temporary, so a column-major
-    copy of x is summed in the same order.  A single column is summed pairwise, so
-    it goes through the norm itself; its temporary is one column."""
+    For two or more columns that norm adds the squares row after row, and so does
+    einsum's reduction over the rows.  A single column is summed pairwise, so it
+    goes through the norm itself; its temporary is one column."""
     if x.shape[1] < 2:
         return np.linalg.norm(x, axis=0)
-    sumsq = np.zeros(x.shape[1])
-    for start in range(0, x.shape[0], _BLOCK_LINES):
-        sq = np.square(x[start : start + _BLOCK_LINES], order="C")
-        sq[0] += sumsq
-        sumsq = np.add.reduce(sq, axis=0)
-    return np.sqrt(sumsq)
+    return np.sqrt(np.einsum("ij,ij->j", x, x))
 
 
 def _margins(features: np.ndarray, labels: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -438,11 +438,10 @@ def run(
     UpdateConsistencyError) stops the run and freezes the per-iteration traces
     at their last finite values.
 
-    Where the oracle's noisy gradient shares no evaluation with the exact one
-    and the problem offers ``grad_norms`` (minibatch logistic regression), the
-    iterates are kept and their norms, start included, come from one
-    ``grad_norms`` call after the loop; they agree with the per-iterate ones to
-    rounding and the trajectory is unchanged.  A non-finite norm after the
+    When the problem offers ``grad_norms`` (logistic regression), the iterates
+    are kept and their norms, start included, come from one ``grad_norms`` call
+    after the loop, under any noise model; they agree with the per-iterate ones
+    to rounding and the trajectory is unchanged.  A non-finite norm after the
     start found that way ends the trial as above: the traces, ``iterations``
     and ``final_x`` stop at the iterate before it, but ``fun_evals``,
     ``grad_evals``, ``step_rejections`` and ``skipped_updates`` count the whole
@@ -464,8 +463,8 @@ def run(
     phi_star = oracle.problem.phi_star
     # phi only feeds phi - phi*, so a problem without phi* never pays for it
     exact_phi = oracle.true_phi if phi_star is not None else _no_phi
-    # a batched exact channel gets every norm, start included, in one call after the loop
-    batched = oracle.batched_grad_norms
+    # a problem with grad_norms gets every norm, start included, in one call after the loop
+    batched = oracle.problem.grad_norms
     grad_norms = [float(np.linalg.norm(oracle.true_grad(x)))] if batched is None else None
     phis = [exact_phi(x)]
     eval_counts = [oracle.fun_evals]

@@ -49,7 +49,7 @@ class PdThresholdError(ValueError):
 
 
 class UpdateConsistencyError(RuntimeError):
-    """A closed-form update produced a matrix that failed its positive-definiteness self-check."""
+    """A closed-form update overflowed a coefficient or failed its positive-definiteness self-check."""
 
 
 class EigenBounds(NamedTuple):
@@ -102,6 +102,8 @@ def _rank_two(h, hy, s, c_hh, c_hs, c_ss):
 
     Writes into two fresh n x n buffers; no hh term when c_hh is 0.  Each term is
     exactly symmetric elementwise, so the result is exactly symmetric when H is.
+    A coefficient that is not finite (it overflowed) raises UpdateConsistencyError
+    before anything is allocated.
 
     The four outer products come from ``np.einsum("i,j->ij")``, about twice as fast
     as the broadcast ``a[:, None] * b`` at n = 200.  Each einsum entry is the same
@@ -113,6 +115,8 @@ def _rank_two(h, hy, s, c_hh, c_hs, c_ss):
 
     Below n = _EINSUM_MIN_N the broadcast is faster than einsum plus that test, so
     small n skips both."""
+    if not (math.isfinite(c_hh) and math.isfinite(c_hs) and math.isfinite(c_ss)):
+        raise UpdateConsistencyError(f"update coefficients overflow: {c_hh!r}, {c_hs!r}, {c_ss!r}")
     if s.size >= _EINSUM_MIN_N and np.minimum(np.abs(s).min(), np.abs(hy).min()) ** 2 > 0.0:
         outer = _outer_einsum
     else:
@@ -163,7 +167,8 @@ def soft_qn_update(h, s, y, alpha, bounds=None):
     is reached without loss of monotonicity in floating point.  Well defined for every
     pair (s, y), including s = 0 or s'y <= 0.  H' is exactly symmetric when H is.
 
-    H' is checked for positive definiteness by a Cholesky factorization
+    A coefficient that overflows raises UpdateConsistencyError before H' is
+    formed.  H' is checked for positive definiteness by a Cholesky factorization
     (``is_positive_definite``), which raises UpdateConsistencyError on failure,
     unless ``bounds`` proves that check cannot fail.  ``bounds`` is an optional
     certified interval (lo, hi) on the spectrum of H; ``_carry_bounds`` moves it
@@ -391,10 +396,7 @@ def bfgs_update(h, s, y):
         raise CurvatureError(f"s'y = {s_t_y:.3e} is at or below the curvature tolerance")
     rho = 1.0 / s_t_y
     hy = h @ y
-    c_ss = rho * rho * float(y @ hy) + rho
-    if not math.isfinite(c_ss):  # also when rho is not: then c_ss is inf or nan
-        raise UpdateConsistencyError(f"BFGS coefficients overflow at s'y = {s_t_y:.3e}")
-    return _rank_two(h, hy, s, 0.0, rho, c_ss)
+    return _rank_two(h, hy, s, 0.0, rho, rho * rho * float(y @ hy) + rho)
 
 
 def sp_bfgs_admissible(s, y, beta: float) -> bool:
@@ -411,8 +413,9 @@ def sp_bfgs_admissible(s, y, beta: float) -> bool:
 def sp_bfgs_update(h, s, y, beta):
     """Secant-penalized BFGS update with a positive, finite beta.
 
-    Raises PdThresholdError unless ``sp_bfgs_admissible(s, y, beta)``.  beta -> inf
-    recovers BFGS, beta -> 0 leaves H unchanged.  H' is exactly symmetric when H is.
+    Raises PdThresholdError unless ``sp_bfgs_admissible(s, y, beta)``, and
+    UpdateConsistencyError when a coefficient overflows.  beta -> inf recovers BFGS,
+    beta -> 0 leaves H unchanged.  H' is exactly symmetric when H is.
     """
     _check_pair(h, s, y)
     positive("beta", beta)

@@ -27,6 +27,15 @@ def test_seed_out_of_range_is_usage_error(capsys):
     assert main(["toy", "--seed", str(2**64)]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--trials", "abc"), ("--seed", "1.5")])
+def test_malformed_flag_value_is_a_config_error(tmp_path, capsys, flag, value):
+    # a flag is coerced like the same key in a config file
+    out = tmp_path / "out"
+    assert main(["qp", flag, value, "--out", str(out)]) == 2
+    assert f"config error: bad value for '{flag[2:]}': '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_seed_is_range_checked(tmp_path, capsys):
     cfg = tmp_path / "bench.ini"
     for seed in (-1, 2**64):
@@ -93,6 +102,16 @@ def test_malformed_dataset_exits_three(tmp_path, capsys, content):
     code = main(["logreg", "--dataset", str(bad), "--out", str(tmp_path)])
     assert code == 3
     assert "bad.libsvm" in capsys.readouterr().err
+
+
+def test_negative_rho_is_refused_before_the_dataset_is_read(tmp_path, capsys):
+    cfg = tmp_path / "bench.ini"
+    cfg.write_text("[logreg]\nrho = -1.0\n")
+    out = tmp_path / "out"
+    argv = ["logreg", "--config", str(cfg), "--dataset", str(tmp_path / "absent.libsvm"), "--out", str(out)]
+    assert main(argv) == 2
+    assert "config error: rho must be nonnegative and finite, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_flags_override_config(tmp_path):

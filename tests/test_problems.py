@@ -624,25 +624,19 @@ def test_libsvm_load_with_small_blocks_peaks_little_above_the_matrix(tmp_path, m
     assert peak <= 1.25 * data.features.nbytes
 
 
-def test_column_norms_are_bitwise_numpys(monkeypatch):
-    monkeypatch.setattr(problems, "_BLOCK_LINES", 7)
+def test_column_norms_are_bitwise_numpys():
     rng = np.random.default_rng(9)
-    for rows, cols in [(1, 1), (3, 0), (300, 1), (6, 2), (7, 3), (8, 5), (300, 22), (50, 200)]:
-        x = rng.standard_normal((rows, cols)) * np.exp(rng.uniform(-300, 300, (rows, cols)))
+    shapes = [(1, 1), (3, 0), (300, 1), (6, 2), (7, 3), (8, 5), (300, 22), (50, 200)]
+    # C-order matrices as load_libsvm returns them: up to 50,000 rows and 64 columns
+    shapes += [(0, 2), (50_000, 64)] + [(int(rng.integers(0, 50_001)), int(rng.integers(2, 65))) for _ in range(24)]
+    for rows, cols in shapes:
+        x = rng.standard_normal((rows, cols)) * np.exp(rng.uniform(-690, 690, (rows, cols)))
         x[rng.random((rows, cols)) < 0.3] = 0.0
-        npt.assert_array_equal(
-            problems._column_norms(x).view(np.int64), np.linalg.norm(x, axis=0).view(np.int64)
-        )
-    # a column-major x gives the row-major matrix's norms, whose squares are added
-    # row after row, where numpy would sum each contiguous column pairwise
-    for block_lines in (7, 64, 4096):
-        monkeypatch.setattr(problems, "_BLOCK_LINES", block_lines)
-        for rows, cols in [(1, 1), (3, 0), (300, 1), (7, 3), (300, 22), (5000, 22), (50, 200)]:
-            x = rng.standard_normal((rows, cols)) * np.exp(rng.uniform(-300, 300, (rows, cols)))
-            x[rng.random((rows, cols)) < 0.3] = 0.0
+        tiny = rng.random((rows, cols)) < 0.05
+        x[tiny] = rng.integers(-2**52, 2**52, tiny.sum()) * 2.0**-1074  # subnormals
+        with np.errstate(over="ignore"):
             npt.assert_array_equal(
-                problems._column_norms(np.asfortranarray(x)).view(np.int64),
-                np.linalg.norm(x, axis=0).view(np.int64),
+                problems._column_norms(x).view(np.int64), np.linalg.norm(x, axis=0).view(np.int64)
             )
 
 

@@ -471,7 +471,11 @@ def _counted(fn, calls):
 
 @pytest.mark.parametrize("phi_star", [None, 0.0], ids=["no_phi_star", "phi_star"])
 @pytest.mark.parametrize("method", _METHODS, ids=_METHOD_IDS)
-def test_batched_and_per_iterate_exact_channels_agree(method, phi_star):
+@pytest.mark.parametrize(
+    "grad_noise", [MinibatchSampling(20), GaussianNoise(1e-4)], ids=["minibatch", "gaussian"]
+)
+def test_batched_and_per_iterate_exact_channels_agree(grad_noise, method, phi_star):
+    # any problem with grad_norms gets its norms in one call, whatever the noise model
     problem = logistic_problem(load_libsvm(fixture_dataset_path()), rho=0.1)
     calls = []
     batched = dataclasses.replace(problem, phi_star=phi_star, grad_norms=_counted(problem.grad_norms, calls))
@@ -479,7 +483,7 @@ def test_batched_and_per_iterate_exact_channels_agree(method, phi_star):
     budget = Budget(iterations=148)
     records = []
     for p in (batched, per_iterate):
-        oracle = _CountingOracle(p, grad_noise=MinibatchSampling(20), seed=3)
+        oracle = _CountingOracle(p, grad_noise=grad_noise, seed=3)
         records.append(run(oracle, method, FixedStep(0.1), budget, keep_iterates=True))
         assert oracle.phi_calls == (0 if phi_star is None else budget.iterations + 1)
     assert calls == [budget.iterations + 1]  # one call, start included
@@ -603,6 +607,30 @@ def test_sp_bfgs_skips_below_pd_threshold():
     # huge beta makes the threshold essentially s'y > 0; noisy pairs violate it often
     assert rec.skipped_updates > 0
     assert not rec.diverged
+
+
+def test_an_sp_bfgs_pair_that_overflows_ends_only_its_trial():
+    # at a gradient noise of 1e160, y'Hy overflows on the first pair, and the
+    # update raises instead of handing an all-NaN H to the next iteration
+    method = SpBfgs()
+    step, budget = FixedStep(1e-155), Budget(iterations=10)
+
+    def oracle(radius):
+        return NoisyOracle(gen_random_qp(4, 1), grad_noise=SphereNoise(radius), seed=0)
+
+    radii = [1.0, 1e160, 1e-3]
+    with np.errstate(all="ignore"):
+        records = [run(oracle(r), method, step, budget, keep_iterates=True) for r in radii]
+        replay = oracle(1e160)
+        x0, x1 = records[1].iterates
+        g0 = replay.g(x0)
+        y = replay.g(x1) - g0
+        with pytest.raises(UpdateConsistencyError, match="overflow"):
+            method.absorb(method.initial_h(4, None), x1 - x0, y)
+    assert [r.diverged for r in records] == [False, True, False]
+    assert [r.iterations for r in records] == [10, 1, 10]
+    for rec in records:
+        assert np.isfinite(rec.grad_norms).all() and np.isfinite(rec.suboptimality).all()
 
 
 def test_sp_bfgs_skips_a_pair_whose_beta_overflows():
@@ -882,6 +910,26 @@ def test_any_noise_and_step_scale_ends_finite_or_diverged(n, qp_seed, noise_seed
     oracle = NoisyOracle(gen_random_qp(n, qp_seed), grad_noise=grad_noise, seed=noise_seed)
     with np.errstate(all="ignore"):
         rec = run(oracle, method, FixedStep(step), Budget(iterations=20))
+    stop = rec.iterations + 1
+    assert np.isfinite(rec.grad_norms[:stop]).all() and np.isfinite(rec.suboptimality[:stop]).all()
+    assert rec.diverged or (np.isfinite(rec.grad_norms).all() and np.isfinite(rec.suboptimality).all())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(4, 12),
+    noise_seed=st.integers(0, 2**32 - 1),
+    arm=st.sampled_from(["softqn", "spbfgs", "bfgs", "sgd"]),
+    e_f=st.floats(-8.0, 8.0).map(lambda e: 10.0**e),
+    e_g=st.floats(-8.0, 8.0).map(lambda e: 10.0**e),
+)
+def test_noisy_line_search_on_any_noise_scale_ends_finite_or_diverged(n, noise_seed, arm, e_f, e_g):
+    # the noisy Armijo search under an evaluation budget, with noise on f and on g
+    method = {"softqn": SoftQn(ConstantAlpha(1.0)), "spbfgs": SpBfgs(), "bfgs": StochasticBfgs(), "sgd": Sgd()}[arm]
+    problem = cutest_like("ARWHEAD", n)
+    oracle = NoisyOracle(problem, fun_noise=UniformNoise(e_f), grad_noise=SphereNoise(e_g), seed=noise_seed)
+    with np.errstate(all="ignore"):
+        rec = run(oracle, method, NoisyArmijo(eps_tol=e_f), Budget(fun_evals=200))
     stop = rec.iterations + 1
     assert np.isfinite(rec.grad_norms[:stop]).all() and np.isfinite(rec.suboptimality[:stop]).all()
     assert rec.diverged or (np.isfinite(rec.grad_norms).all() and np.isfinite(rec.suboptimality).all())

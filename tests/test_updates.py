@@ -114,10 +114,15 @@ def test_update_rejects_nonfinite_and_mismatched_inputs():
         ([1.0, 0.0, 0.0], [1e160, 0.0, 0.0], 1e-8),
     ],
 )
-def test_update_overflow_fails_the_pd_self_check(s, y, alpha):
-    # each of these overflows to a non-finite H, which must raise, not come back as NaN
-    with np.errstate(all="ignore"), pytest.raises(UpdateConsistencyError):
-        soft_qn_update(np.eye(3), np.array(s), np.array(y), alpha)
+@pytest.mark.parametrize("bounds", [None, (1.0, 1.0)], ids=["no_bounds", "bounds"])
+def test_update_overflow_raises_before_the_pd_self_check(monkeypatch, s, y, alpha, bounds):
+    # each of these overflows a coefficient, which raises before H' is formed, so
+    # the guard never sees an all-NaN matrix
+    calls = []
+    monkeypatch.setattr(updates, "is_positive_definite", lambda a: calls.append(1) or True)
+    with np.errstate(all="ignore"), pytest.raises(UpdateConsistencyError, match="overflow"):
+        soft_qn_update(np.eye(3), np.array(s), np.array(y), alpha, bounds)
+    assert calls == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -255,6 +260,16 @@ def test_bfgs_refuses_coefficients_that_overflow(tiny):
 
 # ---------------------------------------------------------------------------
 # SP-BFGS
+
+
+@pytest.mark.parametrize("big", [1e160, 1e200])
+def test_sp_bfgs_refuses_coefficients_that_overflow(big):
+    # s'y and y'Hy overflow to inf, so c_ss is 0*inf, and H' came back all NaN
+    s = np.array([big, 0.0])
+    with np.errstate(all="ignore"):
+        assert sp_bfgs_admissible(s, s, 1.0)
+        with pytest.raises(UpdateConsistencyError, match="overflow"):
+            sp_bfgs_update(np.eye(2), s, s, 1.0)
 
 
 def test_sp_update_1d_hand_value():
