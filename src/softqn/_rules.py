@@ -22,8 +22,8 @@ def open_unit(name, value):
 
 
 def count(name, value, least):
-    """An integer (numpy's included) of at least ``least``."""
-    if not isinstance(value, (int, np.integer)):
+    """An integer (numpy's included, bool not) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")

@@ -260,7 +260,7 @@ def check_trace_bound(samples=10_000, seed=2008):
 
 
 def check_gamma_direction(samples=1000, seed=2009):
-    """Scratch direction u keeps u'y > 0 for every nonzero y."""
+    """The rank-one direction u = (Hy + alpha*(s'y)*s)/gamma keeps u'y > 0 for every nonzero y."""
     rng = np.random.default_rng(seed)
     worst = np.inf
     for i in range(samples):
@@ -269,7 +269,8 @@ def check_gamma_direction(samples=1000, seed=2009):
         s, y = _random_pair(rng, n, force_negative_curvature=(i % 2 == 0))
         alpha = 10.0 ** rng.uniform(-6, 6)
         _, scratch = soft_qn_update(h, s, y, alpha)
-        worst = min(worst, float(scratch.u @ y))
+        u = (h @ y + (alpha * float(s @ y)) * s) / scratch.gamma
+        worst = min(worst, float(u @ y))
     return CheckResult("gamma_direction", samples, worst > 0.0, worst, "min u'y")
 
 

@@ -344,7 +344,7 @@ def line_search_noisy(
     slope = policy.c * float(p @ g_x)
     allowance = 2.0 * policy.eps_tol
     if not can_eval():
-        return LineSearchResult(0.0, False, 0, used, True)
+        return LineSearchResult(0.0, False, 0, used, True, f_x)
     f_trial = oracle.f(x + eta * p)
     used += 1
     t = 0

@@ -23,7 +23,6 @@ __all__ = [
     "UpdateConsistencyError",
     "EigenBounds",
     "SoftQnScratch",
-    "soft_qn_gamma",
     "soft_qn_update",
     "soft_qn_alpha_bound",
     "lambda_max_upper_bound",
@@ -49,7 +48,8 @@ class PdThresholdError(ValueError):
 
 
 class UpdateConsistencyError(RuntimeError):
-    """A closed-form update overflowed a coefficient or failed its positive-definiteness self-check."""
+    """A closed-form update overflowed a coefficient, found y'Hy negative beyond
+    rounding (H not positive definite), or failed its positive-definiteness self-check."""
 
 
 class EigenBounds(NamedTuple):
@@ -60,12 +60,11 @@ class EigenBounds(NamedTuple):
 
 
 class SoftQnScratch(NamedTuple):
-    """Intermediates of a soft QN update: the scaling gamma, the rank-one direction u,
-    and ``bounds``, a certified interval (lo, hi) on the spectrum of H' (None unless
-    the update carried one through, see ``soft_qn_update``)."""
+    """Intermediates of a soft QN update: the scaling gamma, and ``bounds``, a
+    certified interval (lo, hi) on the spectrum of H' (None unless the update
+    carried one through, see ``soft_qn_update``)."""
 
     gamma: float
-    u: np.ndarray
     bounds: Optional[Tuple[float, float]] = None
 
 
@@ -145,30 +144,20 @@ def _check_pair(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
         raise ValueError("non-finite entries in update inputs")
 
 
-def soft_qn_gamma(alpha: float, y_h_y: float, s_t_y: float) -> float:
-    """Positive-root scaling gamma = 1/2 + sqrt(1/4 + alpha*y'Hy + alpha^2*(s'y)^2).
-
-    Always >= 1 on the admissible domain (alpha > 0, y'Hy >= 0).  Tiny negative
-    y'Hy from rounding (down to -1e-12) is clamped to zero.
-    """
-    positive("alpha", alpha)
-    if y_h_y < -1e-12:
-        raise ValueError("y'Hy < 0: H is not positive definite")
-    y_h_y = max(y_h_y, 0.0)
-    t = alpha * s_t_y
-    return 0.5 + math.sqrt(0.25 + alpha * y_h_y + t * t)
-
-
 def soft_qn_update(h, s, y, alpha, bounds=None):
     """Penalized-secant update of a positive definite inverse-Hessian approximation.
 
-    Computes H' = H + alpha*ss' - (alpha/gamma^2)*vv' with v = Hy + alpha*(s'y)*s,
+    Computes H' = H + alpha*ss' - (alpha/gamma^2)*vv' with v = Hy + alpha*(s'y)*s
+    and the positive root gamma = 1/2 + sqrt(1/4 + alpha*y'Hy + alpha^2*(s'y)^2) >= 1,
     expanded into cancellation-free rank-one terms so that the BFGS limit (alpha -> inf)
     is reached without loss of monotonicity in floating point.  Well defined for every
     pair (s, y), including s = 0 or s'y <= 0.  H' is exactly symmetric when H is.
 
-    A coefficient that overflows raises UpdateConsistencyError before H' is
-    formed.  H' is checked for positive definiteness by a Cholesky factorization
+    alpha must be positive and finite, or ValueError.  A computed y'Hy below
+    -1e-12 means H is not positive definite and raises UpdateConsistencyError;
+    a smaller negative y'Hy is rounding and is taken as 0.  A coefficient that
+    overflows raises UpdateConsistencyError before H' is formed.  H' is checked
+    for positive definiteness by a Cholesky factorization
     (``is_positive_definite``), which raises UpdateConsistencyError on failure,
     unless ``bounds`` proves that check cannot fail.  ``bounds`` is an optional
     certified interval (lo, hi) on the spectrum of H; ``_carry_bounds`` moves it
@@ -177,21 +166,26 @@ def soft_qn_update(h, s, y, alpha, bounds=None):
     way.  Without ``bounds``, or when the carried interval proves nothing, the
     guard runs as before.
 
-    Returns ``(h_new, scratch)`` where ``scratch`` carries gamma, u = v/gamma and
-    the certified interval on H' when the guard was skipped (None when it ran).
+    Returns ``(h_new, scratch)`` where ``scratch`` carries gamma and the
+    certified interval on H' when the guard was skipped (None when it ran).
     """
     _check_pair(h, s, y)
+    positive("alpha", alpha)
     hy = h @ y
     y_h_y = float(y @ hy)
+    if y_h_y < -1e-12:
+        raise UpdateConsistencyError(f"y'Hy = {y_h_y!r} < 0: H is not positive definite")
+    y_h_y = max(y_h_y, 0.0)
     s_t_y = float(s @ y)
-    gamma = soft_qn_gamma(alpha, y_h_y, s_t_y)
+    t = alpha * s_t_y
+    gamma = 0.5 + math.sqrt(0.25 + alpha * y_h_y + t * t)
     g2 = gamma * gamma
     # alpha*ss' - (alpha/g2)*vv' regrouped; the ss' coefficient uses the identity
     # gamma^2 - (alpha*s'y)^2 = gamma + alpha*y'Hy, which avoids forming the
     # difference of two huge multiples of ss' at large alpha.
     c_hh = alpha / g2
-    c_hs = alpha * (alpha * s_t_y) / g2
-    c_ss = alpha * (gamma + alpha * max(y_h_y, 0.0)) / g2
+    c_hs = alpha * t / g2
+    c_ss = alpha * (gamma + alpha * y_h_y) / g2
     h_new = _rank_two(h, hy, s, c_hh, c_hs, c_ss)
     if bounds is not None:
         bounds = _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss)
@@ -200,8 +194,7 @@ def soft_qn_update(h, s, y, alpha, bounds=None):
             "soft QN update lost positive definiteness; this points at a numerical "
             "problem in the inputs (H far from symmetric PD or wildly scaled data)"
         )
-    u = (hy + (alpha * s_t_y) * s) / gamma
-    return h_new, SoftQnScratch(gamma=gamma, u=u, bounds=bounds)
+    return h_new, SoftQnScratch(gamma=gamma, bounds=bounds)
 
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -226,10 +219,10 @@ def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss
     """Certified interval on the spectrum of the computed soft update, or None.
 
     ``bounds`` = (lo, hi) encloses the spectrum of the symmetric H; the other
-    arguments are the computed quantities of ``soft_qn_update``.  Returns
-    (lo', hi') enclosing the spectrum of fl(H'), the matrix ``_rank_two``
-    returned, when it also proves that Cholesky succeeds on fl(H'), and None
-    otherwise.  Costs three dot products and a few dozen float operations.
+    arguments are the computed quantities of ``soft_qn_update``, y'Hy already
+    clamped at 0.  Returns (lo', hi') enclosing the spectrum of fl(H'), the
+    matrix ``_rank_two`` returned, when it also proves that Cholesky succeeds on
+    fl(H'), and None otherwise.  Costs three dot products and a few dozen float operations.
 
     Exact arithmetic.  With A = H + alpha*ss', the update is
     H' = A - (alpha/gamma^2)(Ay)(Ay)', and gamma^2 - gamma = alpha*y'Ay, so on
@@ -245,7 +238,7 @@ def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss
     - h^ = fl(Hy): |h^ - Hy| <= gamma_n*|H||y| + n*eta entrywise, so
       e_h = gamma_n*sqrt(n)*hi*||y|| + n^1.5*eta bounds ||h^ - Hy||.
     - q^ = fl(y'h^): e_q = gamma_n*||y||*||h^|| + ||y||*e_h + n*eta bounds
-      |q^ - y'Hy|; q+ = max(q^, 0) is no farther from y'Hy >= 0.
+      |q^ - y'Hy|; q+ = max(q^, 0), the y'Hy passed in, is no farther from y'Hy >= 0.
     - t^ = fl(s'y): e_t = gamma_n*||s||*||y|| + n*eta bounds |t^ - s'y|.  This is
       an absolute bound: when s and y are nearly orthogonal, s'y cancels and t^
       may have no correct digit.  So e_t enters below through alpha^2*e_t (in
@@ -305,7 +298,7 @@ def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss
     e_h = g_n * math.sqrt(n) * hi * ny + n * math.sqrt(n) * _ETA
     e_q = g_n * ny * nh + ny * e_h + n * _ETA
     e_t = g_n * ns * ny + n * _ETA
-    q, t = max(y_h_y, 0.0), abs(s_t_y)
+    q, t = y_h_y, abs(s_t_y)
     aa = alpha * alpha
     e_d = alpha * e_q + aa * e_t * (2.0 * t + e_t)
     e_g = _G6 * gamma / (1.0 - _G6) + e_d * (1.0 + _G6) / gamma

@@ -277,6 +277,17 @@ def test_line_search_interrupts_at_eval_cap():
     # a zero cap means not even f(x) may be evaluated
     res = line_search_noisy(o, np.array([1.0]), np.array([1.0]), np.array([100.0]), policy, eval_cap=0)
     assert res.interrupted and res.fun_evals == 0 and res.f_new is None
+    # a cap of one evaluates f(x) alone, and hands that value back
+    res = line_search_noisy(o, np.array([1.0]), np.array([1.0]), np.array([100.0]), policy, eval_cap=1)
+    assert res.interrupted and res.fun_evals == 1 and not res.accepted and res.eta == 0.0
+    assert res.f_new == 50.0
+
+
+def test_a_one_evaluation_budget_ends_after_one_interrupted_search():
+    rec = run(NoisyOracle(_quadratic_1d(), seed=0), Sgd(), NoisyArmijo(), Budget(fun_evals=1))
+    assert rec.iterations == 1 and rec.step_rejections == 1 and not rec.diverged
+    npt.assert_array_equal(rec.eval_counts, [0, 1])
+    npt.assert_array_equal(rec.final_x, [1.0])
 
 
 def test_line_search_noiseless_accepts_satisfy_classical_armijo():
@@ -598,6 +609,19 @@ def test_failed_update_marks_trial_diverged():
     npt.assert_array_equal(rec.grad_norms[1:], rec.grad_norms[1])
 
 
+def test_an_h_that_is_not_positive_definite_in_rounding_ends_only_its_trial():
+    # h0 passes the Cholesky test, but y'Hy computes to -2.11 on this y
+    h0 = np.array([[17094455.616886515, 9039580.514956908], [9039580.514956908, 4780147.301424948]])
+    y = np.array([-73873.00265090147, 139698.82374657903])
+    assert updates.is_positive_definite(h0) and float(y @ (h0 @ y)) < -1.0
+    g0 = np.array([1.0, 0.0])
+    problem = Problem(
+        name="flat", dim=2, x0=np.zeros(2), phi=lambda x: 0.0, grad=lambda x: g0 if not x.any() else g0 + y
+    )
+    rec = run(NoisyOracle(problem, seed=0), SoftQn(ConstantAlpha(1.0)), FixedStep(1e-9), Budget(iterations=3), h0=h0)
+    assert rec.diverged and rec.iterations == 1
+
+
 def test_sp_bfgs_skips_below_pd_threshold():
     p = gen_random_qp(6, 13)
     o = NoisyOracle(p, grad_noise=SphereNoise(2.0), seed=3)
@@ -684,7 +708,11 @@ _VALUE_RULES = [
     (UniformNoise, [{"half_width": v} for v in (-1e-300, -1.0, *_NOT_FINITE)], [{"half_width": 0.0}]),
     (GaussianNoise, [{"cov_scale": v} for v in (-1e-300, -1.0, *_NOT_FINITE)], [{"cov_scale": 0.0}]),
     (SphereNoise, [{"radius": v} for v in (-1e-300, -1.0, *_NOT_FINITE)], [{"radius": 0.0}]),
-    (MinibatchSampling, [{"batch": 0}, {"batch": -1}, {"batch": 2.5}, {"batch": np.nan}], [{"batch": 1}]),
+    (
+        MinibatchSampling,
+        [{"batch": 0}, {"batch": -1}, {"batch": 2.5}, {"batch": np.nan}, {"batch": True}],
+        [{"batch": 1}],
+    ),
     (FixedStep, [{"eta": v} for v in (0.0, -0.1, *_NOT_FINITE)], [{"eta": 5e-324}]),
     (DiminishingStep, [{"scale": v} for v in (0.0, -1.0, *_NOT_FINITE)], [{"scale": 1e300}]),
     (ConstantAlpha, [{"alpha": v} for v in (0.0, -1.0, *_NOT_FINITE)], [{"alpha": 5e-324}]),
@@ -706,14 +734,14 @@ _VALUE_RULES = [
         [{"eta0": v} for v in (0.0, -1.0, *_NOT_FINITE)]
         + [{"tau": v} for v in (0.0, 1.0, -0.5, 2.0, np.nan)]
         + [{"c": v} for v in (0.0, 1.0, -1e-4, np.nan)]
-        + [{"max_backtracks": v} for v in (-3, -1, 2.5, np.nan)]
+        + [{"max_backtracks": v} for v in (-3, -1, 2.5, np.nan, False)]
         + [{"eps_tol": v} for v in (-1e-300, -1.0, *_NOT_FINITE)],
         [{}, {"eta0": 5e-324, "tau": 1 - 2**-53, "c": 5e-324, "max_backtracks": 0, "eps_tol": 0.0}]
         + [{"max_backtracks": np.int64(3), "eps_tol": 1e300}],
     ),
     (
         Budget,
-        [{"iterations": v} for v in (-1, 0, 2.5)] + [{"fun_evals": v} for v in (-1, 0, 2.5)],
+        [{"iterations": v} for v in (-1, 0, 2.5, True)] + [{"fun_evals": v} for v in (-1, 0, 2.5, True)],
         [{"iterations": 1}, {"fun_evals": np.int64(1)}, {"iterations": 3, "fun_evals": 10}],
     ),
     (
@@ -950,3 +978,84 @@ def test_eigvalsh_refresh_encloses_the_exact_spectrum():
                 assert cond >= 1e12
                 continue
             assert bounds[0] <= w[0] and w[-1] <= bounds[1]
+
+
+# ---------------------------------------------------------------------------
+# the abstract's invariances along whole trajectories
+
+
+def _scaled_problem(base, m):
+    """psi(z) = phi(Mz), started at z0 = M^-1 x0, and H0 = M^-1 M^-T, both from the SVD of M."""
+    u, sig, vt = np.linalg.svd(m)
+    h0 = (vt.T / sig**2) @ vt
+    problem = Problem(
+        name=f"{base.name}-scaled",
+        dim=base.dim,
+        x0=(vt.T / sig) @ (u.T @ base.x0),
+        phi=lambda z: base.phi(m @ z),
+        grad=lambda z: m.T @ base.grad(m @ z),
+        phi_star=base.phi_star,
+    )
+    return problem, 0.5 * (h0 + h0.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    seed=st.integers(0, 2**32 - 1),
+    log_cond=st.floats(0.0, 6.0),
+    log_scale=st.floats(-3.0, 3.0),
+    arm=st.sampled_from(["softqn", "spbfgs"]),
+)
+def test_penalized_updates_are_invariant_under_a_linear_change_of_variables(n, seed, log_cond, log_scale, arm):
+    # In exact arithmetic z_k = M^-1 x_k: s'y and y'Hy are the same in both
+    # variables, so are gamma (soft QN) and the PD test (SP-BFGS, constant beta).
+    # The z-run's H is M^-1 H M^-T, whose condition number is cond(M)^2 times
+    # H's, so each of the K steps puts a relative error of about n*u*cond(M)^2
+    # into M z_k.
+    #
+    # Not invariant, and so not drawn here: SP-BFGS with StepNormBeta reads |s|,
+    # and its trajectory moves by about 0.3 (relative) already at cond(M) = 1
+    # with a scale; BFGS's curvature tolerance reads |s||y|, and its ARWHEAD
+    # trajectory at this step moves by about 1e-2 under a pure rotation, as it
+    # does when x0 moves by one ulp.
+    method = {"softqn": SoftQn(ConstantAlpha(1.0)), "spbfgs": SpBfgs(ConstantBeta(1.0))}[arm]
+    cond, steps = 10.0**log_cond, 30
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = (q1 * np.geomspace(1.0, 1.0 / cond, n)) @ q2.T * 10.0**log_scale
+    base = cutest_like("ARWHEAD", n)
+    scaled, h0 = _scaled_problem(base, m)
+    budget = Budget(iterations=steps)
+    rx = run(NoisyOracle(base), method, FixedStep(0.01), budget, keep_iterates=True)
+    rz = run(NoisyOracle(scaled), method, FixedStep(0.01), budget, h0=h0, keep_iterates=True)
+    assert not rx.diverged and not rz.diverged
+    xs = np.array(rx.iterates)
+    gap = np.abs(xs - np.array(rz.iterates) @ m.T).max() / (1.0 + np.abs(xs).max())
+    assert gap <= steps * n * 2.0**-53 * cond**2, gap
+
+
+@pytest.mark.parametrize("n", [4, 10, 30])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_soft_qn_tracks_bfgs_along_a_trajectory_at_large_alpha(n, seed):
+    # the soft update is BFGS plus terms of order 1/alpha (the largest is
+    # (alpha/gamma^2)*Hy*y'H, with gamma ~ alpha*s'y), so the gap between the two
+    # trajectories shrinks about a thousandfold from alpha = 1e9 to 1e12; at
+    # n = 10 the converged BFGS run's own rounding caps that at about 50-fold
+    problem = gen_random_qp(n, seed)
+    step, budget = FixedStep(1.0), Budget(iterations=25)
+
+    def iterates(method):
+        rec = run(NoisyOracle(problem), method, step, budget, keep_iterates=True)
+        assert not rec.diverged
+        return np.array(rec.iterates)
+
+    xs = iterates(StochasticBfgs())
+
+    def gap(alpha):
+        return np.abs(iterates(SoftQn(ConstantAlpha(alpha))) - xs).max() / (1.0 + np.abs(xs).max())
+
+    far, near = gap(1e9), gap(1e12)
+    assert near <= 1e-6
+    assert near <= 0.1 * far

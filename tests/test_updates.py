@@ -26,7 +26,6 @@ from softqn.updates import (
     is_positive_definite,
     lambda_max_upper_bound,
     soft_qn_alpha_bound,
-    soft_qn_gamma,
     soft_qn_update,
     sp_bfgs_admissible,
     sp_bfgs_update,
@@ -36,30 +35,39 @@ GOLDEN = 1.618033988749895  # 0.5 + sqrt(1.25)
 
 
 # ---------------------------------------------------------------------------
-# gamma
+# gamma, read off 1-D updates, where y'Hy = h*y^2 and s'y = s*y
+
+
+def _gamma(alpha, h, s, y):
+    return soft_qn_update(np.array([[h]]), np.array([s]), np.array([y]), alpha)[1].gamma
 
 
 def test_gamma_degenerate_pair_is_one():
-    assert soft_qn_gamma(1.0, 0.0, 0.0) == 1.0
+    assert _gamma(1.0, 1.0, 0.0, 0.0) == 1.0
 
 
 def test_gamma_zero_penalty_limit():
-    assert soft_qn_gamma(1e-300, 5.0, -3.0) == pytest.approx(1.0)
+    assert _gamma(1e-300, 5.0, -3.0, 1.0) == pytest.approx(1.0)
 
 
 def test_gamma_golden_ratio_case():
-    assert soft_qn_gamma(1.0, 1.0, 0.0) == pytest.approx(GOLDEN, abs=1e-10)
+    assert _gamma(1.0, 1.0, 0.0, 1.0) == pytest.approx(GOLDEN, abs=1e-10)
 
 
-def test_gamma_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        soft_qn_gamma(0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        soft_qn_gamma(-1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        soft_qn_gamma(1.0, -1e-6, 0.0)  # clearly negative y'Hy
-    # tiny negative y'Hy from rounding is clamped, not fatal
-    assert soft_qn_gamma(1.0, -1e-13, 0.0) == 1.0
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan])
+def test_update_rejects_a_penalty_that_is_not_positive(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        soft_qn_update(np.eye(1), np.array([1.0]), np.array([1.0]), alpha)
+
+
+def test_update_refuses_a_negative_y_h_y_with_a_typed_error():
+    # y'Hy = -1e-6 is beyond rounding: H is not positive definite
+    with pytest.raises(UpdateConsistencyError, match="y'Hy"):
+        soft_qn_update(np.array([[-1e-6]]), np.array([1.0]), np.array([1.0]), 1.0)
+
+
+def test_update_clamps_a_negative_y_h_y_within_rounding():
+    assert _gamma(1.0, -1e-13, 1.0, 1.0) == _gamma(1.0, 0.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +156,6 @@ def test_update_noise_pairs_contract_scaled_identity_at_first_order(alpha):
     assert shrink == pytest.approx(sampled, rel=3.0 * alpha * h * 2.0 * sigma2 * n)
     # ... and against the population value the sampling error of mean |y|^2 adds
     assert shrink == pytest.approx(2.0 * alpha * sigma2 * h * h, rel=0.05)
-
-
-def test_update_scratch_u_is_v_over_gamma():
-    rng = np.random.default_rng(11)
-    h = np.eye(3) + 0.1
-    s = rng.standard_normal(3)
-    y = rng.standard_normal(3)
-    alpha = 2.0
-    _, scratch = soft_qn_update(h, s, y, alpha)
-    v = h @ y + alpha * float(s @ y) * s
-    npt.assert_allclose(scratch.u, v / scratch.gamma, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +321,7 @@ def _soft_qn_reference(h, s, y, alpha):
     hy = h @ y
     y_h_y = float(y @ hy)
     s_t_y = float(s @ y)
-    gamma = soft_qn_gamma(alpha, y_h_y, s_t_y)
+    gamma = 0.5 + math.sqrt(0.25 + alpha * max(y_h_y, 0.0) + (alpha * s_t_y) * (alpha * s_t_y))
     g2 = gamma * gamma
     c_hy = alpha / g2
     c_cross = alpha * (alpha * s_t_y) / g2
@@ -618,6 +615,25 @@ def test_carried_bounds_skip_the_guard_and_match_the_plain_update(monkeypatch):
     for bounds in [None, (1e-300, 1.0)]:
         assert soft_qn_update(h, s, y, 0.1, bounds)[1].bounds is None
     assert len(calls) == 7
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, 2.0**960), (1.0, math.inf), (math.nan, 1.0)],
+)
+def test_bounds_outside_the_carry_range_run_the_guard(monkeypatch, bounds):
+    # _carry_bounds takes only 0 < lo <= hi < 2**960; anything else carries nothing
+    rng = np.random.default_rng(6)
+    h = np.eye(4)
+    s, y = rng.standard_normal(4), rng.standard_normal(4)
+    plain = soft_qn_update(h, s, y, 0.1)[0]
+    calls = []
+    guard = updates.is_positive_definite
+    monkeypatch.setattr(updates, "is_positive_definite", lambda a: calls.append(1) or guard(a))
+    h_new, scratch = soft_qn_update(h, s, y, 0.1, bounds)
+    assert scratch.bounds is None
+    assert len(calls) == 1
+    _assert_same_bits(h_new, plain)
 
 
 def test_kernels_leave_inputs_alone_and_return_fresh_memory():
