@@ -4,18 +4,26 @@ Subcommands: ``qp``, ``cutest``, ``logreg``, ``toy`` run the corresponding
 experiment and write CSVs into --out; ``proptest`` runs a quick sweep of the
 randomized property checks.  Exit codes: 0 success, 1 failed property checks,
 2 configuration errors, 3 dataset errors, 4 any other exception (a crash; its
-traceback goes to stderr).  The runners check their own parameters; the CLI only
-parses, merges flags over the config, and maps exceptions to exit codes.
+traceback goes to stderr).
+
+The parameters of an experiment come from its section of an optional INI file
+(``[qp]``, ``[cutest]``, ``[logreg]``, ``[toy]``; flat key=value pairs) with
+the non-empty flags over it.  Each value is coerced against the experiment's
+defaults table, so the defaults double as the schema: an int default means the
+key parses as int, a float as float, and ``methods`` is a comma-separated
+list.  An unknown key or an unparseable value is a config error; the ranges of
+the values are checked by the experiment that takes them.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
+import os
 import sys
 import traceback
 
 from . import checks
-from .config import ConfigError, coerce_params, load_config
 from .experiments import (
     CUTEST_DEFAULTS,
     LOGREG_DEFAULTS,
@@ -63,13 +71,42 @@ def build_parser():
     return parser
 
 
+class ConfigError(Exception):
+    """Unreadable config file, unknown key, or malformed value."""
+
+
+def _config_section(path, section):
+    """The raw key=value strings of one section of an INI file ({} when it has none)."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"config file not found: {path}")
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (configparser.Error, UnicodeDecodeError, OSError) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    return dict(parser[section]) if parser.has_section(section) else {}
+
+
 def _resolve_params(args, defaults):
-    """The config section with the non-empty flag strings over it, coerced once
-    against the defaults; a malformed value raises ConfigError."""
-    raw = load_config(args.config).get(args.command, {}) if args.config else {}
+    """The config section with the non-empty flag strings over it, each value
+    typed like its default (lists split on commas, whitespace stripped)."""
+    raw = _config_section(args.config, args.command) if args.config else {}
     flags = ("seed", "trials", "methods", "dataset", "problem")
     raw.update((key, value) for key in flags if (value := getattr(args, key, None)))
-    return coerce_params(raw, defaults)
+    params = {}
+    for key, text in raw.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown key '{key}' (known: {', '.join(sorted(defaults))})")
+        template = defaults[key]
+        try:
+            if isinstance(template, list):
+                params[key] = [part.strip() for part in text.split(",") if part.strip()]
+            else:
+                params[key] = type(template)(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for '{key}': {text!r}") from exc
+    return params
 
 
 def _run_proptest():

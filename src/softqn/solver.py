@@ -5,7 +5,8 @@ from the exact Hessian), takes a step chosen by the step policy,
 re-evaluates the noisy gradient, and feeds the pair (s, y) to the method's
 inverse-Hessian update.  The loop tolerates noise-corrupted pairs: the soft QN
 update is applied unconditionally, SP-BFGS skips pairs outside its positive
-definiteness region, and plain BFGS skips pairs without positive curvature.
+definiteness region or with s = 0, and plain BFGS skips pairs without
+positive curvature.
 """
 
 import warnings
@@ -22,7 +23,6 @@ from .updates import (
     bfgs_admissible,
     biased_direction,
     bfgs_update,
-    is_positive_definite,
     soft_qn_update,
     sp_bfgs_admissible,
     sp_bfgs_update,
@@ -81,7 +81,8 @@ class _Method:
 class _H(NamedTuple):
     """A quasi-Newton method's H: the matrix, a certified interval (lo, hi) on
     its spectrum or None when unknown, and how many updates in a row that
-    interval has certified.  Only SoftQn carries an interval."""
+    interval has certified.  Every record starts with its interval; only
+    SoftQn carries it through an update."""
 
     matrix: np.ndarray
     bounds: Optional[Tuple[float, float]] = None
@@ -91,20 +92,27 @@ class _H(NamedTuple):
 class _QuasiNewton(_Method):
     """H starts at h0 (default: the identity) symmetrized once, and the direction is -H g.
 
-    A given h0 must be n x n and symmetrize to a positive definite matrix, or
-    ``initial_h`` raises ValueError; that also rejects non-finite entries.
+    A given h0 must be n x n and finite, and the eigvalsh interval of its
+    symmetric part must be positive, or ``initial_h`` raises ValueError: an h0
+    whose condition number reaches about 1/(4 n^2 u) is refused, because its H
+    is not positive definite in working precision.  The identity starts with
+    the exact interval [1, 1].
     """
 
     def initial_h(self, n: int, h0: Optional[np.ndarray]) -> _H:
         if h0 is None:
-            return _H(np.eye(n))
+            return _H(np.eye(n), (1.0, 1.0))
         h0 = np.asarray(h0, dtype=float)
         if h0.shape != (n, n):
             raise ValueError(f"h0 must be {n}x{n}, got shape {h0.shape}")
-        h = 0.5 * (h0 + h0.T)
-        if not is_positive_definite(h):
-            raise ValueError("h0 must symmetrize to a finite positive definite matrix")
-        return _H(h)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite h is refused below
+            h = 0.5 * (h0 + h0.T)
+        bounds = _eigvalsh_bounds(h) if np.isfinite(h).all() else None
+        if bounds is None:
+            raise ValueError(
+                "h0 must symmetrize to a finite matrix that is positive definite in working precision"
+            )
+        return _H(h, bounds)
 
     def direction(self, h, g, hess):
         return biased_direction(h.matrix, g)
@@ -133,21 +141,16 @@ def _eigvalsh_bounds(h: np.ndarray) -> Optional[Tuple[float, float]]:
 class SoftQn(_QuasiNewton):
     """Penalized-secant quasi-Newton; updates on every pair.
 
-    Its H record carries a certified interval on the spectrum, exactly [1, 1]
-    for the default identity start and from one eigvalsh for any other h0.
-    ``soft_qn_update`` moves the interval through each update and skips its
-    O(n^3) Cholesky guard while the interval proves the guard would pass.  Once
-    it proves nothing, the guard runs on every update; the interval is
-    refreshed from eigvalsh of the guarded H' only if the old one had certified
-    at least ``_REFRESH_AFTER`` updates, and stays unknown otherwise.  H' and
-    every decision are those of the plain update.
+    ``soft_qn_update`` moves the H record's spectrum interval (from
+    ``initial_h``) through each update and skips its O(n^3) Cholesky guard
+    while the interval proves the guard would pass.  Once it proves nothing,
+    the guard runs on every update; the interval is refreshed from eigvalsh of
+    the guarded H' only if the old one had certified at least
+    ``_REFRESH_AFTER`` updates, and stays unknown otherwise.  H' and every
+    decision are those of the plain update.
     """
 
     policy: ConstantAlpha = ConstantAlpha(1.0)
-
-    def initial_h(self, n: int, h0: Optional[np.ndarray]) -> _H:
-        h = super().initial_h(n, h0)
-        return h._replace(bounds=(1.0, 1.0) if h0 is None else _eigvalsh_bounds(h.matrix))
 
     def absorb(self, h, s, y):
         h_new, scratch = soft_qn_update(h.matrix, s, y, self.policy.value(h.matrix, s, y), h.bounds)
@@ -447,14 +450,17 @@ def run(
     ``grad_evals``, ``step_rejections`` and ``skipped_updates`` count the whole
     trial.
 
-    A budget of f evaluations alone under a step policy that evaluates no f, an
-    ``h0`` for a method that keeps no H, or a bad ``h0``, raises ValueError
-    before any evaluation.
+    A budget of f evaluations alone under a step policy that evaluates no f, a
+    method that needs the exact Hessian on a problem without one, an ``h0``
+    for a method that keeps no H, or a bad ``h0`` (see ``_QuasiNewton``),
+    raises ValueError before any evaluation.
     """
     if budget.iterations is None and not step.evaluates_f:
         raise ValueError(
             f"a fun_evals-only budget never runs out under {type(step).__name__}, which evaluates no f"
         )
+    if method.uses_hessian and oracle.problem.hess is None:
+        raise ValueError(f"{type(method).__name__} needs the Hessian that {oracle.problem.name!r} lacks")
     h = method.initial_h(oracle.dim, h0)
     x = np.array(oracle.x0, dtype=float, copy=True)
     g = oracle.g(x)

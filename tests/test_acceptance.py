@@ -7,6 +7,7 @@ experiment-level tests run the real benchmark protocols end to end.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ def test_criterion_10_logistic_regression_beats_stochastic_bfgs(tmp_path):
 def test_criterion_11_reruns_are_byte_identical(tmp_path):
     def digest(run_fn, params, out):
         _, written = run_fn(params, str(out))
-        return {p.rsplit("/", 1)[-1]: open(p, "rb").read() for p in written}
+        return {Path(p).name: Path(p).read_bytes() for p in written}
 
     first = digest(run_toy, {}, tmp_path / "toy_a")
     second = digest(run_toy, {}, tmp_path / "toy_b")

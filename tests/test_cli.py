@@ -309,6 +309,19 @@ def test_method_list_parsing():
     assert params["methods"] == ["softqn", "sgd"]
 
 
+def test_proptest_exits_one_on_a_failed_check(monkeypatch, capsys):
+    from softqn import checks
+
+    def failing():
+        return checks.CheckResult("failing", 3, False, 0.5, "worst margin")
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", {"failing": (failing, {})})
+    assert main(["proptest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL failing: 3 samples, worst margin = 5.000e-01" in out
+    assert "1 check(s) failed" in out
+
+
 def test_proptest_quick_sweep_passes(capsys):
     assert main(["proptest"]) == 0
     out = capsys.readouterr().out

@@ -34,6 +34,8 @@ def _spec(h, s, y, alpha):
 def test_spec_validation():
     with pytest.raises(ValueError):
         _spec(np.eye(2), np.zeros(3), np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="h_prev must be square"):
+        _spec(np.ones((2, 3)), np.zeros(2), np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         _spec(np.eye(2), np.zeros(2), np.zeros(2), 0.0)
     with pytest.raises(ValueError, match="symmetric positive definite"):
@@ -112,6 +114,12 @@ def test_closed_form_beats_no_update_point():
 def test_residual_zero_pair_at_identity():
     spec = _spec(np.eye(2), np.zeros(2), np.zeros(2), 1.0)
     assert stationarity_residual(spec, np.eye(2)) == 0.0
+
+
+def test_residual_refuses_a_b_that_is_not_a_matrix():
+    spec = _spec(np.eye(2), np.zeros(2), np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="B must be square"):
+        stationarity_residual(spec, np.ones(2))
 
 
 def test_residual_vanishes_at_closed_form():

@@ -192,6 +192,12 @@ def test_registry_rejects_unknown_name():
         cutest_like("NOSUCH")
 
 
+@pytest.mark.parametrize("name, n, multiple", [("WOODS", 6, 4), ("DIXMAANA", 10, 3)])
+def test_registry_rejects_a_dimension_the_problem_cannot_take(name, n, multiple):
+    with pytest.raises(ValueError, match=f"multiple of {multiple}"):
+        cutest_like(name, n)
+
+
 def test_registry_custom_dimension():
     p = cutest_like("arwhead", n=10)
     assert p.dim == 10

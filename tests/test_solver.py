@@ -199,9 +199,24 @@ def test_asymmetric_h0_comes_back_symmetrized(method):
     npt.assert_array_equal(method.initial_h(2, None).matrix, np.eye(2))
 
 
+# eigenvalues 4.7e-10 and 2.19e7 (cond 4e16): Cholesky accepts it, but on
+# y = _NEAR_NULL_Y, y'Hy computes to -2.11
+_SINGULAR_IN_ROUNDING = np.array([[17094455.616886515, 9039580.514956908], [9039580.514956908, 4780147.301424948]])
+_NEAR_NULL_Y = np.array([-73873.00265090147, 139698.82374657903])
+
+
+def _block_diag_with_identity(a, n):
+    out = np.eye(n)
+    out[: len(a), : len(a)] = a
+    return out
+
+
 _BAD_H0 = {
     "nan": lambda n: np.full((n, n), np.nan),
+    "singular_in_rounding": lambda n: _block_diag_with_identity(_SINGULAR_IN_ROUNDING, n),
     "inf": lambda n: np.diag(np.full(n, np.inf)),
+    "opposite_infs": lambda n: np.diag(np.full(n - 1, np.inf), 1) - np.diag(np.full(n - 1, np.inf), -1),
+    "overflows_when_symmetrized": lambda n: np.full((n, n), 1.5e308),
     "minus_identity": lambda n: -np.eye(n),
     "zeros": lambda n: np.zeros((n, n)),
     "one_d": lambda n: np.ones(n),
@@ -217,6 +232,16 @@ def test_bad_h0_raises_before_any_evaluation(method, start):
     with pytest.raises(ValueError, match="h0"):
         run(oracle, method, FixedStep(0.1), Budget(iterations=5), h0=_BAD_H0[start](n))
     assert oracle.fun_evals == 0 and oracle.grad_evals == 0
+
+
+@pytest.mark.parametrize("method", [ExactNewton(), SaddleFreeNewton()], ids=lambda m: type(m).__name__)
+def test_a_hessian_method_on_a_problem_without_one_raises_before_any_evaluation(method):
+    oracle = NoisyOracle(cutest_like("ARWHEAD", 4))
+    with pytest.raises(ValueError, match="Hessian"):
+        run(oracle, method, FixedStep(0.1), Budget(iterations=3))
+    assert oracle.fun_evals == 0 and oracle.grad_evals == 0
+    with pytest.raises(ValueError, match="has no Hessian"):
+        oracle.hess(oracle.x0)
 
 
 @pytest.mark.parametrize("h0", [np.full((7, 7), np.nan), "junk", np.eye(4)], ids=["nan", "junk", "identity"])
@@ -609,17 +634,11 @@ def test_failed_update_marks_trial_diverged():
     npt.assert_array_equal(rec.grad_norms[1:], rec.grad_norms[1])
 
 
-def test_an_h_that_is_not_positive_definite_in_rounding_ends_only_its_trial():
-    # h0 passes the Cholesky test, but y'Hy computes to -2.11 on this y
-    h0 = np.array([[17094455.616886515, 9039580.514956908], [9039580.514956908, 4780147.301424948]])
-    y = np.array([-73873.00265090147, 139698.82374657903])
-    assert updates.is_positive_definite(h0) and float(y @ (h0 @ y)) < -1.0
-    g0 = np.array([1.0, 0.0])
-    problem = Problem(
-        name="flat", dim=2, x0=np.zeros(2), phi=lambda x: 0.0, grad=lambda x: g0 if not x.any() else g0 + y
-    )
-    rec = run(NoisyOracle(problem, seed=0), SoftQn(ConstantAlpha(1.0)), FixedStep(1e-9), Budget(iterations=3), h0=h0)
-    assert rec.diverged and rec.iterations == 1
+def test_the_h0_singular_in_rounding_passes_cholesky():
+    # so the "singular_in_rounding" refusal above is the eigvalsh test's, not Cholesky's
+    h0 = _SINGULAR_IN_ROUNDING
+    assert updates.is_positive_definite(h0) and float(_NEAR_NULL_Y @ (h0 @ _NEAR_NULL_Y)) < -1.0
+    assert solver._eigvalsh_bounds(h0) is None
 
 
 def test_sp_bfgs_skips_below_pd_threshold():
@@ -978,6 +997,33 @@ def test_eigvalsh_refresh_encloses_the_exact_spectrum():
                 assert cond >= 1e12
                 continue
             assert bounds[0] <= w[0] and w[-1] <= bounds[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    log_cond=st.floats(0.0, 17.0),
+    log_scale=st.floats(-100.0, 100.0),
+)
+def test_initial_h_refuses_an_h0_or_encloses_its_spectrum(n, seed, log_cond, log_scale):
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    # eigenvalues from 10**log_scale down to 10**(log_scale - log_cond)
+    spread = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, max(n - 2, 0))])[:n]
+    h0 = (q * 10.0 ** (log_scale - log_cond * spread)) @ q.T
+    with mpmath.workdps(40):
+        w = sorted(mpmath.eigsy(mpmath.matrix((0.5 * (h0 + h0.T)).tolist()), eigvals_only=True))
+    for method in _QN_METHODS:
+        assert method.initial_h(n, None).bounds == (1.0, 1.0)
+        try:
+            h = method.initial_h(n, h0)
+        except ValueError:
+            assert log_cond >= 12.0  # refused only near the 1/(4 n^2 u) boundary
+            continue
+        assert h.bounds[0] <= w[0] and w[-1] <= h.bounds[1]
+        assert updates.is_positive_definite(h.matrix)
 
 
 # ---------------------------------------------------------------------------
