@@ -143,11 +143,13 @@ class SoftQn(_QuasiNewton):
 
     ``soft_qn_update`` moves the H record's spectrum interval (from
     ``initial_h``) through each update and skips its O(n^3) Cholesky guard
-    while the interval proves the guard would pass.  Once it proves nothing,
-    the guard runs on every update; the interval is refreshed from eigvalsh of
-    the guarded H' only if the old one had certified at least
-    ``_REFRESH_AFTER`` updates, and stays unknown otherwise.  H' and every
-    decision are those of the plain update.
+    while the interval proves the guard would pass.  The interval's lower end
+    comes from the inverse form H'^-1 = (H + alpha*ss')^-1 + (alpha/gamma)*yy',
+    so on pairs with s'y != 0 it stays away from 0 however large alpha is.
+    Once the interval proves nothing, the guard runs on every update; the
+    interval is refreshed from eigvalsh of the guarded H' only if the old one
+    had certified at least ``_REFRESH_AFTER`` updates, and stays unknown
+    otherwise.  H' and every decision are those of the plain update.
     """
 
     policy: ConstantAlpha = ConstantAlpha(1.0)

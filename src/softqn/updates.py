@@ -225,10 +225,17 @@ def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss
     fl(H'), and None otherwise.  Costs three dot products and a few dozen float operations.
 
     Exact arithmetic.  With A = H + alpha*ss', the update is
-    H' = A - (alpha/gamma^2)(Ay)(Ay)', and gamma^2 - gamma = alpha*y'Ay, so on
-    w = A^(1/2)y the rank-one factor I - (alpha/gamma^2)ww' has eigenvalues 1
-    and 1/gamma.  Hence H/gamma <= A/gamma <= H' <= A, and
-    lo/gamma <= lambda_min(H'), lambda_max(H') <= hi + alpha*||s||^2.
+    H' = A - (alpha/gamma^2)(Ay)(Ay)', and gamma^2 - gamma = alpha*y'Ay.  So
+    H' <= A and lambda_max(H') <= hi + alpha*||s||^2.  By Sherman and Morrison,
+    since 1 - (alpha/gamma^2)*y'Ay = 1/gamma > 0,
+      H'^-1 = A^-1 + (alpha/gamma)*yy' <= (1/lo + (alpha/gamma)*||y||^2)*I,
+    because A >= H >= lo*I.  Hence
+      lambda_min(H') >= lo/(1 + lo*(alpha/gamma)*||y||^2),
+    which grows with gamma and falls with ||y||, so ny >= ||y|| (below) and
+    g_lo <= gamma keep it a lower bound.  It never falls below lo/gamma, the
+    bound H' >= H/gamma gives, because gamma^2 - gamma >= alpha*lo*||y||^2, and
+    it tends to lo/(1 + lo*||y||^2/|s'y|) > 0 as alpha -> inf when s'y != 0,
+    where lo/gamma tends to 0.
 
     Rounding.  u = 2^-53, gamma_k = k*u/(1 - k*u), eta = 2^-1074 (one product
     that underflows adds at most eta/2); ||s||, ||y||, ||h^|| are upper bounds
@@ -270,8 +277,14 @@ def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss
 
     eps is twice the sum of the last two bounds: the factor covers the
     second-order terms and the rounding of this O(1) evaluation.  By Weyl,
-      lo' = (lo/g_up)*(1 - 4u) - eps <= lambda_min(fl(H')),
-      hi' = (hi + alpha*||s||^2)*(1 + 4u) + eps >= lambda_max(fl(H')).
+      lo' = L*(1 - 10u) - eps <= lambda_min(fl(H')),
+      hi' = (hi + alpha*||s||^2)*(1 + 4u) + eps >= lambda_max(fl(H')),
+    where L = lo/(1 + lo*(alpha/g_lo)*ny^2) <= lambda_min(H').  The code forms
+    x = (lo*alpha/g_lo + eta)*ny*ny: the eta covers an underflow in
+    lo*alpha/g_lo, which ny^2 could otherwise magnify past u, and later
+    underflows add at most 2^-1022 to x.  So the computed x is at least
+    lo*alpha*ny^2/g_lo*(1 - u)^5 - 2^-1022, and the computed L*(1 - 10u), after
+    seven roundings, stays below L.  An x that overflows gives L = 0.
 
     Certificate.  By Demmel's theorem (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., Thm 10.7), Cholesky succeeds on a symmetric
@@ -321,7 +334,7 @@ def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss
     terms = math.sqrt(n) * hi + c_hh * hh + 2.0 * abs(c_hs) * hs + c_ss * ss
     e_round = _G5 * terms + n * (c_hh + 2.0 * abs(c_hs) + c_ss + 3.0) * _ETA
     eps = 2.0 * (e_coef + e_round)
-    lo_new = lo / g_up * (1.0 - 4.0 * _U) - eps
+    lo_new = lo / (1.0 + (lo * alpha / g_lo + _ETA) * ny * ny) * (1.0 - 10.0 * _U) - eps
     hi_new = (hi + alpha * ss) * (1.0 + 4.0 * _U) + eps
     g_chol = _gamma_k(n + 1)
     threshold = _CHOLESKY_SAFETY * n * g_chol / (1.0 - g_chol)

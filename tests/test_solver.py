@@ -821,7 +821,7 @@ def _soft_qn_trials():
     e_g = 1e-4 * float(np.linalg.norm(dixmaana.grad(dixmaana.x0)))
     toy = toy_2d()
     return {
-        # alpha = 1e-2 exhausts the identity's bound and refreshes it from eigvalsh
+        # alpha = 1e-2 on noise-dominated pairs: the identity's bound certifies every update
         "qp": (
             lambda: NoisyOracle(qp, grad_noise=GaussianNoise(1.0), seed=5),
             SoftQn(ConstantAlpha(1e-2)),
@@ -885,10 +885,9 @@ def test_soft_qn_records_are_bitwise_the_same_without_the_certificate(case, monk
             assert a == b or (a != a and b != b), field.name
     if case == "qp":
         assert on_counts["guards"] < off.iterations // 10
+    if case == "dixmaana":  # alpha = 1e6: the bound holds, runs out at most rarely, and is refreshed
+        assert on_counts["guards"] < off.iterations // 10
         assert on_counts["refreshes"] >= 1
-    if case == "dixmaana":  # the bound runs out at once and is never refreshed
-        assert on_counts["guards"] == off.iterations
-        assert on_counts["refreshes"] == 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -536,14 +536,85 @@ def _exact_spectrum(a):
         return sorted(mpmath.eigsy(mpmath.matrix(a.tolist()), eigvals_only=True))
 
 
+def _inverse_form_draw(mp, rng, attained=False):
+    """A 40-digit soft update: (H', A = H + alpha*ss', y, alpha, gamma, lo, s'y, scale).
+
+    H = Q diag(lam) Q' with a Householder Q, built in mpmath so that lo = min(lam)
+    is its exact lambda_min; H' comes from the closed form's coefficients, not
+    from A.  ``attained`` puts y on lo's eigenvector and s orthogonal to it, where
+    lambda_min(H') = lo/(1 + lo*(alpha/gamma)*||y||^2) exactly.
+    """
+    n = int(rng.integers(2, 6)) if attained else int(rng.integers(1, 6))
+    lam = 10.0 ** rng.uniform(-4.0, 4.0, n)
+    v = mp.matrix(rng.standard_normal(n).tolist())
+    q = mp.eye(n) - 2 * (v * v.T) / (v.T * v)[0]
+    h = q * mp.diag(lam.tolist()) * q.T
+    lo = min(mp.mpf(x) for x in lam)
+    if attained:
+        k = int(np.argmin(lam))
+        y = q[:, k] * 10.0 ** rng.uniform(-2.0, 2.0)
+        s = q[:, (k + 1) % n] * 10.0 ** rng.uniform(-2.0, 2.0)
+    else:
+        y = mp.matrix((rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0)).tolist())
+        s = mp.matrix((rng.standard_normal(n) * 10.0 ** rng.uniform(-2.0, 2.0)).tolist())
+        if rng.integers(0, 5) == 0:
+            s = mp.zeros(n, 1)
+    alpha = mp.mpf(10.0 ** rng.uniform(-8.0, 12.0))
+    hy = h * y
+    y_h_y, s_t_y = (y.T * hy)[0], (s.T * y)[0]
+    gamma = mp.mpf(0.5) + mp.sqrt(mp.mpf(0.25) + alpha * y_h_y + (alpha * s_t_y) ** 2)
+    c_hh = alpha / gamma**2
+    c_hs = alpha**2 * s_t_y / gamma**2
+    c_ss = alpha * (gamma + alpha * y_h_y) / gamma**2
+    h_new = h - c_hh * (hy * hy.T) - c_hs * (hy * s.T + s * hy.T) + c_ss * (s * s.T)
+    a = h + alpha * (s * s.T)
+    scale = mp.mnorm(a, "f") + c_hh * mp.norm(hy) ** 2
+    return h_new, a, y, alpha, gamma, lo, s_t_y, scale
+
+
+def test_inverse_form_bounds_lambda_min_of_the_soft_update():
+    """H'^-1 = (H + alpha*ss')^-1 + (alpha/gamma)*yy', so
+    lambda_min(H') >= lo/(1 + lo*(alpha/gamma)*||y||^2) >= lo/gamma, in 40 digits.
+
+    The identity is checked as A = H' + (alpha/gamma)*(H'y)(Ay)', the same
+    equation multiplied by H' on the left and by A on the right, so that no
+    ill-conditioned A is inverted.  Draws: alpha log-uniform over [1e-8, 1e12],
+    H's spectrum over [1e-4, 1e4], random s and y (s'y of either sign) and
+    s = 0 in a fifth of them.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    rng = np.random.default_rng(2026)
+    signs = set()
+    with mp.workdps(40):
+        for i in range(150):
+            h_new, a, y, alpha, gamma, lo, s_t_y, scale = _inverse_form_draw(mp, rng, attained=i < 5)
+            residual = a - h_new - (alpha / gamma) * ((h_new * y) * (a * y).T)
+            assert mp.mnorm(residual, "f") <= mp.mpf(10) ** -30 * scale
+            bound = lo / (1 + lo * (alpha / gamma) * mp.norm(y) ** 2)
+            assert bound >= lo / gamma * (1 - mp.mpf(10) ** -35)
+            lam_min = min(mp.eigsy(h_new, eigvals_only=True))
+            assert lam_min >= bound - mp.mpf(10) ** -30 * scale, (i, lam_min, bound)
+            if i < 5:  # the bound is attained
+                assert abs(lam_min / bound - 1) < mp.mpf(10) ** -25, (i, lam_min / bound)
+            elif s_t_y != 0:
+                signs.add(s_t_y > 0)
+    assert signs == {False, True}
+
+
 @st.composite
 def _certificate_inputs(draw):
-    """H with lambda_min near the certificate's threshold, s'y near 0 in a third of
-    the draws, and alpha, ||s||, ||y|| and the scale of H log-uniform."""
+    """H with lambda_min near the certificate's threshold, s'y near 0 in a quarter
+    of the draws and away from 0 at alpha up to 1e12 (the BFGS limit) in another,
+    and alpha, ||s||, ||y|| and the scale of H log-uniform.
+
+    The carried lower bound lo/(1 + lo*(alpha/gamma)*||y||^2) is attained when y
+    lies on lo's eigenvector and s is orthogonal to it: the "lowest" draws, with
+    s projected off y in half of them, and every y on a multiple of the identity.
+    """
     n = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     hi = 10.0 ** draw(st.floats(-30.0, 30.0))
-    if draw(st.booleans()):  # a multiple of the identity: lo/gamma is tight
+    if draw(st.booleans()):  # a multiple of the identity: every y is on lo's eigenvector
         lam = np.full(n, hi)
     else:
         ratio = min(1.0, _demmel(n) * 10.0 ** draw(st.floats(-0.5, 2.5)))
@@ -561,17 +632,21 @@ def _certificate_inputs(draw):
     lo = math.nextafter(float(w[0] * (1 - 1e-30)), -math.inf)
     bounds = (lo, math.nextafter(float(w[-1] * (1 + 1e-30)), math.inf))
     s = rng.standard_normal(n) * 10.0 ** draw(st.floats(-20.0, 20.0))
-    direction = draw(st.sampled_from(["random", "orthogonal", "lowest"]))
-    if direction == "lowest":  # along the eigenvector of lambda_min, where lo/gamma is reached
+    direction = draw(st.sampled_from(["random", "orthogonal", "lowest", "secant"]))
+    if direction == "lowest":  # along the eigenvector of lambda_min
         y = np.linalg.eigh(h)[1][:, 0]
+        if n > 1 and draw(st.booleans()):  # s'y = 0 up to rounding: the bound is attained
+            s = s - (s @ y) * y
     else:
         y = rng.standard_normal(n)
     if direction == "orthogonal" and n > 1:  # s'y cancels down to a tiny remainder
         y = y - (s @ y) / (s @ s) * s + 10.0 ** draw(st.floats(-20.0, 0.0)) * s / np.linalg.norm(s)
+    if direction == "secant":  # |s'y| at least a third of ||s||*||y||, either sign
+        y = rng.choice([-1.0, 1.0]) * s / np.linalg.norm(s) + 0.5 * y / np.linalg.norm(y)
     y = y / np.linalg.norm(y) * 10.0 ** draw(st.floats(-20.0, 20.0))
-    if draw(st.integers(0, 7)) == 0:
+    if direction != "secant" and draw(st.integers(0, 7)) == 0:
         s = np.zeros(n)
-    alpha = 10.0 ** draw(st.floats(-12.0, 16.0))
+    alpha = 10.0 ** draw(st.floats(0.0, 12.0) if direction == "secant" else st.floats(-12.0, 16.0))
     return h, s, y, alpha, bounds
 
 
@@ -597,6 +672,8 @@ def test_carried_bounds_skip_the_guard_only_where_cholesky_cannot_fail(args):
     margin = w[0] / (_demmel(h.shape[0]) * float(np.diag(h_new).max()))
     target(-math.log10(float(margin)))
     assert margin > 1, (float(w[0]), lo, hi)
+    # and towards carried lower bounds that are nearly reached
+    target(float(lo / w[0]), label="lo'/lambda_min")
 
 
 def test_carried_bounds_skip_the_guard_and_match_the_plain_update(monkeypatch):
