@@ -608,8 +608,8 @@ def _certificate_inputs(draw):
     and alpha, ||s||, ||y|| and the scale of H log-uniform.
 
     The carried lower bound lo/(1 + lo*(alpha/gamma)*||y||^2) is attained when y
-    lies on lo's eigenvector and s is orthogonal to it: the "lowest" draws, with
-    s projected off y in half of them, and every y on a multiple of the identity.
+    lies on lo's eigenvector (every y does on a multiple of the identity) and s
+    is orthogonal to y: the "lowest" draws project s off y in half of them.
     """
     n = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
