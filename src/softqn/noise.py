@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rules import count, nonnegative
+from .updates import _norm
 
 __all__ = [
     "UniformNoise",
@@ -160,10 +161,10 @@ class NoisyOracle:
             g = g + np.sqrt(gn.cov_scale) * self._rng_grad.standard_normal(g.shape)
         elif isinstance(gn, SphereNoise):
             v = self._rng_grad.standard_normal(g.shape)
-            nv = np.linalg.norm(v)
+            nv = _norm(v)
             while nv == 0.0:  # pragma: no cover - essentially impossible
                 v = self._rng_grad.standard_normal(g.shape)
-                nv = np.linalg.norm(v)
+                nv = _norm(v)
             g = g + (gn.radius / nv) * v
         else:
             g = g.copy()

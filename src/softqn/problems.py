@@ -378,18 +378,25 @@ def _dixmaan(variant, n):
     w3 = i[: 2 * m] ** k3
     w4 = i[:m] ** k4
 
+    # the constant prefixes of the gradient's products, folded once: each is
+    # the left-to-right prefix of the unfolded product, so the bits are the same
+    w1_2 = 2.0 * w1
+    w3_2 = cc * w3 * 2.0
+    w3_4 = cc * w3 * 4.0
+    w4_cd = cd * w4
+
     def phi(x):
-        val = 1.0 + float(np.sum(w1 * x * x))
-        val += cc * float(np.sum(w3 * x[: 2 * m] ** 2 * x[m : 3 * m] ** 4))
-        val += cd * float(np.sum(w4 * x[:m] * x[2 * m :]))
+        val = 1.0 + float((w1 * x * x).sum())
+        val += cc * float((w3 * x[: 2 * m] ** 2 * x[m : 3 * m] ** 4).sum())
+        val += cd * float((w4 * x[:m] * x[2 * m :]).sum())
         return val
 
     def grad(x):
-        g = 2.0 * w1 * x
-        g[: 2 * m] += cc * w3 * 2.0 * x[: 2 * m] * x[m : 3 * m] ** 4
-        g[m : 3 * m] += cc * w3 * 4.0 * x[: 2 * m] ** 2 * x[m : 3 * m] ** 3
-        g[:m] += cd * w4 * x[2 * m :]
-        g[2 * m :] += cd * w4 * x[:m]
+        g = w1_2 * x
+        g[: 2 * m] += w3_2 * x[: 2 * m] * x[m : 3 * m] ** 4
+        g[m : 3 * m] += w3_4 * x[: 2 * m] ** 2 * x[m : 3 * m] ** 3
+        g[:m] += w4_cd * x[2 * m :]
+        g[2 * m :] += w4_cd * x[:m]
         return g
 
     return 2.0 * np.ones(n), phi, grad, 1.0, np.zeros(n)

@@ -9,6 +9,7 @@ definiteness region or with s = 0, and plain BFGS skips pairs without
 positive curvature.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Optional, Tuple
@@ -20,6 +21,7 @@ from .updates import (
     ConstantAlpha,
     ConstantBeta,
     UpdateConsistencyError,
+    _norm,
     bfgs_admissible,
     biased_direction,
     bfgs_update,
@@ -120,7 +122,10 @@ class _QuasiNewton(_Method):
 
 # A refresh costs one eigvalsh, 1.3 to 5.5 Cholesky factorizations at n = 10 to
 # 1000 (one BLAS thread, 2-vCPU Xeon), so it is paid only for a bound that has
-# already saved more guards than that.
+# already saved more guards than that.  It costs memory too: the first eigvalsh
+# of a process raises its peak RSS by 0.90 MB at n = 90, where a first Cholesky
+# adds 0 (a fresh process, one BLAS thread).  The cutest_dixmaana benchmark,
+# whose soft QN arm refreshes, shows that as 0.8 MB of its peak_rss_mb.
 _REFRESH_AFTER = 8
 
 
@@ -473,7 +478,7 @@ def run(
     exact_phi = oracle.true_phi if phi_star is not None else _no_phi
     # a problem with grad_norms gets every norm, start included, in one call after the loop
     batched = oracle.problem.grad_norms
-    grad_norms = [float(np.linalg.norm(oracle.true_grad(x)))] if batched is None else None
+    grad_norms = [_norm(oracle.true_grad(x))] if batched is None else None
     phis = [exact_phi(x)]
     eval_counts = [oracle.fun_evals]
     iterates = [x.copy()] if keep_iterates or batched is not None else None
@@ -493,17 +498,17 @@ def run(
             rejections += 1
 
         x_new = x + ls.eta * p
-        if not np.isfinite(x_new).all() or np.linalg.norm(x_new) > DIVERGENCE_NORM:
+        if not np.isfinite(x_new).all() or _norm(x_new) > DIVERGENCE_NORM:
             diverged = True
             break
 
         phi_new = exact_phi(x_new)
-        if phi_star is not None and not np.isfinite(phi_new):
+        if phi_star is not None and not math.isfinite(phi_new):
             diverged = True
             break
         if batched is None:
-            gn = float(np.linalg.norm(oracle.true_grad(x_new)))
-            if not np.isfinite(gn):
+            gn = _norm(oracle.true_grad(x_new))
+            if not math.isfinite(gn):
                 diverged = True
                 break
             grad_norms.append(gn)

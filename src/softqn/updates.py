@@ -83,6 +83,13 @@ def is_positive_definite(a: np.ndarray) -> bool:
     return math.isfinite(factor.trace())
 
 
+def _norm(v) -> float:
+    """``np.linalg.norm`` of a contiguous float vector, bit for bit and with the
+    same warnings: the same ``v.dot(v)`` and a correctly rounded square root,
+    without the wrapper's argument handling (1.2 us a call against 2.5 us)."""
+    return math.sqrt(float(v.dot(v)))
+
+
 def _outer_broadcast(a, b, out=None):
     return np.multiply(a[:, None], b, out=out)
 
@@ -91,9 +98,10 @@ def _outer_einsum(a, b, out=None):
     return np.einsum("i,j->ij", a, b, out=out)
 
 
-# einsum plus its zero test overtakes the broadcast between n = 68 and 76
-# (interleaved per-call timings, one BLAS thread, 2-vCPU Xeon)
-_EINSUM_MIN_N = 72
+# the einsum branch, with its buffer and zero test, overtakes the broadcast
+# between n = 44 and 48 for both the soft QN and the BFGS kernel (interleaved
+# per-call timings at n = 36 to 120, one BLAS thread, 2-vCPU Xeon)
+_EINSUM_MIN_N = 48
 
 
 def _rank_two(h, hy, s, c_hh, c_hs, c_ss):
@@ -104,25 +112,35 @@ def _rank_two(h, hy, s, c_hh, c_hs, c_ss):
     A coefficient that is not finite (it overflowed) raises UpdateConsistencyError
     before anything is allocated.
 
-    The four outer products come from ``np.einsum("i,j->ij")``, about twice as fast
-    as the broadcast ``a[:, None] * b`` at n = 200.  Each einsum entry is the same
-    rounded product, but einsum adds it to +0.0, so an exact zero product comes out
-    +0.0 where the broadcast gives -0.0.  einsum therefore runs only when no product
-    can be zero: min(min|s|, min|Hy|)**2 must round above 0 (a NaN fails the test).
-    s = 0, a zero or -0.0 entry, magnitudes below about 1e-154 and n = 0 keep the
-    broadcast.  Either way the result is bitwise the broadcast form.
+    From n = _EINSUM_MIN_N on, the products come from ``np.einsum``: the hh and
+    ss terms from ``"i,j->ij"``, and the cross term from one reduction
+    ``"ki,kj->ij"`` over the 2 x n buffer [Hy; s] and its row reversal.  That
+    takes the cross term at n = 200 from 195 to 80 us, and the whole kernel
+    from 308 to 285 us (one BLAS thread).  Each einsum entry is the same rounded
+    product, but einsum adds it to +0.0, so an exact zero product comes out
+    +0.0 where the broadcast ``a[:, None] * b`` gives -0.0.  einsum therefore
+    runs only when no product can be zero: min(|s|, |Hy|)**2 over both vectors
+    must round above 0 (a NaN fails the test).  s = 0, a zero or -0.0 entry and
+    magnitudes below about 1e-154 keep the broadcast.  With every product
+    nonzero, a cross entry is 0 + (Hy)_i*s_j + s_i*(Hy)_j, and IEEE addition is
+    commutative, so it is the broadcast's (Hy)_i*s_j + s_i*(Hy)_j whichever
+    product einsum adds first.  Either way the result is bitwise the broadcast
+    form.
 
     Below n = _EINSUM_MIN_N the broadcast is faster than einsum plus that test, so
     small n skips both."""
     if not (math.isfinite(c_hh) and math.isfinite(c_hs) and math.isfinite(c_ss)):
         raise UpdateConsistencyError(f"update coefficients overflow: {c_hh!r}, {c_hs!r}, {c_ss!r}")
-    if s.size >= _EINSUM_MIN_N and np.minimum(np.abs(s).min(), np.abs(hy).min()) ** 2 > 0.0:
+    pair = np.concatenate((hy, s)).reshape(2, -1) if s.size >= _EINSUM_MIN_N else None
+    if pair is not None and np.abs(pair).min() ** 2 > 0.0:
         outer = _outer_einsum
+        cross = np.einsum("ki,kj->ij", pair, pair[::-1])
+        out = np.empty_like(cross)
     else:
         outer = _outer_broadcast
-    out = outer(s, hy)
-    cross = outer(hy, s)
-    cross += out
+        out = outer(s, hy)
+        cross = outer(hy, s)
+        cross += out
     cross *= c_hs
     if c_hh != 0.0:
         outer(hy, hy, out)
@@ -140,7 +158,7 @@ def _check_pair(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
         raise ValueError("H must be a square matrix")
     if s.shape != h.shape[:1] or y.shape != h.shape[:1]:
         raise ValueError("s and y must be vectors matching the dimension of H")
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(s)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(h).all() and np.isfinite(s).all() and np.isfinite(y).all()):
         raise ValueError("non-finite entries in update inputs")
 
 
@@ -386,7 +404,7 @@ def bfgs_admissible(s, y) -> bool:
     BFGS keeps positive definiteness only on such pairs; ``bfgs_update`` raises
     CurvatureError on the others, and the solver skips them.
     """
-    return float(s @ y) > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
+    return float(s @ y) > 1e-12 * _norm(s) * _norm(y)
 
 
 def bfgs_update(h, s, y):
@@ -486,7 +504,7 @@ class StepNormBeta:
         positive("floor", self.floor)
 
     def value(self, s, y) -> float:
-        return self.coeff * float(np.linalg.norm(s)) + self.floor
+        return self.coeff * _norm(s) + self.floor
 
 
 @dataclass(frozen=True)

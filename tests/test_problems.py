@@ -173,6 +173,44 @@ def test_dixmaana_anchors():
     assert np.linalg.norm(p.grad(np.zeros(90))) == 0.0
 
 
+def _dixmaan_unfolded(variant, n):
+    """DIXMAAN's phi and grad with every product written out left to right, as the
+    reference for the builder, which folds the constant factors once per problem."""
+    k1, k3, k4 = {"A": (0, 0, 0), "E": (1, 0, 1), "I": (2, 0, 2), "M": (2, 1, 2)}[variant]
+    cc, cd = 0.125, 0.125
+    m = n // 3
+    i = np.arange(1.0, n + 1.0) / n
+    w1, w3, w4 = i**k1, i[: 2 * m] ** k3, i[:m] ** k4
+
+    def phi(x):
+        val = 1.0 + float(np.sum(w1 * x * x))
+        val += cc * float(np.sum(w3 * x[: 2 * m] ** 2 * x[m : 3 * m] ** 4))
+        val += cd * float(np.sum(w4 * x[:m] * x[2 * m :]))
+        return val
+
+    def grad(x):
+        g = 2.0 * w1 * x
+        g[: 2 * m] += cc * w3 * 2.0 * x[: 2 * m] * x[m : 3 * m] ** 4
+        g[m : 3 * m] += cc * w3 * 4.0 * x[: 2 * m] ** 2 * x[m : 3 * m] ** 3
+        g[:m] += cd * w4 * x[2 * m :]
+        g[2 * m :] += cd * w4 * x[:m]
+        return g
+
+    return phi, grad
+
+
+@pytest.mark.parametrize("n", [12, 90])
+@pytest.mark.parametrize("variant", "AEIM")
+def test_dixmaan_is_bitwise_the_unfolded_expressions(variant, n):
+    p = cutest_like(f"DIXMAAN{variant}", n)
+    phi, grad = _dixmaan_unfolded(variant, n)
+    rng = np.random.default_rng(880 + n)
+    for _ in range(20):
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        assert np.float64(p.phi(x)).view(np.int64) == np.float64(phi(x)).view(np.int64)
+        npt.assert_array_equal(p.grad(x).view(np.int64), grad(x).view(np.int64), strict=True)
+
+
 def test_tridia_minimum():
     p = cutest_like("TRIDIA")
     assert p.phi_star == 0.0

@@ -606,6 +606,24 @@ def test_non_finite_exact_gradient_marks_trial_diverged_without_phi_star():
     assert len(rec.eval_counts) == 1 and np.isnan(rec.suboptimality[0])
 
 
+def test_an_iterate_whose_norm_overflows_marks_trial_diverged():
+    # the step lands on (1e210, 0): finite, but its squared norm overflows to inf
+    slope = Problem(
+        name="slope",
+        dim=2,
+        x0=np.zeros(2),
+        phi=lambda x: 0.0,
+        grad=lambda x: np.array([-1e150, 0.0]),
+    )
+    # the norm warns as np.linalg.norm does, and the trial ends instead of the run
+    with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+        rec = run(NoisyOracle(slope, seed=0), Sgd(), FixedStep(1e60), Budget(iterations=10))
+    assert rec.diverged
+    assert rec.iterations == 0
+    npt.assert_array_equal(rec.final_x, np.zeros(2))
+    npt.assert_array_equal(rec.grad_norms, np.full(11, 1e150))
+
+
 def test_non_finite_phi_marks_trial_diverged_with_phi_star():
     bowl = Problem(
         name="bowl",

@@ -1,6 +1,7 @@
 """Unit tests for the closed-form update operations and penalty policies."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -513,6 +514,47 @@ def _rank_two_inputs(draw):
 def test_rank_two_is_bitwise_the_outer_product_form_over_the_double_range(args):
     with np.errstate(all="ignore"):
         _assert_same_bits(_rank_two(*args), _rank_two_reference(*args))
+
+
+# ---------------------------------------------------------------------------
+# the 1-D norm of the hot path
+
+
+@st.composite
+def _norm_vectors(draw):
+    """n from 0 to 300 entries of random sign, their binary exponents uniform from
+    the subnormal range up to a drawn top (2**1023 at most), so that sums which
+    underflow, stay finite or overflow (squares from about 1.3e154 on) all come
+    up; up to three entries are then set to a signed zero, the smallest
+    subnormal, NaN or an infinity."""
+    n = draw(st.integers(0, 300))
+    top = draw(st.integers(-1074, 1023))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mantissas = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    v = np.ldexp(mantissas, rng.integers(-1075, top, n, endpoint=True))
+    specials = st.sampled_from([0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf])
+    if n:
+        for i, x in draw(st.lists(st.tuples(st.integers(0, n - 1), specials), max_size=3)):
+            v[i] = x
+    return v
+
+
+def _bits(value):
+    return np.float64(value).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_norm_vectors())
+def test_norm_is_bitwise_np_linalg_norm_with_the_same_warnings(v):
+    with warnings.catch_warnings(record=True) as ours:
+        warnings.simplefilter("always")
+        got = updates._norm(v)
+    with warnings.catch_warnings(record=True) as numpys:
+        warnings.simplefilter("always")
+        want = np.linalg.norm(v)
+    assert type(got) is float
+    assert _bits(got) == _bits(want)
+    assert [(w.category, str(w.message)) for w in ours] == [(w.category, str(w.message)) for w in numpys]
 
 
 # ---------------------------------------------------------------------------
