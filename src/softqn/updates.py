@@ -115,10 +115,10 @@ def _rank_two(h, hy, s, c_hh, c_hs, c_ss):
     From n = _EINSUM_MIN_N on, the products come from ``np.einsum``: the hh and
     ss terms from ``"i,j->ij"``, and the cross term from one reduction
     ``"ki,kj->ij"`` over the 2 x n buffer [Hy; s] and its row reversal.  That
-    takes the cross term at n = 200 from 195 to 80 us, and the whole kernel
-    from 308 to 285 us (one BLAS thread).  Each einsum entry is the same rounded
-    product, but einsum adds it to +0.0, so an exact zero product comes out
-    +0.0 where the broadcast ``a[:, None] * b`` gives -0.0.  einsum therefore
+    takes the cross term at n = 200 from about 190 to 80 us, and the whole
+    kernel from 305 to 280 us (one BLAS thread).  Each einsum entry is the same
+    rounded product, but einsum adds it to +0.0, so an exact zero product comes
+    out +0.0 where the broadcast ``a[:, None] * b`` gives -0.0.  einsum therefore
     runs only when no product can be zero: min(|s|, |Hy|)**2 over both vectors
     must round above 0 (a NaN fails the test).  s = 0, a zero or -0.0 entry and
     magnitudes below about 1e-154 keep the broadcast.  With every product
