@@ -12,7 +12,7 @@ positive curvature.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple, Optional, Tuple
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -81,56 +81,46 @@ class _Method:
 
 
 class _H(NamedTuple):
-    """A quasi-Newton method's H: the matrix, a certified interval (lo, hi) on
-    its spectrum or None when unknown, and how many updates in a row that
-    interval has certified.  Every record starts with its interval; only
+    """A quasi-Newton method's H: the matrix and a certified lower bound on its
+    spectrum, or None when unknown.  Every record starts with its bound; only
     SoftQn carries it through an update."""
 
     matrix: np.ndarray
-    bounds: Optional[Tuple[float, float]] = None
-    certified: int = 0
+    lo: Optional[float] = None
 
 
 class _QuasiNewton(_Method):
     """H starts at h0 (default: the identity) symmetrized once, and the direction is -H g.
 
     A given h0 must be n x n and finite, and the eigvalsh interval of its
-    symmetric part must be positive, or ``initial_h`` raises ValueError: an h0
-    whose condition number reaches about 1/(4 n^2 u) is refused, because its H
-    is not positive definite in working precision.  The identity starts with
-    the exact interval [1, 1].
+    symmetric part must be positive and finite, or ``initial_h`` raises
+    ValueError: an h0 whose condition number reaches about 1/(4 n^2 u) is
+    refused, because its H is not positive definite in working precision.
+    The record keeps the interval's lower end; the identity starts at exactly 1.
     """
 
     def initial_h(self, n: int, h0: Optional[np.ndarray]) -> _H:
         if h0 is None:
-            return _H(np.eye(n), (1.0, 1.0))
+            return _H(np.eye(n), 1.0)
         h0 = np.asarray(h0, dtype=float)
         if h0.shape != (n, n):
             raise ValueError(f"h0 must be {n}x{n}, got shape {h0.shape}")
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite h is refused below
             h = 0.5 * (h0 + h0.T)
-        bounds = _eigvalsh_bounds(h) if np.isfinite(h).all() else None
-        if bounds is None:
+        lo = _eigvalsh_lo(h) if np.isfinite(h).all() else None
+        if lo is None:
             raise ValueError(
                 "h0 must symmetrize to a finite matrix that is positive definite in working precision"
             )
-        return _H(h, bounds)
+        return _H(h, lo)
 
     def direction(self, h, g, hess):
         return biased_direction(h.matrix, g)
 
 
-# A refresh costs one eigvalsh, 1.3 to 5.5 Cholesky factorizations at n = 10 to
-# 1000 (one BLAS thread, 2-vCPU Xeon), so it is paid only for a bound that has
-# already saved more guards than that.  It costs memory too: the first eigvalsh
-# of a process raises its peak RSS by 0.90 MB at n = 90, where a first Cholesky
-# adds 0 (a fresh process, one BLAS thread).  The cutest_dixmaana benchmark,
-# whose soft QN arm refreshes, shows that as 0.8 MB of its peak_rss_mb.
-_REFRESH_AFTER = 8
-
-
-def _eigvalsh_bounds(h: np.ndarray) -> Optional[Tuple[float, float]]:
-    """An interval on the spectrum of symmetric h from eigvalsh, or None when it is not positive.
+def _eigvalsh_lo(h: np.ndarray) -> Optional[float]:
+    """The lower end of an interval on the spectrum of symmetric h from eigvalsh,
+    or None when that interval is not positive and finite.
 
     eigvalsh is backward stable, |lambda^ - lambda| <= p(n)*u*||h||_2 with a
     modestly growing p(n); p(n) = 4n^2 stands in for it here.
@@ -139,33 +129,28 @@ def _eigvalsh_bounds(h: np.ndarray) -> Optional[Tuple[float, float]]:
     n = h.shape[0]
     slack = 4.0 * n * n * 2.0**-53 * max(abs(float(w[0])), abs(float(w[-1])))
     lo, hi = float(w[0]) - slack, float(w[-1]) + slack
-    return (lo, hi) if 0.0 < lo and np.isfinite(hi) else None
+    return lo if 0.0 < lo and np.isfinite(hi) else None
 
 
 @dataclass(frozen=True)
 class SoftQn(_QuasiNewton):
     """Penalized-secant quasi-Newton; updates on every pair.
 
-    ``soft_qn_update`` moves the H record's spectrum interval (from
+    ``soft_qn_update`` moves the H record's lower spectrum bound (from
     ``initial_h``) through each update and skips its O(n^3) Cholesky guard
-    while the interval proves the guard would pass.  The interval's lower end
-    comes from the inverse form H'^-1 = (H + alpha*ss')^-1 + (alpha/gamma)*yy',
-    so on pairs with s'y != 0 it stays away from 0 however large alpha is.
-    Once the interval proves nothing, the guard runs on every update; the
-    interval is refreshed from eigvalsh of the guarded H' only if the old one
-    had certified at least ``_REFRESH_AFTER`` updates, and stays unknown
-    otherwise.  H' and every decision are those of the plain update.
+    while the bound proves the guard would pass.  The bound comes from the
+    inverse form H'^-1 = (H + alpha*ss')^-1 + (alpha/gamma)*yy', so on pairs
+    with s'y != 0 it stays away from 0 however large alpha is; the upper end
+    of the spectrum is read from H on each update.  Once the bound proves
+    nothing, it is unknown for the rest of the trial and the guard runs on
+    every update.  H' and every decision are those of the plain update.
     """
 
     policy: ConstantAlpha = ConstantAlpha(1.0)
 
     def absorb(self, h, s, y):
-        h_new, scratch = soft_qn_update(h.matrix, s, y, self.policy.value(h.matrix, s, y), h.bounds)
-        if scratch.bounds is not None:
-            return _H(h_new, scratch.bounds, h.certified + 1), True
-        if h.certified >= _REFRESH_AFTER:
-            return _H(h_new, _eigvalsh_bounds(h_new)), True
-        return _H(h_new), True
+        h_new, scratch = soft_qn_update(h.matrix, s, y, self.policy.value(h.matrix, s, y), h.lo)
+        return _H(h_new, scratch.lo), True
 
 
 @dataclass(frozen=True)
@@ -498,7 +483,9 @@ def run(
             rejections += 1
 
         x_new = x + ls.eta * p
-        if not np.isfinite(x_new).all() or _norm(x_new) > DIVERGENCE_NORM:
+        # the largest entry first: it catches NaN and inf, and below the limit
+        # the squared norm cannot overflow
+        if not np.abs(x_new).max() <= DIVERGENCE_NORM or _norm(x_new) > DIVERGENCE_NORM:
             diverged = True
             break
 

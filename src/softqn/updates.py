@@ -11,7 +11,7 @@ baselines, together with cheap spectral-bound machinery for choosing alpha.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -60,12 +60,12 @@ class EigenBounds(NamedTuple):
 
 
 class SoftQnScratch(NamedTuple):
-    """Intermediates of a soft QN update: the scaling gamma, and ``bounds``, a
-    certified interval (lo, hi) on the spectrum of H' (None unless the update
+    """Intermediates of a soft QN update: the scaling gamma, and ``lo``, a
+    certified lower bound on the spectrum of H' (None unless the update
     carried one through, see ``soft_qn_update``)."""
 
     gamma: float
-    bounds: Optional[Tuple[float, float]] = None
+    lo: Optional[float] = None
 
 
 def is_positive_definite(a: np.ndarray) -> bool:
@@ -162,7 +162,7 @@ def _check_pair(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
         raise ValueError("non-finite entries in update inputs")
 
 
-def soft_qn_update(h, s, y, alpha, bounds=None):
+def soft_qn_update(h, s, y, alpha, lo=None):
     """Penalized-secant update of a positive definite inverse-Hessian approximation.
 
     Computes H' = H + alpha*ss' - (alpha/gamma^2)*vv' with v = Hy + alpha*(s'y)*s
@@ -177,15 +177,16 @@ def soft_qn_update(h, s, y, alpha, bounds=None):
     overflows raises UpdateConsistencyError before H' is formed.  H' is checked
     for positive definiteness by a Cholesky factorization
     (``is_positive_definite``), which raises UpdateConsistencyError on failure,
-    unless ``bounds`` proves that check cannot fail.  ``bounds`` is an optional
-    certified interval (lo, hi) on the spectrum of H; ``_carry_bounds`` moves it
-    to H' in O(n), and when the interval it gets proves that Cholesky succeeds on
-    H', the factorization is skipped.  The decision and H' are the same either
-    way.  Without ``bounds``, or when the carried interval proves nothing, the
+    unless ``lo`` proves that check cannot fail.  ``lo`` is an optional
+    certified lower bound on the spectrum of H; ``_carry_bounds`` moves it to
+    H' in O(n), reading the upper end of the spectrum from tr H and the
+    diagonal of H', and when the bound it gets proves that Cholesky succeeds
+    on H', the factorization is skipped.  The decision and H' are the same
+    either way.  Without ``lo``, or when the carried bound proves nothing, the
     guard runs as before.
 
     Returns ``(h_new, scratch)`` where ``scratch`` carries gamma and the
-    certified interval on H' when the guard was skipped (None when it ran).
+    certified lower bound on H' when the guard was skipped (None when it ran).
     """
     _check_pair(h, s, y)
     positive("alpha", alpha)
@@ -205,19 +206,19 @@ def soft_qn_update(h, s, y, alpha, bounds=None):
     c_hs = alpha * t / g2
     c_ss = alpha * (gamma + alpha * y_h_y) / g2
     h_new = _rank_two(h, hy, s, c_hh, c_hs, c_ss)
-    if bounds is not None:
-        bounds = _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss)
-    if bounds is None and not is_positive_definite(h_new):
+    if lo is not None:
+        lo = _carry_bounds(lo, h, h_new, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss)
+    if lo is None and not is_positive_definite(h_new):
         raise UpdateConsistencyError(
             "soft QN update lost positive definiteness; this points at a numerical "
             "problem in the inputs (H far from symmetric PD or wildly scaled data)"
         )
-    return h_new, SoftQnScratch(gamma=gamma, bounds=bounds)
+    return h_new, SoftQnScratch(gamma=gamma, lo=lo)
 
 
 _U = 2.0**-53  # unit roundoff of float64
 _ETA = 2.0**-1074  # smallest subnormal: the absolute error one underflowing product can add
-# Certified bounds must stay inside [2**-960, 2**960], where neither _rank_two's
+# Certified quantities must stay inside [2**-960, 2**960], where neither _rank_two's
 # products nor the Cholesky factorization can overflow, and underflow is lost in
 # rounding.
 _TINY, _HUGE = 2.0**-960, 2.0**960
@@ -233,19 +234,21 @@ def _gamma_k(k):
 _G2, _G4, _G5, _G6 = (_gamma_k(k) for k in (2, 4, 5, 6))
 
 
-def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss):
-    """Certified interval on the spectrum of the computed soft update, or None.
+def _carry_bounds(lo, h, h_new, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss):
+    """Certified lower bound on the spectrum of the computed soft update, or None.
 
-    ``bounds`` = (lo, hi) encloses the spectrum of the symmetric H; the other
-    arguments are the computed quantities of ``soft_qn_update``, y'Hy already
-    clamped at 0.  Returns (lo', hi') enclosing the spectrum of fl(H'), the
-    matrix ``_rank_two`` returned, when it also proves that Cholesky succeeds on
-    fl(H'), and None otherwise.  Costs three dot products and a few dozen float operations.
+    ``lo`` bounds lambda_min of the symmetric H from below; the other arguments
+    are H, the matrix ``_rank_two`` returned (fl(H')) and the computed
+    quantities of ``soft_qn_update``, y'Hy already clamped at 0.  Returns
+    lo' <= lambda_min(fl(H')) when it also proves that Cholesky succeeds on
+    fl(H'), and None otherwise.  Every upper-end quantity is read from the
+    matrices: the trace of H and the largest diagonal entry of fl(H').  Costs
+    three dot products, two O(n) reads of a diagonal and a few dozen float
+    operations.
 
     Exact arithmetic.  With A = H + alpha*ss', the update is
-    H' = A - (alpha/gamma^2)(Ay)(Ay)', and gamma^2 - gamma = alpha*y'Ay.  So
-    H' <= A and lambda_max(H') <= hi + alpha*||s||^2.  By Sherman and Morrison,
-    since 1 - (alpha/gamma^2)*y'Ay = 1/gamma > 0,
+    H' = A - (alpha/gamma^2)(Ay)(Ay)', and gamma^2 - gamma = alpha*y'Ay.  By
+    Sherman and Morrison, since 1 - (alpha/gamma^2)*y'Ay = 1/gamma > 0,
       H'^-1 = A^-1 + (alpha/gamma)*yy' <= (1/lo + (alpha/gamma)*||y||^2)*I,
     because A >= H >= lo*I.  Hence
       lambda_min(H') >= lo/(1 + lo*(alpha/gamma)*||y||^2),
@@ -257,11 +260,14 @@ def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss
 
     Rounding.  u = 2^-53, gamma_k = k*u/(1 - k*u), eta = 2^-1074 (one product
     that underflows adds at most eta/2); ||s||, ||y||, ||h^|| are upper bounds
-    from one dot product each, and ||H||_F <= sqrt(n)*hi.  H' here is the exact
-    update of the stored H, s, y and alpha; eps bounds ||fl(H') - H'||_2:
+    from one dot product each.  lo > 0 proves H positive definite, so its
+    diagonal is positive and ||H||_F <= tr H; the computed sum of that diagonal
+    is within gamma_n of it, in any order, so tau = fl(tr H)*(1 + 2*gamma_n)
+    bounds ||H||_F.  H' here is the exact update of the stored H, s, y and
+    alpha; eps bounds ||fl(H') - H'||_2:
 
     - h^ = fl(Hy): |h^ - Hy| <= gamma_n*|H||y| + n*eta entrywise, so
-      e_h = gamma_n*sqrt(n)*hi*||y|| + n^1.5*eta bounds ||h^ - Hy||.
+      e_h = gamma_n*tau*||y|| + n^1.5*eta bounds ||h^ - Hy||.
     - q^ = fl(y'h^): e_q = gamma_n*||y||*||h^|| + ||y||*e_h + n*eta bounds
       |q^ - y'Hy|; q+ = max(q^, 0), the y'Hy passed in, is no farther from y'Hy >= 0.
     - t^ = fl(s'y): e_t = gamma_n*||s||*||y|| + n*eta bounds |t^ - s'y|.  This is
@@ -290,13 +296,12 @@ def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss
                       + 2|dc_hs|*||h^||*||s|| + 2*C_hs*e_h*||s|| + |dc_ss|*||s||^2.
     - fl(H') - M: every entry of ``_rank_two``'s result has at most five
       roundings along any of its terms (product, scaling, and up to three sums),
-      so ||fl(H') - M|| <= gamma_5*(sqrt(n)*hi + c_hh^*||h^||^2
+      so ||fl(H') - M|| <= gamma_5*(tau + c_hh^*||h^||^2
       + 2|c_hs^|*||h^||*||s|| + c_ss^*||s||^2) + n*(c_hh^ + 2|c_hs^| + c_ss^ + 3)*eta.
 
     eps is twice the sum of the last two bounds: the factor covers the
     second-order terms and the rounding of this O(1) evaluation.  By Weyl,
       lo' = L*(1 - 10u) - eps <= lambda_min(fl(H')),
-      hi' = (hi + alpha*||s||^2)*(1 + 4u) + eps >= lambda_max(fl(H')),
     where L = lo/(1 + lo*(alpha/g_lo)*ny^2) <= lambda_min(H').  The code forms
     x = (lo*alpha/g_lo + eta)*ny*ny: the eta covers an underflow in
     lo*alpha/g_lo, which ny^2 could otherwise magnify past u, and later
@@ -307,15 +312,15 @@ def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss
     Certificate.  By Demmel's theorem (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., Thm 10.7), Cholesky succeeds on a symmetric
     matrix whose diagonally scaled form has lambda_min above
-    n*gamma_(n+1)/(1 - gamma_(n+1)); since every diagonal entry is at most hi',
-    lo' > n*gamma_(n+1)/(1 - gamma_(n+1))*hi' suffices.  The interval is
-    returned when lo' exceeds that by the factor _CHOLESKY_SAFETY, every
-    quantity is finite, and lo', hi' and the products ``_rank_two`` forms lie in
-    [2^-960, 2^960].  The factor's diagonal is then finite too, so
+    n*gamma_(n+1)/(1 - gamma_(n+1)); that scaled lambda_min is at least
+    lambda_min/d, with d the largest diagonal entry, read exactly from fl(H').
+    So lo' > n*gamma_(n+1)/(1 - gamma_(n+1))*d suffices.  lo' is returned when
+    it exceeds that by the factor _CHOLESKY_SAFETY, every quantity is finite,
+    tau, d and the products ``_rank_two`` forms lie below 2^960, and lo' above
+    2^-960.  The factor's diagonal is then finite too, so
     ``is_positive_definite`` would have returned True.
     """
-    lo, hi = bounds
-    if not (0.0 < lo <= hi < _HUGE):
+    if not 0.0 < lo < _HUGE:
         return None
     n = s.size
     g_n = _gamma_k(n)
@@ -326,7 +331,9 @@ def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss
     ns = math.sqrt((float(s @ s) + neta) * up) * (1.0 + 2.0 * _U)
     ny = math.sqrt((float(y @ y) + neta) * up) * (1.0 + 2.0 * _U)
     nh = math.sqrt((float(hy @ hy) + neta) * up) * (1.0 + 2.0 * _U)
-    e_h = g_n * math.sqrt(n) * hi * ny + n * math.sqrt(n) * _ETA
+    # Python's float sum overflows to inf without the warning numpy's trace gives
+    tau = sum(h.diagonal().tolist()) * up
+    e_h = g_n * tau * ny + n * math.sqrt(n) * _ETA
     e_q = g_n * ny * nh + ny * e_h + n * _ETA
     e_t = g_n * ns * ny + n * _ETA
     q, t = y_h_y, abs(s_t_y)
@@ -349,16 +356,16 @@ def _carry_bounds(bounds, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs, c_ss
         + 2.0 * (abs(c_hs) + dc_hs) * e_h * ns
         + dc_ss * ss
     )
-    terms = math.sqrt(n) * hi + c_hh * hh + 2.0 * abs(c_hs) * hs + c_ss * ss
+    terms = tau + c_hh * hh + 2.0 * abs(c_hs) * hs + c_ss * ss
     e_round = _G5 * terms + n * (c_hh + 2.0 * abs(c_hs) + c_ss + 3.0) * _ETA
     eps = 2.0 * (e_coef + e_round)
     lo_new = lo / (1.0 + (lo * alpha / g_lo + _ETA) * ny * ny) * (1.0 - 10.0 * _U) - eps
-    hi_new = (hi + alpha * ss) * (1.0 + 4.0 * _U) + eps
+    d = float(h_new.diagonal().max())
     g_chol = _gamma_k(n + 1)
     threshold = _CHOLESKY_SAFETY * n * g_chol / (1.0 - g_chol)
-    in_range = hi_new < _HUGE and hh < _HUGE and ss < _HUGE and terms < _HUGE
-    if in_range and lo_new > _TINY and lo_new > threshold * hi_new:
-        return lo_new, hi_new
+    in_range = tau < _HUGE and d < _HUGE and hh < _HUGE and ss < _HUGE and terms < _HUGE
+    if in_range and lo_new > _TINY and lo_new > threshold * d:
+        return lo_new
     return None
 
 

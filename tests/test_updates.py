@@ -123,14 +123,14 @@ def test_update_rejects_nonfinite_and_mismatched_inputs():
         ([1.0, 0.0, 0.0], [1e160, 0.0, 0.0], 1e-8),
     ],
 )
-@pytest.mark.parametrize("bounds", [None, (1.0, 1.0)], ids=["no_bounds", "bounds"])
-def test_update_overflow_raises_before_the_pd_self_check(monkeypatch, s, y, alpha, bounds):
+@pytest.mark.parametrize("lo", [None, 1.0], ids=["no_lo", "lo"])
+def test_update_overflow_raises_before_the_pd_self_check(monkeypatch, s, y, alpha, lo):
     # each of these overflows a coefficient, which raises before H' is formed, so
     # the guard never sees an all-NaN matrix
     calls = []
     monkeypatch.setattr(updates, "is_positive_definite", lambda a: calls.append(1) or True)
     with np.errstate(all="ignore"), pytest.raises(UpdateConsistencyError, match="overflow"):
-        soft_qn_update(np.eye(3), np.array(s), np.array(y), alpha, bounds)
+        soft_qn_update(np.eye(3), np.array(s), np.array(y), alpha, lo)
     assert calls == []
 
 
@@ -558,7 +558,7 @@ def test_norm_is_bitwise_np_linalg_norm_with_the_same_warnings(v):
 
 
 # ---------------------------------------------------------------------------
-# certified spectrum bounds carried through the soft update
+# the certified lower spectrum bound carried through the soft update
 
 
 def _demmel(n):
@@ -670,9 +670,8 @@ def _certificate_inputs(draw):
     w = _exact_spectrum(h)
     if not w[0] > 0:
         return None
-    # the exact spectrum, rounded outwards past the 40-digit arithmetic's error
+    # the exact lambda_min, rounded down past the 40-digit arithmetic's error
     lo = math.nextafter(float(w[0] * (1 - 1e-30)), -math.inf)
-    bounds = (lo, math.nextafter(float(w[-1] * (1 + 1e-30)), math.inf))
     s = rng.standard_normal(n) * 10.0 ** draw(st.floats(-20.0, 20.0))
     direction = draw(st.sampled_from(["random", "orthogonal", "lowest", "secant"]))
     if direction == "lowest":  # along the eigenvector of lambda_min
@@ -689,7 +688,7 @@ def _certificate_inputs(draw):
     if direction != "secant" and draw(st.integers(0, 7)) == 0:
         s = np.zeros(n)
     alpha = 10.0 ** draw(st.floats(0.0, 12.0) if direction == "secant" else st.floats(-12.0, 16.0))
-    return h, s, y, alpha, bounds
+    return h, s, y, alpha, lo
 
 
 @settings(max_examples=400, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
@@ -697,25 +696,58 @@ def _certificate_inputs(draw):
 def test_carried_bounds_skip_the_guard_only_where_cholesky_cannot_fail(args):
     if args is None:
         return
-    h, s, y, alpha, bounds = args
+    h, s, y, alpha, lo = args
     try:
-        h_new, scratch = soft_qn_update(h, s, y, alpha, bounds)
+        h_new, scratch = soft_qn_update(h, s, y, alpha, lo)
     except UpdateConsistencyError:
         return  # the guard ran and failed: nothing was certified
-    if scratch.bounds is None:
+    if scratch.lo is None:
         return  # the guard ran
-    lo, hi = scratch.bounds
+    lo = scratch.lo
     assert np.isfinite(h_new).all()
     np.linalg.cholesky(h_new)
     w = _exact_spectrum(h_new)
-    assert lo <= w[0] and w[-1] <= hi, (lo, float(w[0]), float(w[-1]), hi)
+    assert lo <= w[0], (lo, float(w[0]))
     # Demmel's condition, which is what makes skipping the guard sound; the
     # search is steered towards certificates that only just meet it
     margin = w[0] / (_demmel(h.shape[0]) * float(np.diag(h_new).max()))
     target(-math.log10(float(margin)))
-    assert margin > 1, (float(w[0]), lo, hi)
+    assert margin > 1, (float(w[0]), lo)
     # and towards carried lower bounds that are nearly reached
     target(float(lo / w[0]), label="lo'/lambda_min")
+
+
+def test_carried_bound_covers_the_worst_rounding_of_hy():
+    """lo' <= lambda_min(fl(H')) for any h^ within gamma_n*|H||y| of Hy, not
+    only the h^ that numpy's summation order gives.
+
+    H = 1.5*11' + eps*I is nearly rank one, so ||H||_F is close to tr H, and y
+    is an eigenvector of eps, so Hy = eps*y cancels and |H||y| is about
+    1.5*n/eps times |Hy|.  h^ moves every entry of Hy outwards by 0.99 of the
+    rounding model's allowance, gamma = 2 and s = 0, which leaves lambda_min
+    of fl(H') 0.02*eps below eps/gamma, where the carried bound starts.  A
+    certificate that bounds ||H||_F by anything much below tr H, or drops its
+    rounding term, claims more than lambda_min.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    n, eps = 16, 2.0**-40
+    h = np.full((n, n), 1.5) + eps * np.eye(n)
+    w = np.tile([1.0, -1.0], n // 2)
+    y = w / eps
+    assert np.array_equal(h @ y, w)
+    hy = w + 0.99 * updates._gamma_k(n) * (np.abs(h) @ np.abs(y)) * w
+    s = np.zeros(n)
+    # the coefficients as soft_qn_update forms them, at s'y = 0 and gamma = 2
+    alpha = 2.0 * eps / float(w @ hy)
+    y_h_y = float(y @ hy)
+    gamma = 0.5 + math.sqrt(0.25 + alpha * y_h_y)
+    assert gamma == 2.0
+    c_hh, c_ss = alpha / gamma**2, alpha * (gamma + alpha * y_h_y) / gamma**2
+    h_new = _rank_two(h, hy, s, c_hh, 0.0, c_ss)
+    lo = updates._carry_bounds(eps, h, h_new, hy, s, y, alpha, y_h_y, 0.0, gamma, c_hh, 0.0, c_ss)
+    lam_min = _exact_spectrum(h_new)[0]
+    assert lo is not None and lo <= lam_min, (lo, float(lam_min))
+    assert lam_min < eps / gamma * (1 - 0.04)  # h^ did move lambda_min down
 
 
 def test_carried_bounds_skip_the_guard_and_match_the_plain_update(monkeypatch):
@@ -726,31 +758,36 @@ def test_carried_bounds_skip_the_guard_and_match_the_plain_update(monkeypatch):
     monkeypatch.setattr(updates, "is_positive_definite", lambda a: calls.append(1) or True)
     for _ in range(5):
         s, y = rng.standard_normal(n), rng.standard_normal(n)
-        h_new, scratch = soft_qn_update(h, s, y, 0.1, (1.0, 1.0))
-        assert scratch.bounds is not None
+        h_new, scratch = soft_qn_update(h, s, y, 0.1, 1.0)
+        assert scratch.lo is not None
         _assert_same_bits(h_new, soft_qn_update(h, s, y, 0.1)[0])
     assert len(calls) == 5  # only the five plain updates ran the guard
-    # no bounds, or bounds that prove nothing, leave the guard on
-    for bounds in [None, (1e-300, 1.0)]:
-        assert soft_qn_update(h, s, y, 0.1, bounds)[1].bounds is None
+    # no bound, or a bound that proves nothing, leaves the guard on
+    for lo in [None, 1e-300]:
+        assert soft_qn_update(h, s, y, 0.1, lo)[1].lo is None
     assert len(calls) == 7
 
 
 @pytest.mark.parametrize(
-    "bounds",
-    [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, 2.0**960), (1.0, math.inf), (math.nan, 1.0)],
+    "lo, big",
+    [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, 1.7e308)],
+    ids=["zero", "negative", "nan", "inf", "trace_overflows"],
 )
-def test_bounds_outside_the_carry_range_run_the_guard(monkeypatch, bounds):
-    # _carry_bounds takes only 0 < lo <= hi < 2**960; anything else carries nothing
+def test_bounds_outside_the_carry_range_run_the_guard(monkeypatch, lo, big):
+    # _carry_bounds takes only 0 < lo < 2**960 and an H whose trace stays below
+    # 2**960; anything else carries nothing.  At big = 1.7e308, lo = 1 is a
+    # valid bound but tr H overflows, and y avoids the huge entries, so nothing
+    # else in the update overflows
     rng = np.random.default_rng(6)
-    h = np.eye(4)
+    h = np.diag([big, big, 1.0, 1.0])
     s, y = rng.standard_normal(4), rng.standard_normal(4)
+    y[h.diagonal() > 1.0] = 0.0
     plain = soft_qn_update(h, s, y, 0.1)[0]
     calls = []
     guard = updates.is_positive_definite
     monkeypatch.setattr(updates, "is_positive_definite", lambda a: calls.append(1) or guard(a))
-    h_new, scratch = soft_qn_update(h, s, y, 0.1, bounds)
-    assert scratch.bounds is None
+    h_new, scratch = soft_qn_update(h, s, y, 0.1, lo)
+    assert scratch.lo is None
     assert len(calls) == 1
     _assert_same_bits(h_new, plain)
 
