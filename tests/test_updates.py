@@ -741,7 +741,7 @@ def test_carried_bound_covers_the_worst_rounding_of_hy():
     alpha = 2.0 * eps / float(w @ hy)
     y_h_y = float(y @ hy)
     gamma = 0.5 + math.sqrt(0.25 + alpha * y_h_y)
-    assert gamma == 2.0
+    assert gamma == pytest.approx(2.0)
     c_hh, c_ss = alpha / gamma**2, alpha * (gamma + alpha * y_h_y) / gamma**2
     h_new = _rank_two(h, hy, s, c_hh, 0.0, c_ss)
     lo = updates._carry_bounds(eps, h, h_new, hy, s, y, alpha, y_h_y, 0.0, gamma, c_hh, 0.0, c_ss)
