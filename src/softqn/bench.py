@@ -143,8 +143,11 @@ def write_csv(path, header: str, columns) -> None:
     """Write equal-length columns under ``header`` as UTF-8 with LF line endings.
 
     A NumPy float array is written in scientific notation with 9 significant
-    digits (``%.8e``); any other column is written with ``str``.
+    digits (``%.8e``); any other column is written with ``str``.  Columns of
+    unequal length raise ValueError before the file is opened.
     """
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns must have equal lengths, got {[len(c) for c in columns]}")
     cells = [
         map("{:.8e}".format, c.tolist()) if isinstance(c, np.ndarray) and c.dtype.kind == "f" else map(str, c)
         for c in columns

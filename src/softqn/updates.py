@@ -90,64 +90,28 @@ def _norm(v) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def _outer_broadcast(a, b, out=None):
-    return np.multiply(a[:, None], b, out=out)
-
-
-def _outer_einsum(a, b, out=None):
-    return np.einsum("i,j->ij", a, b, out=out)
-
-
-# the einsum branch, with its buffer and zero test, overtakes the broadcast
-# between n = 44 and 48 for both the soft QN and the BFGS kernel (interleaved
-# per-call timings at n = 36 to 120, one BLAS thread, 2-vCPU Xeon)
-_EINSUM_MIN_N = 48
-
-
 def _rank_two(h, hy, s, c_hh, c_hs, c_ss):
-    """H - c_hh*(Hy)(Hy)' - c_hs*((Hy)s' + s(Hy)') + c_ss*ss', bitwise the outer-product form.
+    """H - c_hh*(Hy)(Hy)' - c_hs*((Hy)s' + s(Hy)') + c_ss*ss', bitwise the
+    outer-product form, with an exact zero product as +0.0.
 
     Writes into two fresh n x n buffers; no hh term when c_hh is 0.  Each term is
     exactly symmetric elementwise, so the result is exactly symmetric when H is.
     A coefficient that is not finite (it overflowed) raises UpdateConsistencyError
-    before anything is allocated.
-
-    From n = _EINSUM_MIN_N on, the products come from ``np.einsum``: the hh and
-    ss terms from ``"i,j->ij"``, and the cross term from one reduction
-    ``"ki,kj->ij"`` over the 2 x n buffer [Hy; s] and its row reversal.  That
-    takes the cross term at n = 200 from about 190 to 80 us, and the whole
-    kernel from 305 to 280 us (one BLAS thread).  Each einsum entry is the same
-    rounded product, but einsum adds it to +0.0, so an exact zero product comes
-    out +0.0 where the broadcast ``a[:, None] * b`` gives -0.0.  einsum therefore
-    runs only when no product can be zero: min(|s|, |Hy|)**2 over both vectors
-    must round above 0 (a NaN fails the test).  s = 0, a zero or -0.0 entry and
-    magnitudes below about 1e-154 keep the broadcast.  With every product
-    nonzero, a cross entry is 0 + (Hy)_i*s_j + s_i*(Hy)_j, and IEEE addition is
-    commutative, so it is the broadcast's (Hy)_i*s_j + s_i*(Hy)_j whichever
-    product einsum adds first.  Either way the result is bitwise the broadcast
-    form.
-
-    Below n = _EINSUM_MIN_N the broadcast is faster than einsum plus that test, so
-    small n skips both."""
+    before anything is allocated.  The products come from ``np.einsum``: the hh
+    and ss terms from ``"i,j->ij"``, and the cross term from one reduction
+    ``"ki,kj->ij"`` over the 2 x n buffer [Hy; s] and its row reversal."""
     if not (math.isfinite(c_hh) and math.isfinite(c_hs) and math.isfinite(c_ss)):
         raise UpdateConsistencyError(f"update coefficients overflow: {c_hh!r}, {c_hs!r}, {c_ss!r}")
-    pair = np.concatenate((hy, s)).reshape(2, -1) if s.size >= _EINSUM_MIN_N else None
-    if pair is not None and np.abs(pair).min() ** 2 > 0.0:
-        outer = _outer_einsum
-        cross = np.einsum("ki,kj->ij", pair, pair[::-1])
-        out = np.empty_like(cross)
-    else:
-        outer = _outer_broadcast
-        out = outer(s, hy)
-        cross = outer(hy, s)
-        cross += out
+    pair = np.concatenate((hy, s)).reshape(2, -1)
+    cross = np.einsum("ki,kj->ij", pair, pair[::-1])
+    out = np.empty_like(cross)
     cross *= c_hs
     if c_hh != 0.0:
-        outer(hy, hy, out)
+        np.einsum("i,j->ij", hy, hy, out=out)
         out *= c_hh
         h = np.subtract(h, out, out=out)
     np.subtract(h, cross, out=out)
-    outer(s, s, cross)
+    np.einsum("i,j->ij", s, s, out=cross)
     cross *= c_ss
     out += cross
     return out
@@ -295,9 +259,10 @@ def _carry_bounds(lo, h, h_new, hy, s, y, alpha, y_h_y, s_t_y, gamma, c_hh, c_hs
         ||M - H'|| <= |dc_hh|*||h^||^2 + C_hh*e_h*(2||h^|| + e_h)
                       + 2|dc_hs|*||h^||*||s|| + 2*C_hs*e_h*||s|| + |dc_ss|*||s||^2.
     - fl(H') - M: every entry of ``_rank_two``'s result has at most five
-      roundings along any of its terms (product, scaling, and up to three sums),
-      so ||fl(H') - M|| <= gamma_5*(tau + c_hh^*||h^||^2
-      + 2|c_hs^|*||h^||*||s|| + c_ss^*||s||^2) + n*(c_hh^ + 2|c_hs^| + c_ss^ + 3)*eta.
+      roundings along any of its terms (product, scaling, and up to three sums;
+      einsum forms a cross entry as 0 + p1 + p2, whose first sum is exact),
+      so ||fl(H') - M|| <= gamma_5*(tau + c_hh^*||h^||^2 + 2|c_hs^|*||h^||*||s||
+      + c_ss^*||s||^2) + n*(c_hh^ + 2|c_hs^| + c_ss^ + 3)*eta.
 
     eps is twice the sum of the last two bounds: the factor covers the
     second-order terms and the rounding of this O(1) evaluation.  By Weyl,
@@ -376,8 +341,12 @@ def soft_qn_alpha_bound(h, s, y, bounds: EigenBounds, lam_min: float, lam_max: f
     alpha below min{(lam_min - floor)/(|s| + |Hy|)^2, (cap - lam_max)/|s|^2}
     keeps floor*I <= H' <= cap*I.  Returns 0.0 when the estimates already sit
     outside the bounds (caller clamps), and +inf when both denominators vanish
-    (s = 0 and Hy = 0: the update cannot move the spectrum).
+    (s = 0 and Hy = 0: the update cannot move the spectrum).  A non-finite
+    entry of H, s or y, estimate or bound raises ValueError.
     """
+    _check_pair(h, s, y)
+    if not all(map(math.isfinite, (lam_min, lam_max, bounds.floor, bounds.cap))):
+        raise ValueError(f"non-finite spectral estimate or bound: {lam_min!r}, {lam_max!r}, {bounds!r}")
     n_low = lam_min - bounds.floor
     n_high = bounds.cap - lam_max
     if n_low < 0.0 or n_high < 0.0:
@@ -395,7 +364,12 @@ def lambda_max_upper_bound(a: np.ndarray) -> float:
 
     Uses m + sd*sqrt(n-1) with m = tr(A)/n and sd^2 = tr(A^2)/n - m^2, computable
     in O(n^2).  For diag(1, 2, 3) this gives 2 + sqrt(4/3) ~= 3.1547 >= 3.
+    An empty or non-square matrix, or a non-finite entry, raises ValueError.
     """
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"A must be a nonempty square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite entries in A")
     n = a.shape[0]
     if n == 1:
         return float(a[0, 0])

@@ -15,6 +15,7 @@ from softqn.bench import (
     metric_normalized_subopt,
     monte_carlo,
     summarize,
+    write_csv,
 )
 from softqn.solver import TrialRecord
 
@@ -279,6 +280,13 @@ def test_emit_csv_reruns_are_byte_identical(tmp_path):
     emit_csv(tmp_path / "b", "e", "p", build(), metric)
     for name in ["e_long.csv", "fig_e_log10_grad_norm_m.csv"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_write_csv_refuses_unequal_columns_before_opening_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="equal lengths"):
+        write_csv(path, "a,b", [range(3), np.array([1.0, 2.0])])
+    assert not path.exists()
 
 
 def _reference_emit_csv(out_dir, experiment, problem, records, spec, summary=False):

@@ -19,7 +19,6 @@ from softqn.updates import (
     PdThresholdError,
     StepNormBeta,
     UpdateConsistencyError,
-    _EINSUM_MIN_N,
     _rank_two,
     bfgs_admissible,
     bfgs_update,
@@ -191,6 +190,37 @@ def test_alpha_bound_violated_entry_returns_zero():
     assert soft_qn_alpha_bound(h, s, s, EigenBounds(0.5, 2.0), 0.4, 1.0) == 0.0
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("lam_min", math.nan),
+        # gave 0.125, an alpha that no longer proves the cap
+        ("lam_max", math.nan),
+        ("lam_min", math.inf),
+        ("lam_max", -math.inf),
+        ("bounds", EigenBounds(math.nan, 2.0)),
+        ("bounds", EigenBounds(-math.inf, 2.0)),
+        ("bounds", EigenBounds(0.5, math.nan)),
+        ("bounds", EigenBounds(0.5, math.inf)),
+        ("s", np.array([math.nan, 0.0])),
+        ("y", np.array([0.0, math.inf])),
+        ("h", np.diag([1.0, math.nan])),
+    ],
+)
+def test_alpha_bound_refuses_non_finite_input(name, value):
+    args = {
+        "h": np.eye(2),
+        "s": np.array([1.0, 0.0]),
+        "y": np.array([0.0, 1.0]),
+        "bounds": EigenBounds(0.5, 2.0),
+        "lam_min": 1.0,
+        "lam_max": 1.0,
+    }
+    args[name] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        soft_qn_alpha_bound(**args)
+
+
 # ---------------------------------------------------------------------------
 # trace-based eigenvalue bound
 
@@ -211,6 +241,21 @@ def test_lambda_bound_diag123_witness():
 
 def test_lambda_bound_scalar_matrix():
     assert lambda_max_upper_bound(np.array([[4.5]])) == 4.5
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        pytest.param(np.zeros((0, 0)), id="empty"),
+        pytest.param(np.ones((2, 3)), id="non_square"),
+        pytest.param(np.ones(3), id="vector"),
+        pytest.param(np.diag([1.0, math.nan]), id="nan"),
+        pytest.param(np.diag([1.0, math.inf]), id="inf"),
+    ],
+)
+def test_lambda_bound_refuses_bad_input(a):
+    with pytest.raises(ValueError):
+        lambda_max_upper_bound(a)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +356,9 @@ def test_sp_update_pd_inside_threshold():
 #
 # The references below are the outer-product expressions (four np.outer
 # temporaries and a symmetrize pass) the three kernels used before they shared
-# one rank-two kernel.  Every kernel must reproduce them bit for bit.
+# one rank-two kernel, with each outer product taken + 0.0, so that an exact
+# zero product is +0.0 as in the kernel.  Every kernel must reproduce them bit
+# for bit.
 
 
 def _symmetrize(a):
@@ -329,9 +376,9 @@ def _soft_qn_reference(h, s, y, alpha):
     c_ss = alpha * (gamma + alpha * max(y_h_y, 0.0)) / g2
     h_new = (
         h
-        - c_hy * np.outer(hy, hy)
-        - c_cross * (np.outer(hy, s) + np.outer(s, hy))
-        + c_ss * np.outer(s, s)
+        - c_hy * (np.outer(hy, hy) + 0.0)
+        - c_cross * ((np.outer(hy, s) + 0.0) + (np.outer(s, hy) + 0.0))
+        + c_ss * (np.outer(s, s) + 0.0)
     )
     return _symmetrize(h_new)
 
@@ -342,8 +389,8 @@ def _bfgs_reference(h, s, y):
     y_h_y = float(y @ hy)
     h_new = (
         h
-        - rho * (np.outer(s, hy) + np.outer(hy, s))
-        + (rho * rho * y_h_y + rho) * np.outer(s, s)
+        - rho * ((np.outer(s, hy) + 0.0) + (np.outer(hy, s) + 0.0))
+        + (rho * rho * y_h_y + rho) * (np.outer(s, s) + 0.0)
     )
     return _symmetrize(h_new)
 
@@ -355,7 +402,9 @@ def _sp_bfgs_reference(h, s, y, beta):
     hy = h @ y
     y_h_y = float(y @ hy)
     c_ss = omega * omega * y_h_y + pi + (pi - omega) * omega * y_h_y
-    return _symmetrize(h - omega * (np.outer(s, hy) + np.outer(hy, s)) + c_ss * np.outer(s, s))
+    return _symmetrize(
+        h - omega * ((np.outer(s, hy) + 0.0) + (np.outer(hy, s) + 0.0)) + c_ss * (np.outer(s, s) + 0.0)
+    )
 
 
 def _random_spd(rng, n):
@@ -377,8 +426,8 @@ def _pairs(rng, n):
 def _rank_two_reference(h, hy, s, c_hh, c_hs, c_ss):
     """The outer-product form of the shared kernel, without its hh term when c_hh is 0."""
     if c_hh != 0.0:
-        h = h - c_hh * np.outer(hy, hy)
-    return h - c_hs * (np.outer(hy, s) + np.outer(s, hy)) + c_ss * np.outer(s, s)
+        h = h - c_hh * (np.outer(hy, hy) + 0.0)
+    return h - c_hs * ((np.outer(hy, s) + 0.0) + (np.outer(s, hy) + 0.0)) + c_ss * (np.outer(s, s) + 0.0)
 
 
 def _assert_same_bits(a, b):
@@ -392,7 +441,7 @@ def _assert_bitwise(h_new, reference):
     assert np.array_equal(h_new, h_new.T)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, _EINSUM_MIN_N - 1, _EINSUM_MIN_N, 90, 200])
+@pytest.mark.parametrize("n", [1, 2, 7, 47, 48, 90, 200])
 def test_kernels_are_bitwise_the_outer_product_form(n):
     rng = np.random.default_rng(600 + n)
     for trial in range(3):
@@ -407,7 +456,7 @@ def test_kernels_are_bitwise_the_outer_product_form(n):
                     _assert_bitwise(sp_bfgs_update(h, s, y, beta), _sp_bfgs_reference(h, s, y, beta))
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, _EINSUM_MIN_N - 1, _EINSUM_MIN_N, 90, 200])
+@pytest.mark.parametrize("n", [1, 2, 7, 47, 48, 90, 200])
 @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
 def test_sp_bfgs_is_bitwise_the_outer_product_form_just_above_the_pd_threshold(n, beta):
     rng = np.random.default_rng(700 + n)
@@ -431,19 +480,20 @@ def _identity_with_negative_zeros(n):
     return h
 
 
-# Each pair has exact zero products whose sign survives into H': the broadcast
-# outer product writes -0.0 there, where np.einsum("i,j->ij") would write +0.0.
-# Padded with ones to the einsum threshold, the zero test must keep the broadcast.
-@pytest.mark.parametrize("n", [3, _EINSUM_MIN_N])
+# Each pair has exact zero products, some of them of negative sign (0.0 * -1.0),
+# where H holds -0.0.  The kernels take every product as +0.0, and each adds its
+# ss term (c_ss > 0) last, so every zero entry of H' is +0.0; the bare outer
+# product would leave -0.0 there.
+@pytest.mark.parametrize("n", [3, 48])
 @pytest.mark.parametrize(
     "kernel, s, y",
     [
         ("bfgs", [2.0, -1.0, -0.0], [2.0, -0.0, 0.0]),
-        ("soft_qn", [-0.0, 1.0, -1.0], [1.0, -0.0, 0.0]),
+        ("soft_qn", [-0.0, 1.0, -1.0], [-0.0, 1.0, 0.0]),
         ("sp_bfgs", [0.0, -0.0, 0.0], [2.0, 2.0, 1.0]),
     ],
 )
-def test_kernels_keep_the_sign_of_zero_products(kernel, s, y, n):
+def test_kernels_give_exact_zero_products_as_positive_zero(kernel, s, y, n):
     h = _identity_with_negative_zeros(n)
     s, y = np.array(s + [1.0] * (n - 3)), np.array(y + [1.0] * (n - 3))
     if kernel == "bfgs":
@@ -453,7 +503,9 @@ def test_kernels_keep_the_sign_of_zero_products(kernel, s, y, n):
     else:
         h_new, reference = sp_bfgs_update(h, s, y, 1.0), _sp_bfgs_reference(h, s, y, 1.0)
     _assert_bitwise(h_new, reference)
-    assert np.signbit(h_new).any()
+    zeros = h_new == 0.0
+    assert zeros.any()
+    assert not np.signbit(h_new[zeros]).any()
 
 
 @pytest.mark.parametrize("c_hh", [0.0, 0.5])
@@ -461,14 +513,14 @@ def test_kernels_keep_the_sign_of_zero_products(kernel, s, y, n):
     "s, hy",
     [
         pytest.param([], [], id="n0"),
-        # every product underflows to a signed zero, and -0.0 survives off the diagonal
+        # every product underflows to a zero
         pytest.param([1e-170, -2e-170, 3e-170], [2e-170, -1e-170, 3e-170], id="underflow"),
         pytest.param([1.0, -2.0, 3.0], [np.inf, 1.0, -2.0], id="inf_in_hy"),
         pytest.param([1.0, -2.0, 0.0], [np.inf, 1.0, -2.0], id="inf_times_zero"),
         pytest.param([1.0, -2.0, 3.0], [np.nan, 1.0, -2.0], id="nan_in_hy"),
     ],
 )
-@pytest.mark.parametrize("copies", [1, _EINSUM_MIN_N // 3 + 1])
+@pytest.mark.parametrize("copies", [1, 17])
 def test_rank_two_is_bitwise_the_outer_product_form_at_the_edges(s, hy, c_hh, copies):
     s, hy = np.tile(s, copies), np.tile(hy, copies)
     h = _identity_with_negative_zeros(s.size)
@@ -502,8 +554,8 @@ def _rank_two_inputs(draw):
     hy = draw(_double_range_vectors(n, zero_one_in))
     c_hh, c_hs, c_ss = draw(_double_range_vectors(3))
     c_hh = draw(st.sampled_from([0.0, c_hh]))
-    # the same entries repeated past the einsum threshold take the other path
-    copies = draw(st.sampled_from([1, -(-_EINSUM_MIN_N // n)]))
+    # the same entries, also repeated to n >= 48
+    copies = draw(st.sampled_from([1, -(-48 // n)]))
     h, hy, s = np.tile(h, (copies, copies)), np.tile(hy, copies), np.tile(s, copies)
     return h, hy, s, c_hh, c_hs, c_ss
 
