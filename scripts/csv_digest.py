@@ -32,7 +32,8 @@ WIDE_FROM = 9_000  # the first row with index 23
 def write_multiblock_file(path):
     """A seeded ijcnn1-like LIBSVM file: a one-hot feature among ten and twelve
     continuous ones per row, and index 23 on every seventh row from row
-    ``WIDE_FROM`` on, so the matrix is widened after two full blocks."""
+    ``WIDE_FROM`` on; the loader reads it in several blocks and widens the
+    matrix in a later one."""
     rng = np.random.default_rng(2024)
     hot = rng.integers(1, 11, size=MULTIBLOCK_ROWS)
     dense = rng.standard_normal((MULTIBLOCK_ROWS, 13))

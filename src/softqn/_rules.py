@@ -21,9 +21,9 @@ def open_unit(name, value):
         raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
 
 
-def count(name, value, least):
-    """An integer (numpy's included, bool not) of at least ``least``."""
+def count(name, value, least=None):
+    """An integer (numpy's included, bool not), of at least ``least`` if given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")

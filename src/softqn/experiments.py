@@ -248,15 +248,15 @@ def run_toy(params, out_dir):
     return records, written
 
 
-# the counts a runner checks itself: no object takes trials, Budget names budget
-# fun_evals, and the sampling needs the data; a batch of 0 keeps the preset fraction
-_COUNTS = {"trials": 1, "budget": 1, "batch": 0}
+# the counts a runner checks itself: no object takes trials, derive_seed truncates a seed,
+# Budget names budget fun_evals, the sampling needs the data; a batch of 0 keeps the preset fraction
+_COUNTS = {"seed": 0, "trials": 1, "budget": 1, "batch": 0}
 
 
 def _params(defaults, params):
     """The defaults overridden by ``params``.  Raises ValueError on a seed outside
-    [0, 2**64), a count in ``_COUNTS`` below its least value or not an integer, or
-    a non-finite float; the objects a runner builds before any work check the rest."""
+    [0, 2**64), a count in ``_COUNTS`` (the seed is one) below its least value or not
+    an integer, or a non-finite float; the objects a runner builds check the rest."""
     p = {**defaults, **params}
     if not 0 <= p["seed"] < 2**64:
         raise ValueError(f"seed {p['seed']} out of unsigned 64-bit range")

@@ -6,7 +6,7 @@ through a separate channel that does not touch the counters.  Each oracle owns
 three independent RNG streams (function noise, gradient noise, minibatch
 sampling) seeded from a single integer, so the j-th draw of a stream depends
 only on (seed, j) and runs replay identically.  A noise scale must be
-nonnegative and finite and a batch an integer >= 1, or ValueError.
+nonnegative and finite, a batch an integer >= 1 and a seed an integer, or ValueError.
 """
 
 import hashlib
@@ -104,6 +104,7 @@ class NoisyOracle:
             raise ValueError(f"unsupported gradient-noise model {grad_noise!r}")
         if isinstance(grad_noise, MinibatchSampling) and problem.batch_grad is None:
             raise ValueError("minibatch sampling needs a problem with batch_grad")
+        count("seed", seed)
         self.problem = problem
         self.fun_noise = fun_noise
         self.grad_noise = grad_noise

@@ -12,7 +12,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -471,30 +470,27 @@ def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
     numbers, bytes that are not UTF-8 and an index whose matrix cannot be
     allocated raise DatasetFormatError naming the file, and the line if any.
 
-    The file is read in blocks of ``_BLOCK_LINES`` lines.  When every line of a
-    block reads ``label idx:val idx:val ...`` in ASCII decimal with single
-    spaces, digit-only indices and finite numbers, the block's numbers are
-    converted with one ``np.fromstring`` call; any other block (comments, blank
-    lines, tabs, nan, a malformed token) is scanned token by token, which gives
-    the same numbers or finds the offending line.  One binary pass counts the
-    line breaks first (a pipe, which cannot be rewound, is read into memory for
-    it).  Each block is scattered straight into its rows of a zeroed matrix,
-    which is widened, by one copy of the rows read so far, only when a block's
-    largest index exceeds its width, and then has a row for each row read, in
-    the block or on a line left: an ordinary file is allocated once, by its
-    first block, and blank or ``#`` lines already read cost no rows.  The features
-    returned are the rows read, a C-order view of that matrix; their values do
-    not depend on the layout.  Beside the matrix the load keeps only the labels
-    and one block's text and numbers: its tracemalloc peak was 1.52 times the
-    matrix on a 49,990 x 22 file (2.09 when the row blocks were copied in at the
-    end), and 1.13 times with 256-line blocks on 20,000 rows of 22 features.
+    The file is read in blocks of whole lines, ``text.readlines(_BLOCK_CHARS)``,
+    so beside the matrix and the labels the load holds one block, at most
+    ``_BLOCK_CHARS`` characters plus one line, and that block's numbers,
+    whatever the width of a row.  When every line of a block reads
+    ``label idx:val idx:val ...`` in ASCII decimal with single spaces, digit-only
+    indices and finite numbers, the block's numbers are converted with one
+    ``np.fromstring`` call; any other block (comments, blank lines, tabs, nan, a
+    malformed token) is scanned token by token, which gives the same numbers or
+    finds the offending line.  One binary pass counts the line breaks first (a
+    pipe, which cannot be rewound, is read into memory for it).  Each block is
+    scattered straight into its rows of a zeroed matrix, which is widened, by
+    one copy of the rows read so far, only when a block's largest index exceeds
+    its width, and then has a row for each row read, in the block or on a line
+    left: an ordinary file is allocated once, by its first block, and blank or
+    ``#`` lines already read cost no rows.
     """
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise DatasetFormatError(f"{path}: cannot open: {exc.strerror}") from exc
     with fh:
-        # a pipe is read into memory, so that its lines can be counted and then parsed
         data = fh if fh.seekable() else io.BytesIO(fh.read())
         bound = _line_bound(data)
         data.seek(0)
@@ -504,7 +500,7 @@ def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
         x = np.zeros((bound, 0))  # None once the matrix cannot be allocated
         n = top = 0  # rows read, largest index seen
         lineno = 1
-        while block := list(islice(text, _BLOCK_LINES)):
+        while block := text.readlines(_BLOCK_CHARS):
             raw, counts, idx, vals = _parse_block(block) or _scan_block(block, path, lineno)
             lineno += len(block)
             labels[n : n + raw.size] = np.where(raw > 0, 1.0, -1.0)
@@ -532,7 +528,7 @@ def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
     return LogisticDataset(features=x, labels=labels)
 
 
-_BLOCK_LINES = 4096
+_BLOCK_CHARS = 1 << 17  # about 830 lines of ijcnn1's 22 features
 # Deleting these bytes from ASCII text leaves its spaces, colons and newlines, and
 # any other whitespace, which a block that converts as a whole never has.
 _NOT_SEPARATORS = bytes(c for c in range(256) if c not in b" :\n\t\v\f\r\x1c\x1d\x1e\x1f")

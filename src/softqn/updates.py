@@ -342,7 +342,8 @@ def soft_qn_alpha_bound(h, s, y, bounds: EigenBounds, lam_min: float, lam_max: f
     keeps floor*I <= H' <= cap*I.  Returns 0.0 when the estimates already sit
     outside the bounds (caller clamps), and +inf when both denominators vanish
     (s = 0 and Hy = 0: the update cannot move the spectrum).  A non-finite
-    entry of H, s or y, estimate or bound raises ValueError.
+    entry of H, s or y, estimate or bound raises ValueError, and so does a
+    slack, Hy or a denominator that overflows.
     """
     _check_pair(h, s, y)
     if not all(map(math.isfinite, (lam_min, lam_max, bounds.floor, bounds.cap))):
@@ -351,9 +352,11 @@ def soft_qn_alpha_bound(h, s, y, bounds: EigenBounds, lam_min: float, lam_max: f
     n_high = bounds.cap - lam_max
     if n_low < 0.0 or n_high < 0.0:
         return 0.0
-    hy = h @ y
-    d_low = (float(np.linalg.norm(s)) + float(np.linalg.norm(hy))) ** 2
-    d_high = float(s @ s)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below; numpy's ** 2 does not raise
+        d_low = float((np.linalg.norm(s) + np.linalg.norm(h @ y)) ** 2)
+        d_high = float(s @ s)
+    if not all(map(math.isfinite, (n_low, n_high, d_low, d_high))):
+        raise ValueError(f"a slack or a denominator overflows: {n_low!r}, {n_high!r}, {d_low!r}, {d_high!r}")
     t_low = math.inf if d_low == 0.0 else n_low / d_low
     t_high = math.inf if d_high == 0.0 else n_high / d_high
     return min(t_low, t_high)
@@ -362,21 +365,21 @@ def soft_qn_alpha_bound(h, s, y, bounds: EigenBounds, lam_min: float, lam_max: f
 def lambda_max_upper_bound(a: np.ndarray) -> float:
     """Trace-based upper bound on the largest eigenvalue of a symmetric matrix.
 
-    Uses m + sd*sqrt(n-1) with m = tr(A)/n and sd^2 = tr(A^2)/n - m^2, computable
-    in O(n^2).  For diag(1, 2, 3) this gives 2 + sqrt(4/3) ~= 3.1547 >= 3.
-    An empty or non-square matrix, or a non-finite entry, raises ValueError.
+    Uses m + sd*sqrt(n-1) with m = tr(A)/n and sd^2 = tr(A^2)/n - m^2, in O(n^2)
+    on A scaled by a power of two, where A^2 cannot overflow; diag(1, 2, 3) gives
+    2 + sqrt(4/3) ~= 3.1547 >= 3.  An empty, non-square or non-finite A raises ValueError.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"A must be a nonempty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("non-finite entries in A")
     n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
+    e = math.frexp(float(np.abs(a).max()))[1] - 1
+    a = np.ldexp(a, -e)  # the largest entry in [1, 2); exact unless an entry falls below 2^-1022
     m = float(np.trace(a)) / n
     mean_sq = float(np.sum(a * a)) / n  # tr(A^2)/n for symmetric A
     var = max(mean_sq - m * m, 0.0)
-    return m + math.sqrt(var * (n - 1))
+    return (m + math.sqrt(var * (n - 1))) * 2.0**e  # +inf past the double range
 
 
 def bfgs_admissible(s, y) -> bool:

@@ -185,8 +185,14 @@ def test_bad_scales_and_penalties_are_config_errors(tmp_path, capsys, section, k
         (run_toy, {"seed": -1}, "seed -1 out of unsigned 64-bit range"),
         (run_toy, {"iterations": -1}, "iterations must be >= 1, got -1"),
         (run_logreg, {"iterations": 0}, "iterations must be >= 1, got 0"),
+        # both ran: 3.7 as seed 3, and True as seed 1
+        (run_toy, {"seed": 3.7}, "seed must be an integer, got 3.7"),
+        (run_qp, {"seed": True}, "seed must be an integer, got True"),
     ],
-    ids=["budget_0", "noise_rel_nan", "seed_2**130", "trials_0", "seed_-1", "iterations_-1", "logreg_iterations_0"],
+    ids=[
+        "budget_0", "noise_rel_nan", "seed_2**130", "trials_0", "seed_-1", "iterations_-1", "logreg_iterations_0",
+        "seed_3.7", "seed_True",
+    ],
 )
 def test_runners_refuse_what_the_cli_refuses(tmp_path, runner, params, message):
     # the rules hold for any caller of a runner, with the CLI's messages

@@ -44,6 +44,21 @@ def test_derive_seed_is_stable_and_sensitive():
     assert 0 <= derive_seed(0) < 2**64
 
 
+@pytest.mark.parametrize("seed", [3.7, True, np.float64(2.0), "1"], ids=["float", "bool", "numpy_float", "str"])
+def test_oracle_refuses_a_seed_that_is_not_an_integer(seed):
+    # int(seed) truncated each of them to another seed
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        NoisyOracle(QP, grad_noise=GaussianNoise(1.0), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2**64 - 1), -5])
+def test_oracle_takes_any_integer_seed_with_the_streams_of_its_int(seed):
+    noise = {"fun_noise": UniformNoise(0.5), "grad_noise": GaussianNoise(1.0)}
+    a, b = NoisyOracle(QP, seed=seed, **noise), NoisyOracle(QP, seed=int(seed), **noise)
+    assert a.f(QP.x0) == b.f(QP.x0)
+    npt.assert_array_equal(a.g(QP.x0), b.g(QP.x0))
+
+
 def test_noiseless_oracle_is_exact_and_counts():
     o = NoisyOracle(QP, seed=0)
     x = QP.x0

@@ -330,11 +330,12 @@ def _block_file(rng, rows, cols):
     return lines, x, labels
 
 
-def test_libsvm_file_longer_than_one_block(tmp_path):
-    rows = problems._BLOCK_LINES + 500
-    lines, x, labels = _block_file(np.random.default_rng(3), rows, 7)
+def test_libsvm_file_longer_than_one_block(tmp_path, monkeypatch):
+    lines, x, labels = _block_file(np.random.default_rng(3), 200, 7)
     lines[10] = lines[10].replace("\n", " \n")  # a trailing space
-    lines[problems._BLOCK_LINES + 3] = lines[problems._BLOCK_LINES + 3].replace(" ", "\t", 1)
+    # the first block ends with line 151, so the tab is in the second
+    monkeypatch.setattr(problems, "_BLOCK_CHARS", len("".join(lines[:150])))
+    lines[153] = lines[153].replace(" ", "\t", 1)
     f = tmp_path / "long.libsvm"
     f.write_text("".join(lines))
     data = load_libsvm(f, normalize=False)
@@ -356,17 +357,19 @@ def test_libsvm_file_longer_than_one_block(tmp_path):
     ],
     ids=["label", "no_colon", "two_colons", "float_index", "index_0"],
 )
-def test_libsvm_errors_in_the_second_block_name_their_line(tmp_path, bad, message):
-    lines, _, _ = _block_file(np.random.default_rng(4), problems._BLOCK_LINES + 50, 5)
+def test_libsvm_errors_in_the_second_block_name_their_line(tmp_path, monkeypatch, bad, message):
+    lines, _, _ = _block_file(np.random.default_rng(4), 200, 5)
     lines[0] = "# a comment line counts too\n"
     lines[1] = "\n"
-    lines[problems._BLOCK_LINES + 20] = bad + "\n"
-    lines[problems._BLOCK_LINES + 30] = "also bad\n"  # only the first error is reported
+    # the first block ends with line 101, and the second holds lines 102 to 131 at least
+    monkeypatch.setattr(problems, "_BLOCK_CHARS", len("".join(lines[:100])))
+    lines[120] = bad + "\n"
+    lines[130] = "also bad\n"  # only the first error is reported
     f = tmp_path / "bad.libsvm"
     f.write_text("".join(lines))
     with pytest.raises(DatasetFormatError) as exc:
         load_libsvm(f)
-    assert str(exc.value) == f"{f}:{problems._BLOCK_LINES + 21}: {message}"
+    assert str(exc.value) == f"{f}:121: {message}"
 
 
 _TOKENS = ["1", "+1", "-0", "2.5", "1e3", "nan", "1_0", "\u0663", "x", "", ":", "#", "1:2:3", "0:1", "3:", ":4"]
@@ -522,10 +525,10 @@ def _outcome(load, *args, **kwargs):
         return str(exc)
 
 
-@pytest.mark.parametrize("block_lines", [1, 2, 3, 4096])
-def test_libsvm_whole_file_agrees_with_the_token_scan(tmp_path, monkeypatch, block_lines):
-    monkeypatch.setattr(problems, "_BLOCK_LINES", block_lines)
-    rng = np.random.default_rng(31 + block_lines)
+@pytest.mark.parametrize("block_chars", [1, 2, 40, 300, 1 << 17])
+def test_libsvm_whole_file_agrees_with_the_token_scan(tmp_path, monkeypatch, block_chars):
+    monkeypatch.setattr(problems, "_BLOCK_CHARS", block_chars)
+    rng = np.random.default_rng(31 + block_chars)
     f = tmp_path / "fuzz.libsvm"
     loaded = 0
     for case in range(700):
@@ -550,8 +553,8 @@ def test_libsvm_whole_file_agrees_with_the_token_scan(tmp_path, monkeypatch, blo
 def test_libsvm_features_are_row_major_and_bitwise_the_reference(tmp_path, monkeypatch):
     # several row blocks, each long enough that numpy would sum a contiguous column
     # pairwise, which shows in the norms' last bits
-    monkeypatch.setattr(problems, "_BLOCK_LINES", 64)
     lines, _, _ = _block_file(np.random.default_rng(12), 300, 22)
+    monkeypatch.setattr(problems, "_BLOCK_CHARS", len("".join(lines[:63])))  # 64-line blocks
     f = tmp_path / "blocks.libsvm"
     f.write_text("".join(lines))
     for normalize in (False, True):
@@ -564,8 +567,9 @@ def test_libsvm_features_are_row_major_and_bitwise_the_reference(tmp_path, monke
 
 def _placement_lines():
     """200 LIBSVM lines whose largest index, 12, first appears at row 150 (after
-    index 11 at row 120), so the matrix is widened in a later block at 7 and at
-    64 lines; a row before and a row after the last widening repeat an index."""
+    index 11 at row 120, 8,660 characters in), so the matrix is widened in a
+    later block at any budget below that; a row before and a row after the last
+    widening repeat an index."""
     lines, _, _ = _block_file(np.random.default_rng(21), 200, 8)
     lines[100] = "+1 3:1.5 5:2 3:-4\n"
     lines[120] = lines[120].rstrip("\n") + " 11:0.75\n"
@@ -584,10 +588,10 @@ _PLACEMENT_CASES = {
 }
 
 
-@pytest.mark.parametrize("block_lines", [7, 64])
+@pytest.mark.parametrize("block_chars", [1, 500, 4000, 1 << 17])
 @pytest.mark.parametrize("case", sorted(_PLACEMENT_CASES))
-def test_libsvm_blocks_placed_in_the_matrix_are_bitwise_the_reference(tmp_path, monkeypatch, case, block_lines):
-    monkeypatch.setattr(problems, "_BLOCK_LINES", block_lines)
+def test_libsvm_blocks_placed_in_the_matrix_are_bitwise_the_reference(tmp_path, monkeypatch, case, block_chars):
+    monkeypatch.setattr(problems, "_BLOCK_CHARS", block_chars)
     f = tmp_path / "placed.libsvm"
     f.write_bytes(_PLACEMENT_CASES[case].encode())
     for normalize in (False, True):
@@ -653,14 +657,28 @@ def test_libsvm_load_peak_memory_stays_near_the_matrix(tmp_path):
     _ijcnn1_like_file(f, 20_000)
     data, peak = _load_peak(f)
     assert data.features.shape == (20_000, 22)
-    assert peak <= 2.5 * data.features.nbytes
+    assert peak <= 1.4 * data.features.nbytes
+
+
+def test_libsvm_load_of_wide_rows_peaks_near_the_matrix(tmp_path):
+    # a block is a number of characters, not of lines, so wide rows cost no more
+    # (9.25 times the matrix with blocks of 4,096 lines)
+    rng = np.random.default_rng(10)
+    f = tmp_path / "wide.libsvm"
+    f.write_text("".join(
+        f"{'+1' if r % 2 else '-1'} " + " ".join(f"{j + 1}:{v:.6f}" for j, v in enumerate(row)) + "\n"
+        for r, row in enumerate(rng.standard_normal((1_000, 200)))
+    ))
+    data, peak = _load_peak(f)
+    assert data.features.shape == (1_000, 200)
+    assert peak <= 2.0 * data.features.nbytes
 
 
 def test_libsvm_load_with_small_blocks_peaks_little_above_the_matrix(tmp_path, monkeypatch):
     # each block is written straight into the matrix, so beside it the load keeps
     # only the labels and one block's text and numbers (2.1 times the matrix when
     # the row blocks were copied in at the end)
-    monkeypatch.setattr(problems, "_BLOCK_LINES", 256)
+    monkeypatch.setattr(problems, "_BLOCK_CHARS", 1 << 15)
     f = tmp_path / "big.libsvm"
     _ijcnn1_like_file(f, 20_000)
     data, peak = _load_peak(f)

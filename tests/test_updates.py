@@ -221,6 +221,25 @@ def test_alpha_bound_refuses_non_finite_input(name, value):
         soft_qn_alpha_bound(**args)
 
 
+@pytest.mark.parametrize(
+    "h, s, y, bounds, lam_min",
+    [
+        # lam_min - floor and (|s| + |Hy|)^2 both overflowed: inf/inf gave NaN
+        (np.eye(2), np.array([1e200, 1e200]), np.array([0.0, 1.0]), EigenBounds(-1e308, 1e308), 1e308),
+        # |s| is finite but its square is not: float ** 2 raised OverflowError
+        (np.eye(2), np.array([1e160, 0.0]), np.array([0.0, 1.0]), EigenBounds(0.5, 2.0), 1.0),
+        # Hy sums +inf and -inf: NaN
+        (np.array([[1e308, -1e308], [-1e308, 1e308]]), np.array([1.0, 0.0]), np.array([10.0, 10.0]),
+         EigenBounds(0.5, 2.0), 1.0),
+    ],
+    ids=["slack_and_denominator", "squared_norm", "hy"],
+)
+def test_alpha_bound_refuses_an_overflow_without_a_warning(h, s, y, bounds, lam_min):
+    # the suite turns any warning into an error
+    with pytest.raises(ValueError, match="overflows"):
+        soft_qn_alpha_bound(h, s, y, bounds, lam_min, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # trace-based eigenvalue bound
 
@@ -241,6 +260,24 @@ def test_lambda_bound_diag123_witness():
 
 def test_lambda_bound_scalar_matrix():
     assert lambda_max_upper_bound(np.array([[4.5]])) == 4.5
+
+
+@pytest.mark.parametrize("a", [np.diag([1e200] * 3), np.full((3, 3), 1e160)], ids=["diag_1e200", "full_1e160"])
+def test_lambda_bound_of_entries_whose_squares_overflow_is_the_top_eigenvalue(a):
+    # m*m and tr(A^2)/n overflowed, and their difference was NaN after a warning
+    top = float(np.linalg.eigvalsh(a)[-1])
+    assert top <= lambda_max_upper_bound(a) <= top * (1.0 + 1e-12)
+
+
+def test_lambda_bound_scaled_by_a_power_of_two_keeps_the_plain_formulas_bits():
+    rng = np.random.default_rng(6)
+    for _ in range(2000):
+        n = int(rng.integers(1, 13))
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-100, 100)
+        a = 0.5 * (a + a.T)
+        m = float(np.trace(a)) / n
+        plain = m + math.sqrt(max(float(np.sum(a * a)) / n - m * m, 0.0) * (n - 1))
+        assert lambda_max_upper_bound(a) == plain
 
 
 @pytest.mark.parametrize(
