@@ -219,9 +219,9 @@ def check_bounded_chains(chains=20, iterations=500, seed=2007):
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         eigs = rng.uniform(psi * 1.2, cap * 0.8, size=n)
         h = 0.5 * ((q * eigs) @ q.T + ((q * eigs) @ q.T).T)
+        w = np.linalg.eigvalsh(h)
         for _ in range(iterations):
             s, y = _random_pair(rng, n)
-            w = np.linalg.eigvalsh(h)
             bound = soft_qn_alpha_bound(h, s, y, bounds, float(w[0]), float(w[-1]))
             alpha = min(1.0, bound)
             if not alpha > 0.0:

@@ -248,7 +248,7 @@ def run_toy(params, out_dir):
     return records, written
 
 
-# the counts a runner checks itself: no object takes trials, derive_seed truncates a seed,
+# the counts a runner checks itself: no object takes trials, a bad seed must fail before load_libsvm,
 # Budget names budget fun_evals, the sampling needs the data; a batch of 0 keeps the preset fraction
 _COUNTS = {"seed": 0, "trials": 1, "budget": 1, "batch": 0}
 

@@ -32,12 +32,13 @@ _STREAM_BATCH = 2
 
 
 def derive_seed(*parts) -> int:
-    """Stable 64-bit seed from a mixed tuple of ints and strings."""
+    """Stable 64-bit seed from strings and integers (numpy's, not bool); other parts raise ValueError."""
     h = hashlib.blake2s(digest_size=8)
     for p in parts:
         if isinstance(p, str):
             h.update(b"s" + p.encode("utf-8"))
         else:
+            count("seed part", p)
             h.update(b"i" + int(p).to_bytes(16, "little", signed=True))
         h.update(b"\x00")
     return int.from_bytes(h.digest(), "little")

@@ -80,6 +80,7 @@ def gen_random_qp(n: int, seed: int) -> Problem:
     all-ones vector, away from the all-zeros start.
     """
     count("n", n, 2)  # both ends of the spectrum are pinned
+    count("seed", seed)
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = np.concatenate([[0.01, 1.0], rng.uniform(0.01, 1.0, n - 2)])

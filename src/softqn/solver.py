@@ -23,7 +23,6 @@ from .updates import (
     UpdateConsistencyError,
     _norm,
     bfgs_admissible,
-    biased_direction,
     bfgs_update,
     soft_qn_update,
     sp_bfgs_admissible,
@@ -44,6 +43,7 @@ __all__ = [
     "TrialRecord",
     "LineSearchResult",
     "saddle_free_abs",
+    "biased_direction",
     "compute_direction",
     "line_search_noisy",
     "run",
@@ -83,7 +83,7 @@ class _Method:
 class _H(NamedTuple):
     """A quasi-Newton method's H: the matrix and a certified lower bound on its
     spectrum, or None when unknown.  Every record starts with its bound; only
-    SoftQn carries it through an update."""
+    SoftQn carries it through an update, and refreshes it after a guard."""
 
     matrix: np.ndarray
     lo: Optional[float] = None
@@ -141,16 +141,19 @@ class SoftQn(_QuasiNewton):
     while the bound proves the guard would pass.  The bound comes from the
     inverse form H'^-1 = (H + alpha*ss')^-1 + (alpha/gamma)*yy', so on pairs
     with s'y != 0 it stays away from 0 however large alpha is; the upper end
-    of the spectrum is read from H on each update.  Once the bound proves
-    nothing, it is unknown for the rest of the trial and the guard runs on
-    every update.  H' and every decision are those of the plain update.
+    of the spectrum is read from H on each update.  Where the bound proves
+    nothing, the guard runs, and once it has passed the record takes a fresh
+    bound from ``_eigvalsh_lo``, as ``initial_h`` does.  H' and every decision
+    are those of the plain update.
     """
 
     policy: ConstantAlpha = ConstantAlpha(1.0)
 
     def absorb(self, h, s, y):
         h_new, scratch = soft_qn_update(h.matrix, s, y, self.policy.value(h.matrix, s, y), h.lo)
-        return _H(h_new, scratch.lo), True
+        # no bound back means the guard ran and passed
+        lo = _eigvalsh_lo(h_new) if scratch.lo is None else scratch.lo
+        return _H(h_new, lo), True
 
 
 @dataclass(frozen=True)
@@ -219,6 +222,15 @@ def _solve_or_pinv(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         warnings.warn("singular matrix in direction solve; falling back to pseudo-inverse")
         return np.linalg.pinv(a) @ rhs
+
+
+def biased_direction(h, g):
+    """Descent direction -H g of the quasi-Newton methods.
+
+    The name stays from an earlier form -(H + bias*I) g because the perfbench
+    tracer wraps ``softqn.solver.biased_direction`` by name.
+    """
+    return -(h @ g)
 
 
 def compute_direction(method, h, g: np.ndarray, hess: Optional[np.ndarray] = None):

@@ -5,8 +5,9 @@ instead of forcing the secant equation H y = s exactly, its residual is penalize
 with a weight ``alpha``.  The resulting closed-form update keeps the inverse-Hessian
 approximation positive definite for every ``alpha > 0`` and every pair (s, y),
 including pairs with s'y <= 0, and recovers the BFGS update as alpha -> inf when
-s'y > 0.  Classical BFGS and secant-penalized BFGS (SP-BFGS) are provided as
-baselines, together with cheap spectral-bound machinery for choosing alpha.
+s'y > 0.  Secant-penalized BFGS (SP-BFGS) and classical BFGS, which is SP-BFGS
+at beta = inf, are provided as baselines, together with cheap spectral-bound
+machinery for choosing alpha.
 """
 
 import math
@@ -30,7 +31,6 @@ __all__ = [
     "bfgs_update",
     "sp_bfgs_admissible",
     "sp_bfgs_update",
-    "biased_direction",
     "is_positive_definite",
     "ConstantAlpha",
     "ConstantBeta",
@@ -147,7 +147,7 @@ def soft_qn_update(h, s, y, alpha, lo=None):
     diagonal of H', and when the bound it gets proves that Cholesky succeeds
     on H', the factorization is skipped.  The decision and H' are the same
     either way.  Without ``lo``, or when the carried bound proves nothing, the
-    guard runs as before.
+    guard runs.
 
     Returns ``(h_new, scratch)`` where ``scratch`` carries gamma and the
     certified lower bound on H' when the guard was skipped (None when it ran).
@@ -392,7 +392,7 @@ def bfgs_admissible(s, y) -> bool:
 
 
 def bfgs_update(h, s, y):
-    """Classical BFGS update of the inverse-Hessian approximation.
+    """Classical BFGS update of the inverse-Hessian approximation: SP-BFGS at beta = inf.
 
     Raises CurvatureError unless ``bfgs_admissible(s, y)``, since the update
     would lose positive definiteness, and UpdateConsistencyError when a
@@ -402,9 +402,7 @@ def bfgs_update(h, s, y):
     s_t_y = float(s @ y)
     if not bfgs_admissible(s, y):
         raise CurvatureError(f"s'y = {s_t_y:.3e} is at or below the curvature tolerance")
-    rho = 1.0 / s_t_y
-    hy = h @ y
-    return _rank_two(h, hy, s, 0.0, rho, rho * rho * float(y @ hy) + rho)
+    return _sp_bfgs(h, s, y, s_t_y, math.inf)
 
 
 def sp_bfgs_admissible(s, y, beta: float) -> bool:
@@ -432,6 +430,12 @@ def sp_bfgs_update(h, s, y, beta):
         raise PdThresholdError(
             f"s'y = {s_t_y:.3e} not above -1/beta = {-1.0 / beta:.3e}; update would lose PD"
         )
+    return _sp_bfgs(h, s, y, s_t_y, beta)
+
+
+def _sp_bfgs(h, s, y, s_t_y, beta):
+    """SP-BFGS's H' for an admissible pair and beta > 0.  At beta = inf it is BFGS bit
+    for bit: pi = omega = 1/s'y, and the (pi - omega) term of c_ss adds a zero."""
     # the admissibility margin keeps both denominators away from zero
     pi = 1.0 / (s_t_y + 1.0 / beta)
     omega = 1.0 / (s_t_y + 2.0 / beta)
@@ -439,15 +443,6 @@ def sp_bfgs_update(h, s, y, beta):
     y_h_y = float(y @ hy)
     c_ss = omega * omega * y_h_y + pi + (pi - omega) * omega * y_h_y
     return _rank_two(h, hy, s, 0.0, omega, c_ss)
-
-
-def biased_direction(h, g):
-    """Descent direction -H g.
-
-    The name stays from an earlier form -(H + bias*I) g because the perfbench
-    tracer wraps ``softqn.solver.biased_direction`` by name.
-    """
-    return -(h @ g)
 
 
 @dataclass(frozen=True)

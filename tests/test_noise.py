@@ -42,6 +42,19 @@ def test_derive_seed_is_stable_and_sensitive():
     assert derive_seed(12, 34) != derive_seed(1234)
     assert derive_seed("12") != derive_seed(12)
     assert 0 <= derive_seed(0) < 2**64
+    assert derive_seed(1234, "softqn", 0) == 7688615372667882929
+    # a numpy integer gives its int's seed
+    assert derive_seed(-5) == derive_seed(np.int64(-5)) == 2824847129423400538
+    assert derive_seed(2**64 - 1, "x") == derive_seed(np.uint64(2**64 - 1), "x") == 5339545974022917721
+
+
+@pytest.mark.parametrize(
+    "part", [3.7, True, np.float64(2.0), None, b"1"], ids=["float", "bool", "numpy_float", "none", "bytes"]
+)
+def test_derive_seed_refuses_a_part_that_is_neither_a_string_nor_an_integer(part):
+    # int(part) truncated 3.7 to 3 and True to 1
+    with pytest.raises(ValueError, match="seed part must be an integer"):
+        derive_seed(1234, part)
 
 
 @pytest.mark.parametrize("seed", [3.7, True, np.float64(2.0), "1"], ids=["float", "bool", "numpy_float", "str"])

@@ -83,6 +83,13 @@ def test_qp_rejects_tiny_dimension():
         gen_random_qp(1, 0)
 
 
+@pytest.mark.parametrize("seed", [3.7, True, "1"], ids=["float", "bool", "str"])
+def test_qp_refuses_a_seed_that_is_not_an_integer(seed):
+    # numpy raised TypeError on 3.7 and "1", and took True as 1
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        gen_random_qp(5, seed)
+
+
 def test_qp_gradient_consistency():
     rng = np.random.default_rng(2)
     p = gen_random_qp(6, 42)

@@ -24,6 +24,7 @@ from softqn.solver import (
     SoftQn,
     SpBfgs,
     StochasticBfgs,
+    biased_direction,
     compute_direction,
     line_search_noisy,
     run,
@@ -98,6 +99,11 @@ def test_direction_soft_qn_identity():
     method = SoftQn(ConstantAlpha(1.0))
     d = compute_direction(method, method.initial_h(2, None), np.array([1.0, 1.0]))
     npt.assert_array_equal(d, [-1.0, -1.0])
+
+
+def test_biased_direction_examples():
+    e1 = np.array([1.0, 0.0])
+    npt.assert_array_equal(biased_direction(np.eye(2), e1), -e1)
 
 
 def test_direction_newton_singular_hessian_falls_back():
@@ -913,6 +919,35 @@ def test_soft_qn_records_are_bitwise_the_same_without_the_certificate(case, monk
             assert a == b or (a != a and b != b), field.name
     if case in ("qp", "dixmaana", "tquartic"):  # the bound certifies nearly every update
         assert on_guards < off.iterations // 10
+
+
+def test_soft_qn_gets_its_bound_back_once_the_guard_has_run(monkeypatch):
+    """A carried bound that proves nothing runs the guard once; the record then
+    takes a bound from eigvalsh, below the exact lambda_min of H', and the
+    updates after it skip the guard again."""
+    mpmath = pytest.importorskip("mpmath")
+    carry, guard = updates._carry_bounds, updates.is_positive_definite
+    carries, guards = [], []
+    # the fifth update's carried bound runs out
+    monkeypatch.setattr(
+        updates, "_carry_bounds", lambda *args: carries.append(1) or (None if len(carries) == 5 else carry(*args))
+    )
+    monkeypatch.setattr(updates, "is_positive_definite", lambda a: guards.append(1) or guard(a))
+    oracle, method, step, budget, h0 = _soft_qn_trials()["qp"]
+    assert run(oracle(), method, step, budget, h0=h0).iterations == 400
+    assert guards == [1]
+
+    # a record whose bound ran out gets one back from its first update
+    rng = np.random.default_rng(19)
+    n = 8
+    h = solver._H(np.diag(10.0 ** rng.uniform(-3.0, 3.0, n)), None)
+    guards.clear()
+    for _ in range(3):
+        h, applied = method.absorb(h, rng.standard_normal(n), rng.standard_normal(n))
+        with mpmath.workdps(40):
+            lam_min = min(mpmath.eigsy(mpmath.matrix(h.matrix.tolist()), eigvals_only=True))
+        assert applied and h.lo is not None and 0.0 < h.lo <= lam_min
+    assert guards == [1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,7 +22,6 @@ from softqn.updates import (
     _rank_two,
     bfgs_admissible,
     bfgs_update,
-    biased_direction,
     is_positive_definite,
     lambda_max_upper_bound,
     soft_qn_alpha_bound,
@@ -605,6 +604,57 @@ def test_rank_two_is_bitwise_the_outer_product_form_over_the_double_range(args):
         _assert_same_bits(_rank_two(*args), _rank_two_reference(*args))
 
 
+@st.composite
+def _secant_inputs(draw):
+    """H = Q diag(lam) Q' with a Householder Q and lam drawn as the entries above
+    (log-uniform in [1e-200, 1e200], either sign, some zeros), so y'Hy takes
+    either sign; s and y of norms log-uniform in [1e-150, 1e150], y along +-s
+    plus a random part, so that s'y takes either sign and is often admissible."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = draw(_double_range_vectors(n))
+    v = rng.standard_normal(n)
+    q = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
+    h = _symmetrize((q * lam) @ q.T)
+    s = rng.standard_normal(n)
+    s /= np.linalg.norm(s)
+    y = draw(st.sampled_from([1.0, -1.0])) * s + draw(st.floats(0.0, 2.0)) * rng.standard_normal(n)
+    y /= np.linalg.norm(y)
+    return h, s * 10.0 ** draw(st.floats(-150.0, 150.0)), y * 10.0 ** draw(st.floats(-150.0, 150.0))
+
+
+def _same_bits_or_both_overflow(kernel, reference):
+    """The kernel's H' is bitwise the reference's, or the kernel refused an
+    overflowing coefficient and the reference, which cannot refuse, is not finite."""
+    try:
+        h_new = kernel()
+    except UpdateConsistencyError:
+        assert not np.isfinite(reference()).all()
+    else:
+        _assert_same_bits(h_new, reference())
+
+
+# no shrink phase, as above
+@settings(max_examples=150, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(_secant_inputs())
+def test_bfgs_and_sp_bfgs_are_bitwise_the_outer_product_form_over_the_double_range(args):
+    h, s, y = args
+    with np.errstate(all="ignore"):
+        if bfgs_admissible(s, y):
+            _same_bits_or_both_overflow(lambda: bfgs_update(h, s, y), lambda: _bfgs_reference(h, s, y))
+        else:
+            with pytest.raises(CurvatureError):
+                bfgs_update(h, s, y)
+        for beta in (1e-3, 1.0, 1e3):
+            if sp_bfgs_admissible(s, y, beta):
+                _same_bits_or_both_overflow(
+                    lambda: sp_bfgs_update(h, s, y, beta), lambda: _sp_bfgs_reference(h, s, y, beta)
+                )
+            else:
+                with pytest.raises(PdThresholdError):
+                    sp_bfgs_update(h, s, y, beta)
+
+
 # ---------------------------------------------------------------------------
 # the 1-D norm of the hot path
 
@@ -903,12 +953,7 @@ def test_kernels_leave_inputs_alone_and_return_fresh_memory():
 
 
 # ---------------------------------------------------------------------------
-# directions and policies
-
-
-def test_biased_direction_examples():
-    e1 = np.array([1.0, 0.0])
-    npt.assert_array_equal(biased_direction(np.eye(2), e1), -e1)
+# policies
 
 
 def test_constant_policies():
