@@ -209,7 +209,9 @@ def check_scale_invariance(samples=100, seed=2006):
 def check_bounded_chains(chains=20, iterations=500, seed=2007):
     """Alpha clamped by the spectrum bound keeps eigenvalues inside [psi, Psi]."""
     rng = np.random.default_rng(seed)
-    worst = 0.0  # largest excursion outside the band, in units of the tolerance
+    # largest signed excursion beyond the band: negative while every spectrum stays
+    # inside, where it is minus the closest approach to psi or Psi
+    worst = -np.inf
     ok = True
     for _ in range(chains):
         n = int(rng.integers(2, 9))
@@ -233,7 +235,11 @@ def check_bounded_chains(chains=20, iterations=500, seed=2007):
             worst = max(worst, low, high)
             ok = ok and low <= 1e-12 and high <= 1e-12
     return CheckResult(
-        "bounded_chains", chains * iterations, ok, worst, "max excursion beyond [psi, Psi]"
+        "bounded_chains",
+        chains * iterations,
+        ok,
+        worst,
+        "max signed excursion beyond [psi, Psi], negative inside",
     )
 
 

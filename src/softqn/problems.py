@@ -9,6 +9,7 @@ optimal value when it is known analytically.
 
 import io
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -474,18 +475,19 @@ def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
     The file is read in blocks of whole lines, ``text.readlines(_BLOCK_CHARS)``,
     so beside the matrix and the labels the load holds one block, at most
     ``_BLOCK_CHARS`` characters plus one line, and that block's numbers,
-    whatever the width of a row.  When every line of a block reads
-    ``label idx:val idx:val ...`` in ASCII decimal with single spaces, digit-only
-    indices and finite numbers, the block's numbers are converted with one
-    ``np.fromstring`` call; any other block (comments, blank lines, tabs, nan, a
-    malformed token) is scanned token by token, which gives the same numbers or
-    finds the offending line.  One binary pass counts the line breaks first (a
-    pipe, which cannot be rewound, is read into memory for it).  Each block is
-    scattered straight into its rows of a zeroed matrix, which is widened, by
-    one copy of the rows read so far, only when a block's largest index exceeds
-    its width, and then has a row for each row read, in the block or on a line
-    left: an ordinary file is allocated once, by its first block, and blank or
-    ``#`` lines already read cost no rows.
+    whatever the width of a row.  ``_PLAIN_LINES`` is the rule for a block whose
+    numbers are converted as a whole, by one ``np.fromstring`` call: every line
+    reads ``label idx:val idx:val ...`` with single spaces, indices of ASCII
+    digits and other tokens of ``0-9 . e E + -``, and every number is finite.
+    Any other block (comments, blank lines, tabs, nan, a malformed token) is
+    scanned token by token, which gives the same numbers or finds the offending
+    line.  One binary pass counts the line breaks first (a pipe, which cannot be
+    rewound, is read into memory for it).  Each block is scattered straight into
+    its rows of a zeroed matrix, which is widened, by one copy of the rows read
+    so far, only when a block's largest index exceeds its width, and then has a
+    row for each row read, in the block or on a line left: an ordinary file is
+    allocated once, by its first block, and blank or ``#`` lines already read
+    cost no rows.
     """
     try:
         fh = open(path, "rb")
@@ -530,51 +532,32 @@ def load_libsvm(path, normalize: bool = True) -> LogisticDataset:
 
 
 _BLOCK_CHARS = 1 << 17  # about 830 lines of ijcnn1's 22 features
-# Deleting these bytes from ASCII text leaves its spaces, colons and newlines, and
-# any other whitespace, which a block that converts as a whole never has.
-_NOT_SEPARATORS = bytes(c for c in range(256) if c not in b" :\n\t\v\f\r\x1c\x1d\x1e\x1f")
+# Every line of a block that converts as a whole: a label, then " idx:val" per
+# entry with an index of ASCII digits, then at most one space and a newline.  The
+# possessive quantifiers keep no backtracking state per entry, which a block of
+# one very long line would otherwise hold in memory.
+_PLAIN_LINES = re.compile(r"(?:[-+.0-9eE]++(?: [0-9]++:[-+.0-9eE]++)*+ ?\n)*+")
 
 
 def _parse_block(block):
     """(raw labels, entries per row, indices, values) of a block whose every line
-    reads ``label idx:val idx:val ...`` in ASCII with single spaces (a trailing
-    one allowed), every token made of ``0-9 . e E + -``, every index of digits
-    below 2**53 and every number finite; None for any other block, and when a
-    token does not convert."""
+    matches ``_PLAIN_LINES``, every index below 2**53 and every number finite;
+    None for any other block, and when a token does not convert."""
     text = "".join(block)
     if not text.endswith("\n"):
         text += "\n"
-    text = text.replace(" \n", "\n")
-    if not text.isascii():
+    if not _PLAIN_LINES.fullmatch(text):
         return None
-    data = text.encode()
-    del text
-    seps = data.translate(None, _NOT_SEPARATORS)
-    # every line's separators read " :" once per entry and nothing else
-    if seps.replace(b" :", b"") != b"\n" * len(block):
-        return None
-    n_entries = (len(seps) - len(block)) // 2
-    # every line starts with a label: np.fromstring reads a blank line as -1.0
-    if data[:1] in b" \n" or b"\n\n" in data or b"\n " in data:
-        return None
-    # Without its digits an index is empty, so each space meets its colon, and the
-    # other tokens keep only ".eE+-": no nan, inf, hex, underscore or signed index.
-    rest = data.translate(None, b"0123456789")
-    if rest.count(b" :") != n_entries or rest.translate(None, b".eE+- :\n"):
-        return None
+    counts = np.array([line.count(":") for line in block], dtype=np.intp)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            numbers = np.fromstring(data.replace(b":", b" "), sep=" ")
+            numbers = np.fromstring(text.replace(":", " "), sep=" ")
         except (ValueError, Warning):  # a token it cannot read to its end
             return None
-    # each token gives one number or stops the conversion, so an empty side of a
-    # colon shows as a missing number
     # a number that overflows to inf (1e999) is left to the scan, which names its line
-    if numbers.size != len(block) + 2 * n_entries or not np.isfinite(numbers).all():
+    if numbers.size != len(block) + 2 * counts.sum() or not np.isfinite(numbers).all():
         return None
-    ends = np.flatnonzero(np.frombuffer(seps, dtype=np.uint8) == ord("\n"))
-    counts = np.diff(ends, prepend=-1) // 2
     is_label = np.zeros(numbers.size, dtype=bool)
     is_label[np.arange(len(block)) + 2 * (np.cumsum(counts) - counts)] = True
     entries = numbers[~is_label].reshape(-1, 2)

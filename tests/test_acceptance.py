@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from softqn.checks import (
+    ALL_CHECKS,
     check_bfgs_limit,
     check_bounded_chains,
     check_oracle_agreement,
@@ -76,6 +77,16 @@ def test_criterion_05_clamped_chains_keep_bounded_spectra():
     result = check_bounded_chains(chains=20, iterations=500)
     line = _report(result, 60, 0.0)
     assert result.passed, line
+
+
+def test_criterion_05_reports_the_closest_approach_to_the_band():
+    # inside [psi, Psi] every excursion is negative, so a passing run reports a
+    # margin below zero instead of a floor of 0.0
+    quick = check_bounded_chains(**ALL_CHECKS["bounded_chains"][1])
+    full = check_bounded_chains()
+    print(_report(quick, 60, 0.0) + " | " + _report(full, 60, 0.0))
+    assert quick.worst < 0.0
+    assert full.worst <= 1e-12
 
 
 def test_criterion_06_trace_based_eigenvalue_bound():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -411,7 +412,6 @@ def test_console_script_is_installed():
 def test_console_script_entry_point_runs_without_an_install():
     # each callable that [project.scripts] names, run as the installed script would
     # run it, so a renamed or broken entry point fails without an install
-    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts

@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -415,7 +416,32 @@ def test_libsvm_block_parse_agrees_with_the_token_scan():
             npt.assert_array_equal(a, b)
     assert accepted > 500
     # the common layouts take the whole-block path
-    assert problems._parse_block(["+1 1:0.5 3:2 \n", "-1\n", "0 2:1e-3"]) is not None
+    for block in (
+        ["+1 1:0.5 3:2 \n", "-1\n", "0 2:1e-3"],
+        ["+1\n"],  # a label only
+        ["-1 03:2\n"],  # an index with a leading zero
+        ["+1 1:2\n", "-1 2:0.5 "],  # a last line with a trailing space and no newline
+    ):
+        assert problems._parse_block(block) is not None, block
+
+
+def test_libsvm_block_parse_keeps_no_state_per_entry(monkeypatch):
+    # one line of 20,000 entries, longer than a block's budget, converts as a whole;
+    # the pattern's possessive quantifiers keep no backtracking state per entry, so
+    # the parse peaks at the text, its copy and the numbers (2.8 bytes a character)
+    # where the same pattern without them peaks at 14.5
+    rng = np.random.default_rng(3)
+    line = "+1 " + " ".join(f"{j + 1}:{v:.6f}" for j, v in enumerate(rng.standard_normal(20_000))) + "\n"
+    assert len(line) > problems._BLOCK_CHARS
+    fast, peak = _peak(problems._parse_block, [line])
+    assert fast is not None
+    for a, b in zip(fast, problems._scan_block([line], "f", 1)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    bound = 4 * len(line)
+    assert peak <= bound
+    backtracking = problems._PLAIN_LINES.pattern.replace("++", "+").replace("*+", "*")
+    monkeypatch.setattr(problems, "_PLAIN_LINES", re.compile(backtracking))
+    assert _peak(problems._parse_block, [line])[1] > bound
 
 
 @pytest.mark.parametrize(
@@ -649,20 +675,21 @@ def _ijcnn1_like_file(path, rows):
             fh.write(f"{'+1' if r % 3 else '-1'} {hot[r]}:1 {entries}\n")
 
 
-def _load_peak(path):
+def _peak(call, *args):
+    """call(*args) and the peak of the memory it traced."""
     tracemalloc.start()
     try:
-        data = load_libsvm(path)
+        result = call(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return data, peak
+    return result, peak
 
 
 def test_libsvm_load_peak_memory_stays_near_the_matrix(tmp_path):
     f = tmp_path / "big.libsvm"
     _ijcnn1_like_file(f, 20_000)
-    data, peak = _load_peak(f)
+    data, peak = _peak(load_libsvm, f)
     assert data.features.shape == (20_000, 22)
     assert peak <= 1.4 * data.features.nbytes
 
@@ -676,7 +703,7 @@ def test_libsvm_load_of_wide_rows_peaks_near_the_matrix(tmp_path):
         f"{'+1' if r % 2 else '-1'} " + " ".join(f"{j + 1}:{v:.6f}" for j, v in enumerate(row)) + "\n"
         for r, row in enumerate(rng.standard_normal((1_000, 200)))
     ))
-    data, peak = _load_peak(f)
+    data, peak = _peak(load_libsvm, f)
     assert data.features.shape == (1_000, 200)
     assert peak <= 2.0 * data.features.nbytes
 
@@ -688,7 +715,7 @@ def test_libsvm_load_with_small_blocks_peaks_little_above_the_matrix(tmp_path, m
     monkeypatch.setattr(problems, "_BLOCK_CHARS", 1 << 15)
     f = tmp_path / "big.libsvm"
     _ijcnn1_like_file(f, 20_000)
-    data, peak = _load_peak(f)
+    data, peak = _peak(load_libsvm, f)
     assert data.features.shape == (20_000, 22)
     assert peak <= 1.25 * data.features.nbytes
 
