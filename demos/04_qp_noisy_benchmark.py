@@ -22,10 +22,7 @@ with tempfile.TemporaryDirectory() as out:
 
 print(f"{'method':>8}  {'mean final normalized log10 suboptimality':>42}")
 for method, recs in records.items():
-    finals = []
-    for rec in recs:
-        phi0 = rec.suboptimality[0] + rec.phi_star
-        finals.append(metric_normalized_subopt(rec, phi0)[-1])
+    finals = [metric_normalized_subopt(rec)[-1] for rec in recs]
     print(f"{method:>8}  {np.mean(finals):+42.3f}")
 
 rec = records["bfgs"][0]

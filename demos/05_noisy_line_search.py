@@ -22,7 +22,7 @@ with tempfile.TemporaryDirectory() as out:
 print(f"{'trial':>5}  {'fun evals':>9}  {'rejections':>10}  {'final suboptimality':>20}")
 finals = []
 for t, rec in enumerate(records["softqn"]):
-    finals.append(align_trace(rec, 2000).values[-1])
+    finals.append(align_trace(rec, 2000)[-1])
     print(f"{t:5d}  {rec.fun_evals:9d}  {rec.step_rejections:10d}  {finals[-1]:20.3e}")
 print(f"\nmedian suboptimality after 2000 evaluations: {np.median(finals):.3e}")
 
@@ -30,4 +30,4 @@ rec = records["softqn"][0]
 trace = align_trace(rec, 2000)
 print("\nsuboptimality vs. evaluation count (trial 0):")
 for j in [1, 250, 500, 1000, 1500, 2000]:
-    print(f"  after {j:4d} evals: {trace.values[j - 1]:.3e}")
+    print(f"  after {j:4d} evals: {trace[j - 1]:.3e}")

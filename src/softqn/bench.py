@@ -16,7 +16,6 @@ import numpy as np
 from .solver import TrialRecord
 
 __all__ = [
-    "AlignedTrace",
     "SummaryStats",
     "MetricSpec",
     "metric_log10_grad",
@@ -29,13 +28,6 @@ __all__ = [
 ]
 
 LOG_FLOOR = -16.0
-
-
-class AlignedTrace(NamedTuple):
-    """Step-function resampling of a record's suboptimality onto the evaluation grid 1..grid_max."""
-
-    grid: np.ndarray
-    values: np.ndarray
 
 
 class SummaryStats(NamedTuple):
@@ -53,24 +45,25 @@ def metric_log10_grad(record: TrialRecord) -> np.ndarray:
     return np.log10(np.maximum(record.grad_norms, 10.0 ** LOG_FLOOR))
 
 
-def metric_normalized_subopt(record: TrialRecord, phi0: float) -> np.ndarray:
-    """Per-iteration log10((phi_k - phi*)/(phi_0 - phi*)) with the record's phi*,
-    floored at -16.
+def metric_normalized_subopt(record: TrialRecord) -> np.ndarray:
+    """Per-iteration log10((phi_k - phi*)/(phi_0 - phi*)), floored at -16, with
+    phi_0 - phi* the record's own first suboptimality.
 
     Non-positive numerators (the iterate beat phi* to rounding) are clamped to
     the floor.  At the start point the metric is exactly 0.
     """
     if record.phi_star is None:
-        raise ValueError("record has no phi_star to reconstruct values from")
-    denom = phi0 - record.phi_star
+        raise ValueError("record has no phi_star to measure suboptimality from")
+    denom = record.suboptimality[0]
     if denom <= 0:
-        raise ValueError("phi0 must exceed phi_star")
+        raise ValueError(f"the start point's suboptimality {denom!r} is not positive")
     ratio = np.maximum(record.suboptimality / denom, 10.0 ** LOG_FLOOR)
     return np.log10(ratio)
 
 
-def align_trace(record: TrialRecord, grid_max: int) -> AlignedTrace:
-    """Suboptimality of the last iterate adopted at or before each evaluation count.
+def align_trace(record: TrialRecord, grid_max: int) -> np.ndarray:
+    """Suboptimality of the last iterate adopted at or before each evaluation count
+    j = 1..grid_max, as an array whose entry j - 1 belongs to count j.
 
     Grid point j takes the last iterate i with ``eval_counts[i] <= j``, or the
     start point when there is none.  The trace is right-continuous: a step
@@ -80,7 +73,7 @@ def align_trace(record: TrialRecord, grid_max: int) -> AlignedTrace:
         raise ValueError("align_trace needs a problem with a known phi_star")
     grid = np.arange(1, grid_max + 1)
     pos = np.maximum(np.searchsorted(record.eval_counts, grid, side="right") - 1, 0)
-    return AlignedTrace(grid=grid, values=record.suboptimality[pos])
+    return record.suboptimality[pos]
 
 
 def summarize(values) -> SummaryStats:

@@ -7,6 +7,7 @@ search, and the deterministic 2-D saddle walk.  Each writes the long-format
 CSV, per-figure plot data, and (where meaningful) a summary table.
 """
 
+import functools
 import math
 import os
 from importlib import resources
@@ -136,11 +137,7 @@ def run_qp(params, out_dir):
         return run(oracle, methods[m], step, budget)
 
     records = monte_carlo(trial_fn, p["methods"], p["trials"])
-
-    def subopt_series(record):
-        return metric_normalized_subopt(record, record.suboptimality[0] + record.phi_star)
-
-    metric = MetricSpec("normalized_log10_subopt", "iteration", subopt_series, band="mean3sd")
+    metric = MetricSpec("normalized_log10_subopt", "iteration", metric_normalized_subopt, band="mean3sd")
     written = emit_csv(out_dir, "qp", f"qp{p['n']}", records, metric, summary=True)
     return records, written
 
@@ -182,10 +179,8 @@ def run_cutest(params, out_dir):
         return run(oracle, methods[m], step, budget)
 
     records = monte_carlo(trial_fn, p["methods"], p["trials"])
-
-    metric = MetricSpec(
-        "suboptimality", "fun_eval", lambda r: align_trace(r, p["budget"]).values, band="quartiles"
-    )
+    aligned = functools.partial(align_trace, grid_max=p["budget"])
+    metric = MetricSpec("suboptimality", "fun_eval", aligned, band="quartiles")
     written = emit_csv(out_dir, f"cutest_{problem.name.lower()}", problem.name, records, metric, summary=True)
     return records, written
 

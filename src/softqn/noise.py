@@ -5,7 +5,7 @@ while counting every call; the exact value, gradient and Hessian stay queryable
 through a separate channel that does not touch the counters.  Each oracle owns
 three independent RNG streams (function noise, gradient noise, minibatch
 sampling) seeded from a single integer, so the j-th draw of a stream depends
-only on (seed, j) and runs replay identically.  A noise scale must be
+only on (seed mod 2**63, j) and runs replay identically.  A noise scale must be
 nonnegative and finite, a batch an integer >= 1 and a seed an integer, or ValueError.
 """
 
@@ -96,6 +96,9 @@ class NoisyOracle:
     keeps the last point and value of each, and a call at a bitwise-identical x
     (same dtype, shape and bytes) reuses the value.  Counters and noise draws
     are as if every call evaluated the problem.
+
+    The three streams depend on the seed modulo 2**63 only: seeds s and
+    s + 2**63, or -1 and 2**63 - 1, replay the same draws.
     """
 
     def __init__(self, problem, fun_noise=None, grad_noise=None, seed: int = 0):
@@ -110,9 +113,10 @@ class NoisyOracle:
         self.fun_noise = fun_noise
         self.grad_noise = grad_noise
         self.seed = int(seed)
-        self._rng_fun = np.random.default_rng([self.seed & (2**63 - 1), _STREAM_FUN])
-        self._rng_grad = np.random.default_rng([self.seed & (2**63 - 1), _STREAM_GRAD])
-        self._rng_batch = np.random.default_rng([self.seed & (2**63 - 1), _STREAM_BATCH])
+        folded = self.seed & (2**63 - 1)
+        self._rng_fun = np.random.default_rng([folded, _STREAM_FUN])
+        self._rng_grad = np.random.default_rng([folded, _STREAM_GRAD])
+        self._rng_batch = np.random.default_rng([folded, _STREAM_BATCH])
         self._fun_evals = 0
         self._grad_evals = 0
         self._last = {"phi": (None, None), "grad": (None, None)}  # (key, value) per callable

@@ -48,8 +48,9 @@ class PdThresholdError(ValueError):
 
 
 class UpdateConsistencyError(RuntimeError):
-    """A closed-form update overflowed a coefficient, found y'Hy negative beyond
-    rounding (H not positive definite), or failed its positive-definiteness self-check."""
+    """A closed-form update overflowed a coefficient or an entry of H', found y'Hy
+    negative beyond rounding (H not positive definite), or failed its
+    positive-definiteness self-check."""
 
 
 class EigenBounds(NamedTuple):
@@ -362,6 +363,13 @@ def soft_qn_alpha_bound(h, s, y, bounds: EigenBounds, lam_min: float, lam_max: f
     return min(t_low, t_high)
 
 
+def _unit_scaled(a):
+    """(a*2^-e, e) with the largest |entry| of the copy in [1, 2) (e = -1 when
+    every entry is 0); exact unless an entry falls below 2^-1022."""
+    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1] - 1
+    return np.ldexp(a, -e), e
+
+
 def lambda_max_upper_bound(a: np.ndarray) -> float:
     """Trace-based upper bound on the largest eigenvalue of a symmetric matrix.
 
@@ -374,8 +382,7 @@ def lambda_max_upper_bound(a: np.ndarray) -> float:
     if not np.isfinite(a).all():
         raise ValueError("non-finite entries in A")
     n = a.shape[0]
-    e = math.frexp(float(np.abs(a).max()))[1] - 1
-    a = np.ldexp(a, -e)  # the largest entry in [1, 2); exact unless an entry falls below 2^-1022
+    a, e = _unit_scaled(a)
     m = float(np.trace(a)) / n
     mean_sq = float(np.sum(a * a)) / n  # tr(A^2)/n for symmetric A
     var = max(mean_sq - m * m, 0.0)
@@ -386,9 +393,17 @@ def bfgs_admissible(s, y) -> bool:
     """Whether s'y lies above the curvature tolerance 1e-12*|s|*|y|.
 
     BFGS keeps positive definiteness only on such pairs; ``bfgs_update`` raises
-    CurvatureError on the others, and the solver skips them.
+    CurvatureError on the others, and the solver skips them.  When s'y, |s|^2 or
+    |y|^2 is not finite, the test is decided on copies of s and y scaled by
+    powers of two, where none of them overflows; elsewhere it is the plain
+    formula's bits.  It never warns.
     """
-    return float(s @ y) > 1e-12 * _norm(s) * _norm(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_t_y, s_s, y_y = float(s @ y), float(s.dot(s)), float(y.dot(y))
+    if not (math.isfinite(s_t_y) and s_s < math.inf and y_y < math.inf):
+        s, y = _unit_scaled(s)[0], _unit_scaled(y)[0]
+        s_t_y, s_s, y_y = float(s @ y), float(s.dot(s)), float(y.dot(y))
+    return s_t_y > 1e-12 * math.sqrt(s_s) * math.sqrt(y_y)
 
 
 def bfgs_update(h, s, y):
@@ -396,7 +411,8 @@ def bfgs_update(h, s, y):
 
     Raises CurvatureError unless ``bfgs_admissible(s, y)``, since the update
     would lose positive definiteness, and UpdateConsistencyError when a
-    coefficient overflows (s = y = (1e-100, 0)).  H' is exactly symmetric when H is.
+    coefficient overflows (s = y = (1e-100, 0)) or an entry of H' does.  H' is
+    exactly symmetric when H is.
     """
     _check_pair(h, s, y)
     s_t_y = float(s @ y)
@@ -410,23 +426,32 @@ def sp_bfgs_admissible(s, y, beta: float) -> bool:
 
     SP-BFGS preserves positive definiteness iff s'y > -1/beta; the margin keeps
     rounding from crossing it.  ``sp_bfgs_update`` raises PdThresholdError on the
-    other pairs, and the solver skips them.  A beta of +inf admits no pair.
+    other pairs, and the solver skips them.  A beta of +inf admits no pair.  An
+    s'y that overflows is taken as computed (inf admits, NaN does not), without
+    a warning.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _above_pd_threshold(float(s @ y), beta)
+
+
+def _above_pd_threshold(s_t_y, beta):
+    """``sp_bfgs_admissible``'s decision on an s'y already computed."""
     threshold = -1.0 / beta
-    return threshold < 0.0 and float(s @ y) - threshold > 1e-12 * (1.0 + abs(threshold))
+    return threshold < 0.0 and s_t_y - threshold > 1e-12 * (1.0 + abs(threshold))
 
 
 def sp_bfgs_update(h, s, y, beta):
     """Secant-penalized BFGS update with a positive, finite beta.
 
     Raises PdThresholdError unless ``sp_bfgs_admissible(s, y, beta)``, and
-    UpdateConsistencyError when a coefficient overflows.  beta -> inf recovers BFGS,
-    beta -> 0 leaves H unchanged.  H' is exactly symmetric when H is.
+    UpdateConsistencyError when a coefficient or an entry of H' overflows.
+    beta -> inf recovers BFGS, beta -> 0 leaves H unchanged.  H' is exactly
+    symmetric when H is.
     """
     _check_pair(h, s, y)
     positive("beta", beta)
     s_t_y = float(s @ y)
-    if not sp_bfgs_admissible(s, y, beta):
+    if not _above_pd_threshold(s_t_y, beta):
         raise PdThresholdError(
             f"s'y = {s_t_y:.3e} not above -1/beta = {-1.0 / beta:.3e}; update would lose PD"
         )
@@ -442,7 +467,24 @@ def _sp_bfgs(h, s, y, s_t_y, beta):
     hy = h @ y
     y_h_y = float(y @ hy)
     c_ss = omega * omega * y_h_y + pi + (pi - omega) * omega * y_h_y
-    return _rank_two(h, hy, s, 0.0, omega, c_ss)
+    # Finite coefficients can still give an infinite entry (c_ss*s_i*s_j at
+    # s = (1e160, 0)), and einsum overflows without a floating-point flag.  With
+    # |s|^2 and |Hy|^2 below _HUGE none of its products can overflow, and an
+    # overflow in _rank_two's later steps, all ufuncs, raises here; otherwise
+    # the entries are scanned, which costs more.
+    small = False
+    try:
+        with np.errstate(over="raise"):
+            small = float(s @ s) < _HUGE and float(hy @ hy) < _HUGE
+            if small:
+                return _rank_two(h, hy, s, 0.0, omega, c_ss)
+    except FloatingPointError:
+        if small:
+            raise UpdateConsistencyError("H' has an entry that overflows") from None
+    h_new = _rank_two(h, hy, s, 0.0, omega, c_ss)
+    if not np.isfinite(h_new).all():
+        raise UpdateConsistencyError("H' has an entry that overflows")
+    return h_new
 
 
 @dataclass(frozen=True)

@@ -155,18 +155,10 @@ def test_criterion_08_qp_ordering_between_methods(tmp_path):
     elapsed = time.monotonic() - t0
 
     def final_mean(method):
-        values = []
-        for rec in records[method]:
-            phi0 = rec.suboptimality[0] + rec.phi_star
-            values.append(metric_normalized_subopt(rec, phi0)[-1])
-        return float(np.mean(values))
+        return float(np.mean([metric_normalized_subopt(rec)[-1] for rec in records[method]]))
 
     def initial_mean(method):
-        values = []
-        for rec in records[method]:
-            phi0 = rec.suboptimality[0] + rec.phi_star
-            values.append(metric_normalized_subopt(rec, phi0)[0])
-        return float(np.mean(values))
+        return float(np.mean([metric_normalized_subopt(rec)[0] for rec in records[method]]))
 
     means = {m: final_mean(m) for m in ["newton", "softqn", "spbfgs", "bfgs", "sgd", "sgd_ck"]}
     print(
@@ -190,7 +182,7 @@ def test_criterion_09_noisy_line_search_benchmark_medians(tmp_path):
     medians = {}
     for name in bands:
         records, _ = run_cutest({"problem": name, "methods": ["softqn"]}, str(tmp_path / name))
-        finals = [align_trace(rec, 2000).values[-1] for rec in records["softqn"]]
+        finals = [align_trace(rec, 2000)[-1] for rec in records["softqn"]]
         medians[name] = float(np.median(finals))
     elapsed = time.monotonic() - t0
     print(

@@ -17,6 +17,7 @@ from softqn.bench import (
     summarize,
     write_csv,
 )
+from softqn.experiments import QP_DEFAULTS, run_qp
 from softqn.solver import TrialRecord
 
 
@@ -54,7 +55,7 @@ def test_log10_grad_clamps_zero_norm():
 
 def test_normalized_subopt_starts_at_zero():
     rec = _record(subopt=(2.0, 1.0, 0.5))
-    values = metric_normalized_subopt(rec, phi0=2.0)
+    values = metric_normalized_subopt(rec)
     assert values[0] == 0.0
     # halving per step is an arithmetic sequence with slope -log10(2)
     npt.assert_allclose(np.diff(values), -np.log10(2.0) * np.ones(2))
@@ -62,23 +63,37 @@ def test_normalized_subopt_starts_at_zero():
 
 def test_normalized_subopt_clamps_below_optimum():
     rec = _record(subopt=(1.0, -1e-17))
-    values = metric_normalized_subopt(rec, phi0=1.0)
+    values = metric_normalized_subopt(rec)
     assert values[1] == LOG_FLOOR
 
 
 def test_normalized_subopt_positive_for_divergent_traces():
     rec = _record(subopt=(1.0, 1e4))
-    values = metric_normalized_subopt(rec, phi0=1.0)
+    values = metric_normalized_subopt(rec)
     assert values[1] == pytest.approx(4.0)
 
 
 def test_normalized_subopt_validates_inputs():
     rec = _record(subopt=(1.0, 0.5), phi_star=None)
     with pytest.raises(ValueError):
-        metric_normalized_subopt(rec, phi0=1.0)
-    rec = _record(subopt=(1.0, 0.5))
-    with pytest.raises(ValueError):
-        metric_normalized_subopt(rec, phi0=0.0)
+        metric_normalized_subopt(rec)
+    for start in (0.0, -1.0):
+        rec = _record(subopt=(start, 0.5))
+        with pytest.raises(ValueError):
+            metric_normalized_subopt(rec)
+
+
+@pytest.mark.parametrize("seed", [1234, 1])
+def test_normalized_subopt_is_bitwise_the_formula_through_phi0_on_qp_records(tmp_path, seed):
+    # the QP runs start at x0 = 0, where phi is exactly 0, so rebuilding
+    # phi_0 = s_0 + phi* and dividing by phi_0 - phi* divides by s_0 itself
+    records, _ = run_qp({"seed": seed, "trials": 2, "n": 8, "iterations": 40}, str(tmp_path))
+    assert list(records) == QP_DEFAULTS["methods"]
+    for recs in records.values():
+        for rec in recs:
+            denom = (rec.suboptimality[0] + rec.phi_star) - rec.phi_star
+            expected = np.log10(np.maximum(rec.suboptimality / denom, 10.0**LOG_FLOOR))
+            assert metric_normalized_subopt(rec).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +103,16 @@ def test_normalized_subopt_validates_inputs():
 def test_align_trace_single_iterate_is_constant():
     rec = _record(subopt=(4.0,), eval_counts=(0,), phi_star=1.0)
     aligned = align_trace(rec, grid_max=10)
-    npt.assert_array_equal(aligned.grid, np.arange(1, 11))
-    npt.assert_allclose(aligned.values, np.full(10, 4.0))
+    assert isinstance(aligned, np.ndarray)
+    npt.assert_allclose(aligned, np.full(10, 4.0))
 
 
 def test_align_trace_steps_exactly_at_eval_index():
     rec = _record(subopt=(5.0, 3.0), eval_counts=(0, 10), phi_star=0.0)
     aligned = align_trace(rec, grid_max=12)
     # "last iterate before j evaluations": the value changes at grid index 10
-    npt.assert_allclose(aligned.values[:9], np.full(9, 5.0))
-    npt.assert_allclose(aligned.values[9:], np.full(3, 3.0))
+    npt.assert_allclose(aligned[:9], np.full(9, 5.0))
+    npt.assert_allclose(aligned[9:], np.full(3, 3.0))
 
 
 def test_align_trace_needs_phi_star():
@@ -132,9 +147,8 @@ def test_align_trace_matches_the_stepwise_scan():
         # grids ending below the first count, between counts and past the last one
         grid_max = int(rng.integers(0, counts[-1] + 6))
         aligned = align_trace(rec, grid_max)
-        npt.assert_array_equal(aligned.grid, np.arange(1, grid_max + 1))
         expected = _stepwise_align(list(zip(counts.tolist(), phis.tolist())), phi_star, grid_max)
-        assert np.array_equal(aligned.values, expected)
+        assert np.array_equal(aligned, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,22 @@ def test_oracle_takes_any_integer_seed_with_the_streams_of_its_int(seed):
     npt.assert_array_equal(a.g(QP.x0), b.g(QP.x0))
 
 
+def _draws(seed):
+    """A few draws of each of an oracle's three streams at ``seed``."""
+    o = NoisyOracle(QP, fun_noise=UniformNoise(0.5), grad_noise=GaussianNoise(1.0), seed=seed)
+    problem = logistic_problem(load_libsvm(fixture_dataset_path()), 0.1)
+    batch = NoisyOracle(problem, grad_noise=MinibatchSampling(8), seed=seed)
+    x = 0.1 * np.ones(problem.dim)
+    return [o.f(QP.x0), o.f(QP.x0), *o.g(QP.x0), *o.g(QP.x0), *batch.g(x), *batch.g(x)]
+
+
+def test_oracle_streams_depend_on_the_seed_modulo_2_63():
+    for a, b in [(5, 5 + 2**63), (-1, 2**63 - 1), (2**64 - 1, 2**63 - 1), (-(2**63), 0)]:
+        assert _draws(a) == _draws(b), (a, b)
+    for a, b in [(0, 1), (0, 2**62), (2**63 - 1, 2**63 - 2)]:
+        assert _draws(a) != _draws(b), (a, b)
+
+
 def test_noiseless_oracle_is_exact_and_counts():
     o = NoisyOracle(QP, seed=0)
     x = QP.x0

@@ -1,12 +1,13 @@
 """Unit tests for the closed-form update operations and penalty policies."""
 
+import functools
 import math
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import Phase, given, settings, target
+from hypothesis import Phase, example, given, settings, target
 from hypothesis import strategies as st
 
 from softqn import updates
@@ -337,6 +338,16 @@ def test_bfgs_refuses_coefficients_that_overflow(tiny):
         bfgs_update(np.eye(2), s, s)
 
 
+def test_bfgs_admits_a_positive_curvature_pair_whose_squared_norm_overflows():
+    # s'y = 2e4 and cos(s, y) = 1, but |s|^2 = 2e308 overflows: the tolerance was
+    # inf (after an overflow warning) and the pair was refused as below it
+    s, y = np.full(2, 1e154), np.full(2, 1e-150)
+    assert bfgs_admissible(s, y)
+    h_new = bfgs_update(np.eye(2), s, y)
+    npt.assert_allclose(h_new, np.full((2, 2), 5e303), rtol=1e-15)
+    _assert_bitwise(h_new, _bfgs_reference(np.eye(2), s, y))
+
+
 # ---------------------------------------------------------------------------
 # SP-BFGS
 
@@ -349,6 +360,32 @@ def test_sp_bfgs_refuses_coefficients_that_overflow(big):
         assert sp_bfgs_admissible(s, s, 1.0)
         with pytest.raises(UpdateConsistencyError, match="overflow"):
             sp_bfgs_update(np.eye(2), s, s, 1.0)
+
+
+def test_sp_bfgs_admissibility_takes_an_overflowing_s_t_y_without_a_warning():
+    s = np.array([1e200, 0.0])
+    assert sp_bfgs_admissible(s, s, 1.0)  # s'y = inf
+    assert not sp_bfgs_admissible(s, -s, 1.0)
+
+
+@pytest.mark.parametrize(
+    "beta, s1, y1",
+    [
+        # s_1^2 overflows inside einsum, which sets no floating-point flag: H'
+        # came back [[inf, 0], [0, 1]] without a warning
+        (math.inf, 1e160, 1e-150),
+        (1.0, 1e160, 1e-150),
+        # s_1^2 = 1e280 is finite, and c_ss*s_1^2 = 1e310 overflows in a ufunc,
+        # which warned and returned inf
+        (math.inf, 1e140, 1e-170),
+    ],
+)
+def test_bfgs_and_sp_bfgs_refuse_an_h_prime_entry_that_overflows(beta, s1, y1):
+    # the coefficients are finite in every case
+    s, y = np.array([s1, 0.0]), np.array([y1, 0.0])
+    kernel = bfgs_update if beta == math.inf else functools.partial(sp_bfgs_update, beta=beta)
+    with pytest.raises(UpdateConsistencyError, match="overflows"):
+        kernel(np.eye(2), s, y)
 
 
 def test_sp_update_1d_hand_value():
@@ -419,28 +456,33 @@ def _soft_qn_reference(h, s, y, alpha):
     return _symmetrize(h_new)
 
 
-def _bfgs_reference(h, s, y):
+def _bfgs_form(h, s, y):
     rho = 1.0 / float(s @ y)
     hy = h @ y
     y_h_y = float(y @ hy)
-    h_new = (
+    return (
         h
         - rho * ((np.outer(s, hy) + 0.0) + (np.outer(hy, s) + 0.0))
         + (rho * rho * y_h_y + rho) * (np.outer(s, s) + 0.0)
     )
-    return _symmetrize(h_new)
 
 
-def _sp_bfgs_reference(h, s, y, beta):
+def _sp_bfgs_form(h, s, y, beta):
     s_t_y = float(s @ y)
     pi = 1.0 / (s_t_y + 1.0 / beta)
     omega = 1.0 / (s_t_y + 2.0 / beta)
     hy = h @ y
     y_h_y = float(y @ hy)
     c_ss = omega * omega * y_h_y + pi + (pi - omega) * omega * y_h_y
-    return _symmetrize(
-        h - omega * ((np.outer(s, hy) + 0.0) + (np.outer(hy, s) + 0.0)) + c_ss * (np.outer(s, s) + 0.0)
-    )
+    return h - omega * ((np.outer(s, hy) + 0.0) + (np.outer(hy, s) + 0.0)) + c_ss * (np.outer(s, s) + 0.0)
+
+
+def _bfgs_reference(h, s, y):
+    return _symmetrize(_bfgs_form(h, s, y))
+
+
+def _sp_bfgs_reference(h, s, y, beta):
+    return _symmetrize(_sp_bfgs_form(h, s, y, beta))
 
 
 def _random_spd(rng, n):
@@ -605,10 +647,10 @@ def test_rank_two_is_bitwise_the_outer_product_form_over_the_double_range(args):
 
 
 @st.composite
-def _secant_inputs(draw):
+def _secant_inputs(draw, top=150.0):
     """H = Q diag(lam) Q' with a Householder Q and lam drawn as the entries above
     (log-uniform in [1e-200, 1e200], either sign, some zeros), so y'Hy takes
-    either sign; s and y of norms log-uniform in [1e-150, 1e150], y along +-s
+    either sign; s and y of norms log-uniform in [10^-top, 10^top], y along +-s
     plus a random part, so that s'y takes either sign and is often admissible."""
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -620,7 +662,7 @@ def _secant_inputs(draw):
     s /= np.linalg.norm(s)
     y = draw(st.sampled_from([1.0, -1.0])) * s + draw(st.floats(0.0, 2.0)) * rng.standard_normal(n)
     y /= np.linalg.norm(y)
-    return h, s * 10.0 ** draw(st.floats(-150.0, 150.0)), y * 10.0 ** draw(st.floats(-150.0, 150.0))
+    return h, s * 10.0 ** draw(st.floats(-top, top)), y * 10.0 ** draw(st.floats(-top, top))
 
 
 def _same_bits_or_both_overflow(kernel, reference):
@@ -653,6 +695,64 @@ def test_bfgs_and_sp_bfgs_are_bitwise_the_outer_product_form_over_the_double_ran
             else:
                 with pytest.raises(PdThresholdError):
                     sp_bfgs_update(h, s, y, beta)
+
+
+def _admissible_in_mpmath(s, y):
+    """Whether s'y > 1e-12*|s|*|y| in 60 digits, or None where the two sides lie
+    within 4*(n + 4)*u*|s||y| + 4*(n + 2)*2^-1074 of each other, a bound on how far
+    the float evaluation of s'y may be off (its subnormal products included)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        sv, yv = [mpmath.mpf(v) for v in s.tolist()], [mpmath.mpf(v) for v in y.tolist()]
+        s_t_y = mpmath.fsum(a * b for a, b in zip(sv, yv))
+        scale = mpmath.sqrt(mpmath.fsum(a * a for a in sv)) * mpmath.sqrt(mpmath.fsum(b * b for b in yv))
+        gap = s_t_y - mpmath.mpf(1e-12) * scale
+        reach = 4 * (s.size + 4) * mpmath.mpf(2) ** -53 * scale + 4 * (s.size + 2) * mpmath.mpf(2) ** -1074
+        return None if abs(gap) <= reach else bool(gap > 0)
+
+
+# no shrink phase, as above
+@settings(max_examples=150, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(_secant_inputs(300.0))
+@example((np.eye(2), np.full(2, 1e154), np.full(2, 1e-150)))  # |s|^2 overflows
+@example((np.eye(2), np.array([1e160, 0.0]), np.array([1e-150, 0.0])))  # s_1^2 overflows
+@example((np.eye(2), np.array([1e140, 0.0]), np.array([1e-170, 0.0])))  # c_ss*s_1^2 overflows
+def test_bfgs_and_sp_bfgs_return_a_finite_h_or_a_typed_error_over_the_whole_double_range(args):
+    """Norms of s and y in [1e-300, 1e300].  The admissibility tests run with
+    warnings as errors and agree with 60-digit arithmetic; every update returns
+    the outer-product form bit for bit, finite, or raises its typed error.  The
+    forms are taken without the symmetrize pass, which is exact for a symmetric H
+    except that its a + a' overflows past 2^1023.
+
+    Known limit: a squared norm that underflows makes the BFGS tolerance too
+    small, which admits a pair with 0 < cos(s, y) <= 1e-12; with y drawn as +-s
+    plus a random part, such a cosine has negligible probability."""
+    h, s, y = args
+    admissible = bfgs_admissible(s, y)
+    assert _admissible_in_mpmath(s, y) in (None, admissible)
+    cases = [(admissible, CurvatureError, bfgs_update, _bfgs_form)]
+    for beta in (1e-3, 1.0, 1e3):
+        cases.append(
+            (
+                sp_bfgs_admissible(s, y, beta),
+                PdThresholdError,
+                functools.partial(sp_bfgs_update, beta=beta),
+                functools.partial(_sp_bfgs_form, beta=beta),
+            )
+        )
+    for ok, refusal, kernel, reference in cases:
+        with np.errstate(all="ignore"):
+            if not ok:
+                with pytest.raises(refusal):
+                    kernel(h, s, y)
+                continue
+            try:
+                h_new = kernel(h, s, y)
+            except UpdateConsistencyError:
+                assert not np.isfinite(reference(h, s, y)).all()
+            else:
+                assert np.isfinite(h_new).all()
+                _assert_same_bits(h_new, reference(h, s, y))
 
 
 # ---------------------------------------------------------------------------
